@@ -10,6 +10,8 @@
     search statistics, same propagation fixpoints — across [solve],
     [rand_sat], [solve_all], [enumerate], [propagate_domains] and
     [solve_biased], including the [with_extra] incremental template-reuse
-    path and compile-cache hits. *)
+    path and compile-cache hits. Five of them run a second time, under
+    "engine: heron-shaped ..." names, over {!Csp_gen.heron_arbitrary}
+    spaces, which reach every exact-support path of the solver. *)
 
 val tests : ?count:int -> unit -> QCheck.Test.t list

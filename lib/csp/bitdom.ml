@@ -24,7 +24,7 @@ let full_word = (1 lsl bits_per_word) - 1
 let fill store ~off ~n =
   let nw = nwords n in
   for wi = 0 to nw - 1 do
-    let bits_here = min bits_per_word (n - (wi * bits_per_word)) in
+    let bits_here = Int.min bits_per_word (n - (wi * bits_per_word)) in
     store.(off + wi) <- (if bits_here = bits_per_word then full_word else (1 lsl bits_here) - 1)
   done
 

@@ -1,7 +1,7 @@
 type t = int array
 (* Invariant: strictly increasing. *)
 
-let of_list l = Array.of_list (List.sort_uniq compare l)
+let of_list l = Array.of_list (List.sort_uniq Int.compare l)
 let to_list = Array.to_list
 let singleton v = [| v |]
 

@@ -15,7 +15,8 @@
     identical to a compile-per-solve engine (see [Solver_ref] and the
     [engine] differential properties in [lib/check]), and cache traffic
     shows up in the [solver.compiles] / [solver.compile_cache_hits] /
-    [solver.trail_pushes] counters documented in OBSERVABILITY.md. *)
+    [solver.trail_pushes] counters documented in OBSERVABILITY.md, and
+    the work of exact binary PROD/SUM pruning in [solver.support_checks]. *)
 
 type stats = {
   mutable nodes : int;     (** search nodes explored *)

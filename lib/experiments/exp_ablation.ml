@@ -6,6 +6,7 @@ module Cga = Heron_search.Cga
 module Rng = Heron_util.Rng
 module Pipeline = Heron.Pipeline
 module Generator = Heron.Generator
+module Obs = Heron_obs.Obs
 
 let score (r : Env.result) =
   match r.Env.best_latency with Some l -> 1000.0 /. l | None -> 0.0
@@ -54,14 +55,15 @@ let propagation ?(seed = 42) () =
   let solve_stats ~exact_limit (gen : Generator.t) =
     let stats = Solver.fresh_stats () in
     let rng = Rng.create seed in
-    let t0 = Sys.time () in
+    let t0 = Obs.Clock.now_ns () in
     let solved = ref 0 in
     for _ = 1 to 20 do
       match Solver.solve ~exact_limit ~stats rng gen.Generator.problem with
       | Some _ -> incr solved
       | None -> ()
     done;
-    (!solved, stats.Solver.nodes, stats.Solver.fails, Sys.time () -. t0)
+    (!solved, stats.Solver.nodes, stats.Solver.fails,
+     float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9)
   in
   let rows =
     List.concat_map

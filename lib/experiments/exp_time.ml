@@ -4,6 +4,7 @@ module Env = Heron_search.Env
 module Cga = Heron_search.Cga
 module Methods = Heron_baselines.Methods
 module Pipeline = Heron.Pipeline
+module Obs = Heron_obs.Obs
 
 (* Per-measurement harness overhead on a real device (upload, launch,
    timing), in seconds. *)
@@ -34,9 +35,9 @@ let table10 ?(budget = 120) ?(seed = 42) () =
     List.map
       (fun (name, op) ->
         let per_method (m : Methods.t) =
-          let t0 = Sys.time () in
+          let t0 = Obs.Clock.now_ns () in
           let r = m.Methods.run desc op ~budget ~seed in
-          let wall = Sys.time () -. t0 in
+          let wall = float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9 in
           let total = wall +. simulated_measure_s r.Methods.trace ~reps:3 in
           Printf.sprintf "%.1f" (total /. 60.0)
         in

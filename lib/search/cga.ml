@@ -249,9 +249,9 @@ let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_
   let time_search = ref 0.0 and time_model = ref 0.0 and time_measure = ref 0.0 in
   let timed acc name f =
     Obs.with_span name (fun () ->
-        let t0 = Sys.time () in
+        let t0 = Obs.Clock.now_ns () in
         let x = f () in
-        acc := !acc +. (Sys.time () -. t0);
+        acc := !acc +. (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9);
         x)
   in
   let iter_no = ref 0 in

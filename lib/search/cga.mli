@@ -30,9 +30,9 @@ type outcome = {
   result : Env.result;
   model : Model.t;
   jobs : int;  (** domain-pool parallelism the run executed with *)
-  time_search_s : float;  (** CGA evolution time, CSP solving included *)
-  time_model_s : float;  (** cost-model training time *)
-  time_measure_s : float;  (** DLA measurement time *)
+  time_search_s : float;  (** CGA evolution wall time, CSP solving included *)
+  time_model_s : float;  (** cost-model training wall time *)
+  time_measure_s : float;  (** DLA measurement wall time *)
 }
 
 (** Everything the exploration loop carries across an iteration boundary,

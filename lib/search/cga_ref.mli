@@ -18,6 +18,7 @@ val run :
   budget:int ->
   Cga.outcome
 (** Byte-identical in results, traces, snapshots and RNG consumption to
-    the pre-overhaul {!Cga.run}. The only intentional difference from the
-    historical code is bookkeeping: step-3 ranking is charged to
-    [time_search_s] (both engines charge it identically). *)
+    the pre-overhaul {!Cga.run}. The only intentional differences from the
+    historical code are bookkeeping, shared by both engines: step-3
+    ranking is charged to [time_search_s], and the phase times are
+    monotonic wall-clock seconds rather than [Sys.time] CPU seconds. *)
