@@ -270,7 +270,7 @@ let queue_checkpoint_sweep ~count =
 
 (* ---------- (c) CGA checkpoint save ---------- *)
 
-let synthetic_snapshot rng tag =
+let synthetic_snapshot rng =
   {
     Cga.s_iter = 1 + Rng.int rng 8;
     s_dry = Rng.int rng 3;
@@ -291,22 +291,24 @@ let synthetic_snapshot rng tag =
     s_survivors = [ (Assignment.of_list [ ("tile", 1 + Rng.int rng 8) ], 0.5) ];
     s_model = [ ([| Rng.int rng 4; Rng.int rng 4 |], float_of_int (Rng.int rng 9) /. 2.) ];
   }
-  |> fun s -> (tag, s)
 
-type ckpt_ctx = { cc_path : string }
+type ckpt_ctx = { cc_path : string; cc_writer : Checkpoint.writer }
 
 (* Old-or-new: a checkpoint overwrite killed at any boundary leaves a
-   loadable checkpoint equal to exactly one of the two versions. *)
-let checkpoint_scenario ~old_ckpt ~new_ckpt =
+   loadable checkpoint equal to exactly one of the two versions. Both
+   versions, and the redo, go through one writer, as a tuning run's
+   checkpoints do. *)
+let checkpoint_scenario ~label ~old_snap ~new_snap =
+  let old_ckpt = (label, old_snap) and new_ckpt = (label, new_snap) in
   let render (label, s) = Json.to_string (Checkpoint.snapshot_to_json ~label s) in
-  let save (label, s) path = Checkpoint.save ~path ~label s in
   {
     setup =
       (fun () ->
-        let c = { cc_path = fresh_name "ckpt" ^ ".json" } in
-        save old_ckpt c.cc_path;
+        let path = fresh_name "ckpt" ^ ".json" in
+        let c = { cc_path = path; cc_writer = Checkpoint.writer ~path ~label } in
+        Checkpoint.write c.cc_writer old_snap;
         c);
-    run = (fun c -> save new_ckpt c.cc_path);
+    run = (fun c -> Checkpoint.write c.cc_writer new_snap);
     mid_check =
       (fun c ->
         match Checkpoint.load ~path:c.cc_path with
@@ -314,7 +316,7 @@ let checkpoint_scenario ~old_ckpt ~new_ckpt =
         | Ok got ->
             let r = render got in
             r = render old_ckpt || r = render new_ckpt);
-    recover = (fun c -> save new_ckpt c.cc_path);
+    recover = (fun c -> Checkpoint.write c.cc_writer new_snap);
     final =
       (fun c ->
         match Checkpoint.load ~path:c.cc_path with
@@ -327,9 +329,9 @@ let search_checkpoint_sweep ~count =
   QCheck.Test.make ~name:"crash: CGA checkpoint save leaves old or new at every I/O site"
     ~count seed_pair (fun (seed, k) ->
       let rng = Rng.create ((seed * 6121) + k) in
-      let old_ckpt = synthetic_snapshot rng "run-old" in
-      let new_ckpt = synthetic_snapshot rng "run-new" in
-      explore (checkpoint_scenario ~old_ckpt ~new_ckpt))
+      let old_snap = synthetic_snapshot rng in
+      let new_snap = synthetic_snapshot rng in
+      explore (checkpoint_scenario ~label:"run" ~old_snap ~new_snap))
 
 (* ---------- (d) nets composite checkpoint ---------- *)
 

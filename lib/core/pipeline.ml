@@ -9,6 +9,7 @@ module Env = Heron_search.Env
 module Cga = Heron_search.Cga
 module Resilience = Heron_search.Resilience
 module Checkpoint = Heron_search.Checkpoint
+module Obs = Heron_obs.Obs
 module Rng = Heron_util.Rng
 
 type tuned = {
@@ -121,10 +122,11 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
     match checkpoint with
     | None -> None
     | Some path ->
+        let w = Checkpoint.writer ~path ~label in
         let writes = ref 0 in
         Some
           (fun snap ->
-            Checkpoint.save ~path ~label snap;
+            Obs.with_span "search.checkpoint" (fun () -> Checkpoint.write w snap);
             incr writes;
             (* Crash simulation for resilience tests: die (uncleanly, as a
                crash would) after the Nth checkpoint write. *)

@@ -14,11 +14,16 @@ type t =
 
 (* ---------- emission ---------- *)
 
+(* Clean runs between the bytes that need escaping are blitted whole. *)
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !start then Buffer.add_substring b s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
@@ -26,11 +31,25 @@ let escape_string b s =
       | '\t' -> Buffer.add_string b "\\t"
       | '\b' -> Buffer.add_string b "\\b"
       | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c)));
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring b s !start (n - !start);
   Buffer.add_char b '"'
+
+(* Decimal digits of [n <= 0], most significant first. Working on the
+   non-positive side covers [min_int], whose negation overflows. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b i =
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b i
+  end
+  else add_neg_digits b (-i)
 
 (* Shortest representation that parses back to the same float; non-finite
    values have no JSON encoding and degrade to null. *)
@@ -41,36 +60,69 @@ let float_repr f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let rec write b = function
+(* [repr] renders a float: [float_repr] itself, or a printer's memo of it. *)
+let rec write repr b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> Buffer.add_string b (float_repr f)
+  | Int i -> add_int b i
+  | Float f -> Buffer.add_string b (repr f)
   | String s -> escape_string b s
   | List xs ->
       Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          write b x)
-        xs;
+      write_items repr b false xs;
       Buffer.add_char b ']'
   | Obj fields ->
       Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          escape_string b k;
-          Buffer.add_char b ':';
-          write b v)
-        fields;
+      write_fields repr b false fields;
       Buffer.add_char b '}'
+
+and write_items repr b sep = function
+  | [] -> ()
+  | x :: rest ->
+      if sep then Buffer.add_char b ',';
+      write repr b x;
+      write_items repr b true rest
+
+and write_fields repr b sep = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      if sep then Buffer.add_char b ',';
+      escape_string b k;
+      Buffer.add_char b ':';
+      write repr b v;
+      write_fields repr b true rest
 
 let to_string v =
   let b = Buffer.create 128 in
-  write b v;
+  write float_repr b v;
   Buffer.contents b
+
+(* The memo is keyed by the float's bits, never by float equality: [0.0]
+   and [-0.0] are equal but print differently, and every NaN payload is
+   its own key (all of them print [null]). *)
+module Bits = Hashtbl.Make (struct
+  type t = int64
+
+  let equal = Int64.equal
+  let hash = Int64.hash
+end)
+
+type printer = string Bits.t
+
+let printer () = Bits.create 1024
+
+let print p b v =
+  write
+    (fun f ->
+      let bits = Int64.bits_of_float f in
+      match Bits.find_opt p bits with
+      | Some s -> s
+      | None ->
+          let s = float_repr f in
+          Bits.add p bits s;
+          s)
+    b v
 
 (* ---------- parsing ---------- *)
 

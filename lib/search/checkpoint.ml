@@ -58,9 +58,21 @@ let to_json ~label (s : Cga.snapshot) =
              s.Cga.s_model) );
     ]
 
-let save ~path ~label s =
+(* One writer per run: successive snapshots of a run repeat nearly every
+   float of the previous one, so the printer's memo formats each once, and
+   the one buffer is rewritten in place instead of reallocated. *)
+type writer = { path : string; label : string; printer : Json.printer; buf : Buffer.t }
+
+let writer ~path ~label = { path; label; printer = Json.printer (); buf = Buffer.create 4096 }
+
+let write w s =
+  Buffer.clear w.buf;
+  Json.print w.printer w.buf (to_json ~label:w.label s);
+  Buffer.add_char w.buf '\n';
   Heron_util.Atomic_io.with_retry ~what:"search.checkpoint" (fun () ->
-      Heron_util.Atomic_io.write_string ~path (Json.to_string (to_json ~label s) ^ "\n"))
+      Heron_util.Atomic_io.with_file_out ~path:w.path (fun oc -> Buffer.output_buffer oc w.buf))
+
+let save ~path ~label s = write (writer ~path ~label) s
 
 (* ---------- decoding ---------- *)
 

@@ -9,9 +9,20 @@
 
 val version : int
 
-val save : path:string -> label:string -> Cga.snapshot -> unit
+type writer
+(** The checkpoint file of one run: every {!write} replaces it with the
+    given snapshot, byte-for-byte what {!save} would write, reusing one
+    buffer and remembering the text of every float already printed. *)
+
+val writer : path:string -> label:string -> writer
+
+val write : writer -> Cga.snapshot -> unit
 (** Atomic write: the JSON lands in [path ^ ".tmp"] and is renamed over
-    [path] only once complete. *)
+    [path] only once complete. A transient [Sys_error] is retried
+    ({!Heron_util.Atomic_io.with_retry}). *)
+
+val save : path:string -> label:string -> Cga.snapshot -> unit
+(** [write] through a fresh writer. *)
 
 val load : path:string -> (string * Cga.snapshot, string) result
 (** Read back [(label, snapshot)]. All diagnostics name the offending

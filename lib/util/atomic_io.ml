@@ -25,28 +25,42 @@ let fsync_dir_noerr dir =
 
 let remove_noerr path = try Sys.remove path with Sys_error _ -> ()
 
-(* The plain protocol, exactly as it has always been (plus the optional
-   fsync): no injector is consulted, let alone constructed. *)
-let plain_with_file_out ~fsync ~path f =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
+(* Once [f] has returned, a failing finishing step — flush, fsync, close
+   or rename — closes the channel without raising, removes the temp file
+   and surfaces as [Sys_error], the one error [with_retry] retries. *)
+let finish ~path ~tmp oc step =
+  let abandon msg =
+    close_out_noerr oc;
+    remove_noerr tmp;
+    raise (Sys_error (path ^ ": " ^ msg))
+  in
+  match step () with
+  | () -> ()
+  | exception Sys_error msg -> abandon msg
+  | exception Unix.Unix_error (err, _, _) -> abandon (Unix.error_message err)
+
+let write_contents ~tmp oc f =
   match f oc with
-  | () ->
-      if fsync then begin
-        flush oc;
-        (try Unix.fsync (Unix.descr_of_out_channel oc)
-         with Unix.Unix_error (err, _, _) ->
-           close_out_noerr oc;
-           remove_noerr tmp;
-           raise (Sys_error (tmp ^ ": " ^ Unix.error_message err)))
-      end;
-      close_out oc;
-      Unix.rename tmp path;
-      if fsync then fsync_dir_noerr (Filename.dirname path)
+  | () -> ()
   | exception e ->
       close_out_noerr oc;
       remove_noerr tmp;
       raise e
+
+(* The plain protocol (plus the optional fsync): no injector is
+   consulted, let alone constructed. *)
+let plain_with_file_out ~fsync ~path f =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  write_contents ~tmp oc f;
+  finish ~path ~tmp oc (fun () ->
+      if fsync then begin
+        flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc)
+      end;
+      close_out oc;
+      Unix.rename tmp path);
+  if fsync then fsync_dir_noerr (Filename.dirname path)
 
 (* The instrumented protocol: the same syscall sequence, with the injector
    consulted at each boundary — content write, fsync (when requested),
@@ -58,12 +72,8 @@ let plain_with_file_out ~fsync ~path f =
 let injected_with_file_out inj ~fsync ~path f =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  (match f oc with
-  | () -> close_out oc
-  | exception e ->
-      close_out_noerr oc;
-      remove_noerr tmp;
-      raise e);
+  write_contents ~tmp oc f;
+  finish ~path ~tmp oc (fun () -> close_out oc);
   let len = (Unix.stat tmp).Unix.st_size in
   let crash op site ~keep =
     if keep < len then Unix.truncate tmp keep;
@@ -79,14 +89,14 @@ let injected_with_file_out inj ~fsync ~path f =
   | Io_faults.Crash k -> crash Io_faults.Write (site inj - 1) ~keep:k);
   if fsync then begin
     match Io_faults.at_site inj ~path ~len ~durable:true Io_faults.Fsync with
-    | Io_faults.Proceed | Io_faults.Torn _ -> fsync_path tmp
+    | Io_faults.Proceed | Io_faults.Torn _ -> finish ~path ~tmp oc (fun () -> fsync_path tmp)
     | Io_faults.Fail msg ->
         remove_noerr tmp;
         raise (Sys_error msg)
     | Io_faults.Crash _ -> crash Io_faults.Fsync (site inj - 1) ~keep:len
   end;
   (match Io_faults.at_site inj ~path ~len ~durable:fsync Io_faults.Rename with
-  | Io_faults.Proceed | Io_faults.Torn _ -> Unix.rename tmp path
+  | Io_faults.Proceed | Io_faults.Torn _ -> finish ~path ~tmp oc (fun () -> Unix.rename tmp path)
   | Io_faults.Fail msg ->
       remove_noerr tmp;
       raise (Sys_error msg)

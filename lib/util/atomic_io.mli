@@ -34,7 +34,9 @@ val with_file_out : ?fsync:bool -> path:string -> (out_channel -> unit) -> unit
     renames over [path] when [f] returns. On exception — from [f], from a
     real I/O error, or from an injected fault — the temp file is removed
     and [path] is untouched, except for {!Io_faults.Crashed}, which leaves
-    disk exactly as the simulated death would. *)
+    disk exactly as the simulated death would. A real error after [f]
+    returns (flush, fsync, close, rename) is raised as
+    [Sys_error (path ^ ": " ^ reason)], so {!with_retry} retries it. *)
 
 val with_retry : ?attempts:int -> what:string -> (unit -> 'a) -> 'a
 (** [with_retry ~what f] runs [f], retrying a [Sys_error] (transient

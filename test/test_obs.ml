@@ -124,6 +124,182 @@ let test_json_accessors () =
     (Option.bind (Json.member "s" j) Json.to_string_opt);
   Alcotest.(check bool) "missing" true (Json.member "nope" j = None)
 
+(* The printer as it stood before floats were memoized and ints and
+   strings written in place: a test-only oracle for [Json.to_string] and
+   [Json.print]. Checkpoint files are compared byte for byte across
+   versions, so the rendering of every value must stay exactly this. *)
+module Oracle = struct
+  let escape_string b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\b' -> Buffer.add_string b "\\b"
+        | '\012' -> Buffer.add_string b "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let float_repr f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+    else
+      let s = Printf.sprintf "%.12g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+  let rec write b = function
+    | Json.Null -> Buffer.add_string b "null"
+    | Json.Bool true -> Buffer.add_string b "true"
+    | Json.Bool false -> Buffer.add_string b "false"
+    | Json.Int i -> Buffer.add_string b (string_of_int i)
+    | Json.Float f -> Buffer.add_string b (float_repr f)
+    | Json.String s -> escape_string b s
+    | Json.List xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            write b x)
+          xs;
+        Buffer.add_char b ']'
+    | Json.Obj fields ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            escape_string b k;
+            Buffer.add_char b ':';
+            write b v)
+          fields;
+        Buffer.add_char b '}'
+
+  let to_string v =
+    let b = Buffer.create 128 in
+    write b v;
+    Buffer.contents b
+end
+
+let special_floats =
+  [
+    0.0; -0.0; nan; Float.neg nan; infinity; neg_infinity;
+    Int64.float_of_bits 1L (* smallest subnormal *);
+    Int64.float_of_bits 0x000FFFFFFFFFFFFFL (* largest subnormal *);
+    -1e-310; Float.min_float; Float.max_float; -.Float.max_float;
+    1e16; Float.pred 1e16; Float.succ 1e16; -1e16; -.Float.pred 1e16;
+    2e16; 12345678901234568.0; 123456789012345678.0; 9007199254740993.0;
+    0.1; 0.1 +. 0.2; 1.0 /. 3.0; -2.0 /. 3.0; 1.0; -3.25; 4.35; 1e-9; 6.02214076e23;
+  ]
+
+let gen_float =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, oneofl special_floats);
+      (2, float);
+      (* arbitrary bit patterns: every exponent, NaN payloads, subnormals *)
+      (2, map2 (fun hi lo -> Int64.float_of_bits (Int64.logor (Int64.shift_left (Int64.of_int hi) 32)
+                                                    (Int64.of_int (lo land 0xFFFFFFFF)))) int int);
+      (* integral floats, many above 1e16 *)
+      (2, map float_of_int int);
+      (1, map (fun n -> float_of_int n /. 1000.0) small_signed_int);
+    ]
+
+let gen_int =
+  let open QCheck.Gen in
+  frequency
+    [ (2, oneofl [ min_int; max_int; min_int + 1; 0; -1; 1; -9; -10; 9; 10 ]); (3, int); (2, small_signed_int) ]
+
+(* Strings over all 256 byte values. *)
+let gen_string =
+  let open QCheck.Gen in
+  frequency
+    [ (1, return (String.init 256 Char.chr)); (6, string_size ~gen:char (int_bound 12)) ]
+
+let gen_json =
+  let open QCheck.Gen in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (1, return Json.Null);
+               (1, map (fun b -> Json.Bool b) bool);
+               (3, map (fun i -> Json.Int i) gen_int);
+               (4, map (fun f -> Json.Float f) gen_float);
+               (3, map (fun s -> Json.String s) gen_string);
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 6) (self (n / 3))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_bound 6) (pair gen_string (self (n / 3)))) );
+             ])
+
+let render p v =
+  let b = Buffer.create 64 in
+  Json.print p b v;
+  Buffer.contents b
+
+(* [parse] gives back what was printed: floats by bit pattern, except that
+   non-finite floats print as null and an integral float printed without
+   a '.' or an exponent reads back as the equal int. *)
+let rec same v v' =
+  match (v, v') with
+  | Json.Float f, Json.Null -> not (Float.is_finite f)
+  | Json.Float f, Json.Float g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | Json.Float f, Json.Int i -> Float.is_integer f && Float.equal (float_of_int i) f
+  | Json.List xs, Json.List ys -> List.length xs = List.length ys && List.for_all2 same xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (k', y) -> String.equal k k' && same x y) xs ys
+  | (Json.Null | Json.Bool _ | Json.Int _ | Json.String _), _ -> v = v'
+  | (Json.Float _ | Json.List _ | Json.Obj _), _ -> false
+
+let prop_printer_matches_oracle =
+  (* One printer warmed on many other documents, and warmer after every
+     case: a memo hit must print exactly what a miss would. *)
+  let warm =
+    lazy
+      (let p = Json.printer () in
+       List.iter
+         (fun v -> ignore (render p v))
+         (QCheck.Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:300 gen_json);
+       List.iter (fun f -> ignore (render p (Json.Float f))) special_floats;
+       p)
+  in
+  QCheck.Test.make ~name:"json printers equal the oracle and round-trip" ~count:500
+    (QCheck.make ~print:Oracle.to_string gen_json)
+    (fun v ->
+      let expected = Oracle.to_string v in
+      let fresh = Json.printer () in
+      Json.to_string v = expected
+      && render fresh v = expected
+      && render fresh v = expected
+      && render (Lazy.force warm) v = expected
+      &&
+      match Json.parse expected with
+      | Ok v' -> same v v' && Json.to_string v' = expected
+      | Error _ -> false)
+
+(* [-0.0 = 0.0], so a memo keyed by float equality would print one as the
+   other. *)
+let test_printer_signed_zero () =
+  let p = Json.printer () in
+  Alcotest.(check string) "signed zeros kept apart" "[-0.0,0.0,-0.0]"
+    (render p (Json.List [ Json.Float (-0.0); Json.Float 0.0; Json.Float (-0.0) ]))
+
 (* ---------- counters ---------- *)
 
 let test_counter_basics () =
@@ -341,6 +517,36 @@ let test_tracing_transparent () =
   Alcotest.(check bool) "traced run identical" true (run true = plain);
   Alcotest.(check bool) "untraced rerun identical" true (run false = plain)
 
+(* Each checkpoint write of a tuning run is one [search.checkpoint] span,
+   and tracing leaves the checkpoint file byte-identical. *)
+let test_checkpoint_span_per_iteration () =
+  let op = Heron_tensor.Op.gemm ~m:128 ~n:128 ~k:128 () in
+  let tune path =
+    ignore (Heron.Pipeline.tune ~budget:32 ~seed:5 ~checkpoint:path Heron_dla.Descriptor.v100 op)
+  in
+  let plain = Filename.temp_file "heron_ck_plain" ".json" in
+  let traced = Filename.temp_file "heron_ck_traced" ".json" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove plain;
+      Sys.remove traced)
+    (fun () ->
+      tune plain;
+      let (), events = with_journal (fun () -> tune traced) in
+      check_valid events;
+      let spans =
+        List.length
+          (List.filter
+             (fun (e : Trace.event) ->
+               e.ev = "span_begin" && Trace.string_field "span" e = Some "search.checkpoint")
+             events)
+      in
+      Alcotest.(check bool) "checkpoints written" true (spans > 0);
+      Alcotest.(check (option int)) "one span per iteration" (Trace.counter events "cga.iterations")
+        (Some spans);
+      Alcotest.(check string) "traced checkpoint identical" (read plain) (read traced))
+
 (* The deterministic counters advance by exactly the same amount for any
    pool size (atomic increments over identical work). *)
 let deterministic_counters =
@@ -471,6 +677,9 @@ let suite =
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse errors" `Quick test_json_parse_errors;
     Alcotest.test_case "json accessors" `Quick test_json_accessors;
+    Alcotest.test_case "printer signed zero" `Quick test_printer_signed_zero;
+    Heron_check.Replay.to_alcotest ~seed:(Heron_check.Replay.seed_from_env ())
+      prop_printer_matches_oracle;
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "gauge basics" `Quick test_gauge_basics;
     Alcotest.test_case "counters race-free under pool" `Quick
@@ -485,6 +694,7 @@ let suite =
       test_trace_lint_rejects_malformed;
     Alcotest.test_case "golden tuning trace" `Quick test_golden_tuning_trace;
     Alcotest.test_case "tracing is transparent" `Quick test_tracing_transparent;
+    Alcotest.test_case "checkpoint span per iteration" `Quick test_checkpoint_span_per_iteration;
     Alcotest.test_case "counters jobs-independent" `Quick test_counters_jobs_independent;
     Alcotest.test_case "cache cap holds with evictions" `Quick test_cache_cap_holds;
     Alcotest.test_case "default cap never evicts" `Quick test_cache_cap_default_never_evicts;

@@ -331,6 +331,64 @@ let test_checkpoint_roundtrip () =
           Alcotest.(check bool) "model samples identical" true
             (snap.Cga.s_model = back.Cga.s_model))
 
+(* A writer prints every snapshot exactly as a cold render would: through
+   one writer for a whole fixed-seed run, through a fresh writer after a
+   resume, and through one writer fed unrelated snapshots whose latencies
+   include -0.0 (equal to the 0.0 it may already have printed) and NaN. *)
+let test_checkpoint_writer_identity () =
+  let params = Cga.{ default_params with pop_size = 8; generations = 2; batch = 4 } in
+  let label = "writer-test" in
+  let path = Filename.temp_file "heron_ckw" ".json" in
+  let cold s = Heron_obs.Json.to_string (Checkpoint.snapshot_to_json ~label s) ^ "\n" in
+  let written = ref 0 in
+  let write_and_check ctx w s =
+    Checkpoint.write w s;
+    incr written;
+    Alcotest.(check string)
+      (Printf.sprintf "%s: write %d" ctx !written)
+      (cold s)
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let w = Checkpoint.writer ~path ~label in
+      let snapshots = ref [] in
+      let _ =
+        Cga.run ~params
+          ~on_snapshot:(fun s ->
+            write_and_check "run" w s;
+            snapshots := s :: !snapshots)
+          (fig5_env 11) ~budget:24
+      in
+      let snapshots = List.rev !snapshots in
+      Alcotest.(check bool) "several writes" true (List.length snapshots > 2);
+      let mid = List.nth snapshots (List.length snapshots / 2) in
+      let _ =
+        Cga.run ~params ~resume:mid
+          ~on_snapshot:(write_and_check "resumed" (Checkpoint.writer ~path ~label))
+          (fig5_env 11) ~budget:24
+      in
+      let base = List.hd snapshots in
+      let r = base.Cga.s_recorder in
+      let with_latency i l =
+        {
+          base with
+          Cga.s_iter = 100 + i;
+          s_survivors = List.map (fun (a, _) -> (a, l)) base.Cga.s_survivors;
+          s_model = List.map (fun (bins, _) -> (bins, l)) base.Cga.s_model;
+          s_recorder =
+            {
+              r with
+              Env.Recorder.x_best = Some l;
+              x_trace = List.map (fun p -> { p with Env.latency = Some l }) r.Env.Recorder.x_trace;
+              x_cache = List.map (fun (k, _) -> (k, Some l)) r.Env.Recorder.x_cache;
+            };
+        }
+      in
+      let odd = [ 0.0; -0.0; nan; Float.neg nan; infinity; 1e16; Float.succ 1e16; 0.1 +. 0.2 ] in
+      List.iteri (fun i l -> write_and_check "unrelated" w (with_latency i l)) (odd @ List.rev odd))
+
 (* A snapshot from a different task must be rejected before anything is
    restored: its model rows would corrupt the feature ring and its carried
    assignments would not satisfy this problem. Tamper with a genuine
@@ -509,6 +567,7 @@ let suite =
       test_eval_batch_matches_sequential_eval;
     Alcotest.test_case "resilience verdicts" `Quick test_resilience_verdicts;
     Alcotest.test_case "checkpoint JSON roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint writer = cold render" `Quick test_checkpoint_writer_identity;
     Alcotest.test_case "resume rejects foreign snapshots" `Quick
       test_resume_rejects_foreign_snapshot;
     Alcotest.test_case "checkpoint diagnostics" `Quick test_checkpoint_diagnostics;

@@ -210,6 +210,33 @@ let test_atomic_write () =
       Alcotest.(check string) "old content preserved" "first" (read_file path);
       Alcotest.(check bool) "tmp cleaned up" false (Sys.file_exists (path ^ ".tmp")))
 
+(* A real error after the content is written (here rename(2) onto a
+   non-empty directory, EISDIR) must keep the contract: Sys_error, so
+   with_retry retries it, and no temp file left behind. *)
+let test_atomic_write_real_error () =
+  in_temp_dir (fun dir ->
+      let path = Filename.concat dir "taken" in
+      let inner = Filename.concat path "occupant" in
+      Sys.mkdir path 0o755;
+      Heron_util.Atomic_io.write_string ~path:inner "x";
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove inner;
+          Sys.rmdir path)
+        (fun () ->
+          let retries = Heron_obs.Obs.Counter.make "io.retries" in
+          let before = Heron_obs.Obs.Counter.value retries in
+          (match
+             Heron_util.Atomic_io.with_retry ~attempts:3 ~what:"test" (fun () ->
+                 Heron_util.Atomic_io.write_string ~path "x")
+           with
+          | () -> Alcotest.fail "writing over a directory must fail"
+          | exception Sys_error _ -> ()
+          | exception e -> Alcotest.failf "expected Sys_error, got %s" (Printexc.to_string e));
+          Alcotest.(check int) "every failed attempt but the last retried" 2
+            (Heron_obs.Obs.Counter.value retries - before);
+          Alcotest.(check bool) "tmp cleaned up" false (Sys.file_exists (path ^ ".tmp"))))
+
 let test_atomic_write_fsync () =
   in_temp_dir (fun dir ->
       let path = Filename.concat dir "durable.json" in
@@ -358,6 +385,7 @@ let suite =
     Alcotest.test_case "rng state hex roundtrip" `Quick test_rng_state_hex_roundtrip;
     Alcotest.test_case "atomic write" `Quick test_atomic_write;
     Alcotest.test_case "atomic write fsync" `Quick test_atomic_write_fsync;
+    Alcotest.test_case "atomic write real error" `Quick test_atomic_write_real_error;
     Alcotest.test_case "io-faults spec parse" `Quick test_io_faults_parse;
     Alcotest.test_case "io-faults deterministic, fsync torn-immune" `Quick
       test_io_faults_deterministic_and_fsync_immune;
