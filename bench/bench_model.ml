@@ -4,11 +4,11 @@
    [Gbt_ref], on a fixed-seed CGA-shaped workload over the v100 GEMM
    space — repeated refits of a full 512-sample training window plus many
    generations of full-population scoring, and a separate race of the
-   recorder's batched perf-model evaluation against the scalar
+   measurer's shared-context perf-model evaluation against the scalar
    rebuild-the-context-per-program path. Both engines see the identical
    samples and targets; their fitted ensembles are checked dump-equal and
-   their predictions float-equal before any time is reported, at jobs=1
-   and jobs=4. Emits BENCH_model.json. *)
+   their predictions float-equal before any time is reported. Emits
+   BENCH_model.json. *)
 
 module Op = Heron_tensor.Op
 module D = Heron_dla.Descriptor
@@ -18,7 +18,6 @@ module Features = Heron_cost.Features
 module Fmat = Heron_cost.Fmat
 module Gbt = Heron_cost.Gbt
 module Gbt_ref = Heron_cost.Gbt_ref
-module Pool = Heron_util.Pool
 module Rng = Heron_util.Rng
 
 let n_samples = 512
@@ -47,7 +46,7 @@ let ys =
   let ctx = Perf_model.make_ctx D.v100 op in
   Array.map (fun p -> 1000.0 /. Perf_model.latency_us_ctx ctx p) progs
 
-let now = Unix.gettimeofday
+let now () = float_of_int (Heron_obs.Obs.Clock.now_ns ()) *. 1e-9
 
 let best_of n f =
   let best = ref infinity in
@@ -81,20 +80,20 @@ let ref_pass () =
   done;
   (!fit_s, !pred_s, !model, out)
 
-let new_pass ?pool () =
+let new_pass () =
   let t0 = now () in
   let m = Fmat.create ~capacity:n_samples ~n_features:(Features.n_features features) () in
   Fmat.set_rows m n_samples;
   Array.iteri (fun r a -> Features.bin_row features a m r) assignments;
-  let model = ref (Gbt.fit ?pool ~n_bins m ys) in
+  let model = ref (Gbt.fit ~n_bins m ys) in
   let out = Array.make n_samples 0.0 in
   let fit_s = ref 0.0 and pred_s = ref (now () -. t0) in
   for _ = 1 to rounds do
     let t0 = now () in
-    model := Gbt.fit ?pool ~n_bins m ys;
+    model := Gbt.fit ~n_bins m ys;
     let t1 = now () in
     for _ = 1 to gens_per_round do
-      Gbt.predict_batch_into ?pool !model m out
+      Gbt.predict_batch_into !model m out
     done;
     fit_s := !fit_s +. (t1 -. t0);
     pred_s := !pred_s +. (now () -. t1)
@@ -113,15 +112,12 @@ let best_pass n pass =
   (fst !best, snd !best, Option.get !model, !out)
 
 let () =
-  (* Reference first, then the flat engine sequentially and on a pool. *)
+  (* Reference first, then the flat engine. *)
   let ref_fit, ref_pred, ref_model, ref_out = best_pass 3 (fun () -> ref_pass ()) in
   let new_fit, new_pred, new_model, new_out = best_pass 3 (fun () -> new_pass ()) in
-  let par_fit, par_pred, par_model, par_out =
-    Pool.with_pool ~domains:4 (fun pool -> best_pass 3 (fun () -> new_pass ~pool ()))
-  in
-  (* Recorder evaluation path: the scalar entry point rebuilds the
-     evaluation context per program; a recorder builds it once and
-     evaluates whole populations through [latency_batch]. *)
+  (* Measurement path: the scalar entry point rebuilds the evaluation
+     context per program; a measurer builds it once and evaluates every
+     program through [latency_us_ctx]. *)
   let scalar_eval_s =
     best_of 3 (fun () ->
         let t0 = now () in
@@ -129,23 +125,18 @@ let () =
         now () -. t0)
   in
   let ctx = Perf_model.make_ctx D.v100 op in
-  let batch_eval_s =
+  let ctx_eval_s =
     best_of 3 (fun () ->
         let t0 = now () in
-        ignore (Perf_model.latency_batch ctx progs);
+        Array.iter (fun p -> ignore (Perf_model.latency_us_ctx ctx p)) progs;
         now () -. t0)
   in
   let scalar_lat = Array.map (fun p -> Perf_model.latency_us D.v100 p) progs in
-  let batch_lat = Perf_model.latency_batch ctx progs in
+  let ctx_lat = Array.map (fun p -> Perf_model.latency_us_ctx ctx p) progs in
   (* Identity gate: dumps byte-equal, every prediction and perf-model
-     latency float-equal, and jobs=4 indistinguishable from jobs=1. *)
-  let ref_dump = Gbt_ref.dump ref_model in
+     latency float-equal. *)
   let identical =
-    ref_dump = Gbt.dump new_model
-    && ref_dump = Gbt.dump par_model
-    && ref_out = new_out
-    && ref_out = par_out
-    && scalar_lat = batch_lat
+    Gbt_ref.dump ref_model = Gbt.dump new_model && ref_out = new_out && scalar_lat = ctx_lat
   in
   if not identical then begin
     prerr_endline "FATAL: flat engine diverges from the reference";
@@ -170,9 +161,7 @@ let () =
       (thr (fit +. pred))
       (fit_ns fit) (pred_thr pred)
   in
-  let ref_time = ref_fit +. ref_pred
-  and new_time = new_fit +. new_pred
-  and par_time = par_fit +. par_pred in
+  let ref_time = ref_fit +. ref_pred and new_time = new_fit +. new_pred in
   let json =
     Printf.sprintf
       {|{
@@ -185,27 +174,23 @@ let () =
   },
   %s,
   %s,
-  %s,
-  "recorder_eval_batch": {
+  "measure_shared_ctx": {
     "programs": %d,
     "scalar_rebuild_ctx_evals_per_sec": %.0f,
-    "batch_shared_ctx_evals_per_sec": %.0f,
+    "shared_ctx_evals_per_sec": %.0f,
     "speedup": %.2f
   },
   "speedup": {
-    "jobs1_vs_reference": %.2f,
-    "jobs4_vs_reference": %.2f
+    "jobs1_vs_reference": %.2f
   }
 }
 |}
       n_samples rounds gens_per_round
       (engine "reference" ref_fit ref_pred)
       (engine "engine_jobs1" new_fit new_pred)
-      (engine "engine_jobs4" par_fit par_pred)
-      n_samples (eval_thr scalar_eval_s) (eval_thr batch_eval_s)
-      (scalar_eval_s /. Float.max batch_eval_s 1e-9)
+      n_samples (eval_thr scalar_eval_s) (eval_thr ctx_eval_s)
+      (scalar_eval_s /. Float.max ctx_eval_s 1e-9)
       (ref_time /. Float.max new_time 1e-9)
-      (ref_time /. Float.max par_time 1e-9)
   in
   Heron_util.Atomic_io.write_string ~path:"BENCH_model.json" json;
   print_string json;

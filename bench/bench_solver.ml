@@ -46,7 +46,7 @@ let workload () =
 
 let workloads = Array.init passes (fun _ -> workload ())
 
-let now = Unix.gettimeofday
+let now () = float_of_int (Obs.Clock.now_ns ()) *. 1e-9
 
 (* One full workload pass parameterized by the engine's entry points;
    returns wall-clock seconds and every solution, rendered, in order. *)

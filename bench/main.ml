@@ -174,66 +174,57 @@ let run_experiments () =
   print_newline ();
   print_string (E.Exp_ablation.propagation ~seed ())
 
-(* --quick: wall-clock comparison of the domain-pool hot paths at jobs=1
-   vs jobs=4 — a 16-candidate eval_batch (measurement amplified with
-   ~reps so each candidate carries realistic per-item cost) and a GBT
-   refit over 512 recorded samples. Emits BENCH_parallel.json. On a
-   single-core container the speedup is ~1x by construction; the JSON
-   records the host's domain count so readers can interpret the ratio. *)
+(* --quick: wall-clock comparison of the one pool fan-out, CSP solving
+   inside CGA, at jobs=1 vs jobs=2: [Pipeline.tune] of Table 9 G1 on V100
+   at 64 trials, best of 3 each. Fails unless both runs produce the same
+   library and trace. Emits BENCH_parallel.json with the host's domain
+   count, since on one core the ratio only measures pool overhead. *)
 let run_quick () =
   let module Pool = Heron_util.Pool in
-  let module Recorder = Heron_search.Env.Recorder in
-  let problem = gen_v100.Heron.Generator.problem in
-  let batch = Solver.rand_sat (Rng.create 7) problem 16 in
-  let samples =
-    List.mapi (fun i a -> (a, 1.0 +. float_of_int (i mod 23)))
-      (Solver.rand_sat (Rng.create 8) problem 512)
+  let module Pipeline = Heron.Pipeline in
+  let module Env = Heron_search.Env in
+  let op = List.assoc "G1" Heron_nets.Suites.table9_gemm in
+  let budget = 64 and seed = 42 in
+  let tune pool =
+    let t0 = Heron_obs.Obs.Clock.now_ns () in
+    let t = Pipeline.tune ~budget ~seed ?pool D.v100 op in
+    let s = float_of_int (Heron_obs.Obs.Clock.now_ns () - t0) *. 1e-9 in
+    let r = t.Pipeline.outcome.Heron_search.Cga.result in
+    let library =
+      match (r.Env.best_assignment, r.Env.best_latency) with
+      | Some a, Some l ->
+          Heron.Library.to_string (Heron.Library.add Heron.Library.empty D.v100 op ~latency_us:l a)
+      | _ -> ""
+    in
+    (s, (library, r.Env.trace))
   in
-  let eval_batch_once pool =
-    let env = Heron.Pipeline.make_env ~reps:400 ~seed:11 D.v100 gen_v100 in
-    let r = Recorder.create env ~budget:64 in
-    ignore (Recorder.eval_batch ?pool r batch)
-  in
-  let refit_once pool =
-    let model = Heron_cost.Model.create problem in
-    List.iter (fun (a, y) -> Heron_cost.Model.record model a y) samples;
-    Heron_cost.Model.refit ?pool model
-  in
-  let best_of n f =
-    let best = ref infinity in
+  let best_of n pool =
+    let best = ref infinity and out = ref None in
     for _ = 1 to n do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
+      let s, o = tune pool in
+      best := Float.min !best s;
+      out := Some o
     done;
-    !best
+    (!best, Option.get !out)
   in
-  let phases pool =
-    ( best_of 3 (fun () -> eval_batch_once pool),
-      best_of 3 (fun () -> refit_once pool) )
-  in
-  let eval1, refit1 = phases None in
-  let eval4, refit4 = Pool.with_pool ~domains:4 (fun p -> phases (Some p)) in
-  let speedup a b = if b > 0.0 then a /. b else 0.0 in
-  let combined = speedup (eval1 +. refit1) (eval4 +. refit4) in
+  let jobs1, out1 = best_of 3 None in
+  let jobs2, out2 = Pool.with_pool ~domains:2 (fun p -> best_of 3 (Some p)) in
+  if out1 <> out2 then begin
+    prerr_endline "FATAL: jobs=2 library or trace differs from jobs=1";
+    exit 1
+  end;
   let json =
     Printf.sprintf
       {|{
+  "workload": "Pipeline.tune gemm 1024x1024x1024 on v100, %d trials, seed %d, best of 3",
   "domains_available": %d,
-  "batch_size": 16,
-  "refit_samples": 512,
-  "eval_batch_s": { "jobs1": %.6f, "jobs4": %.6f },
-  "gbt_refit_s": { "jobs1": %.6f, "jobs4": %.6f },
-  "speedup": {
-    "eval_batch": %.3f,
-    "gbt_refit": %.3f,
-    "combined": %.3f
-  }
+  "results_identical": true,
+  "tune_s": { "jobs1": %.6f, "jobs2": %.6f },
+  "speedup": %.3f
 }
 |}
-      (Domain.recommended_domain_count ())
-      eval1 eval4 refit1 refit4 (speedup eval1 eval4) (speedup refit1 refit4)
-      combined
+      budget seed (Domain.recommended_domain_count ()) jobs1 jobs2
+      (if jobs2 > 0.0 then jobs1 /. jobs2 else 0.0)
   in
   Heron_util.Atomic_io.write_string ~path:"BENCH_parallel.json" json;
   print_string json;

@@ -23,8 +23,7 @@ let err file fmt = Printf.ksprintf (fun s -> errors := (file ^ ": " ^ s) :: !err
 (* Required top-level sections by basename; unknown BENCH files get the
    generic checks only. *)
 let required = function
-  | "BENCH_model.json" ->
-      [ "workload"; "reference"; "engine_jobs1"; "engine_jobs4"; "speedup" ]
+  | "BENCH_model.json" -> [ "workload"; "reference"; "engine_jobs1"; "speedup" ]
   | "BENCH_search.json" ->
       [ "workload"; "reference"; "engine_jobs1"; "engine_jobs4"; "speedup"; "gates" ]
   | "BENCH_serve.json" -> [ "workload"; "lookup"; "traffic" ]

@@ -17,27 +17,12 @@ let samples_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (max 1 (Domain.recommended_domain_count () - 1))
+    & opt int (Heron_util.Pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Domain-pool parallelism for every tuning run (default: \
-           recommended domain count - 1). Results are identical for any \
-           value.")
-
-(* Install a process-default pool so every Cga.run/Pipeline.tune under [f]
-   fans out, then tear it down. *)
-let with_jobs jobs f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then f ()
-  else begin
-    let pool = Heron_util.Pool.create ~domains:jobs in
-    Heron_util.Pool.set_default (Some pool);
-    Fun.protect
-      ~finally:(fun () ->
-        Heron_util.Pool.set_default None;
-        Heron_util.Pool.shutdown pool)
-      f
-  end
+          "Domain-pool parallelism for CSP solving in every tuning run, \
+           the only parallel phase (default: recommended domain count - \
+           1). Results are identical for any value.")
 
 let trace_arg =
   Arg.(
@@ -92,7 +77,7 @@ let budgeted_cmd name doc default f =
     Term.(
       const (fun budget seed jobs trace metrics faults ->
           with_faults faults (fun () ->
-              with_jobs jobs (fun () ->
+              Heron_util.Pool.with_jobs jobs (fun _ ->
                   with_obs ~seed ~budget:(Some budget) ~jobs trace metrics (fun () ->
                       print (f ~budget ~seed ())))))
       $ budget_arg default $ seed_arg $ jobs_arg $ trace_arg $ metrics_arg $ faults_arg)
@@ -137,7 +122,7 @@ let nets_cmd =
              where both policies saturate).")
   in
   let run budget seed jobs net lenient trace metrics out gate =
-    with_jobs jobs @@ fun () ->
+    Heron_util.Pool.with_jobs jobs @@ fun _ ->
     with_obs ~seed ~budget:(Some budget) ~jobs trace metrics @@ fun () ->
     match E.Exp_nets.run ~budget ~seed ~net ~strict:(not lenient) ?out () with
     | exception Invalid_argument e ->
@@ -159,7 +144,7 @@ let nets_cmd =
 let all_cmd =
   let run budget seed jobs trace metrics faults =
     with_faults faults @@ fun () ->
-    with_jobs jobs @@ fun () ->
+    Heron_util.Pool.with_jobs jobs @@ fun _ ->
     with_obs ~seed ~budget:(Some budget) ~jobs trace metrics @@ fun () ->
     print (E.Exp_space.table4 ());
     print "\n";

@@ -22,21 +22,6 @@ module Store = Heron_serving.Store
 module Traffic = Heron_serving.Traffic
 module Rng = Heron_util.Rng
 
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
-
-let with_jobs jobs f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then f None
-  else begin
-    let pool = Pool.create ~domains:jobs in
-    Pool.set_default (Some pool);
-    Fun.protect
-      ~finally:(fun () ->
-        Pool.set_default None;
-        Pool.shutdown pool)
-      (fun () -> f (Some pool))
-  end
-
 let desc_of_string = function
   | "v100" -> Ok D.v100
   | "t4" -> Ok D.t4
@@ -111,7 +96,7 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
             Obs.manifest ~tool:"heron_serve" ~seed ~descriptor:desc.D.dname ~budget ~jobs ()
           in
           Obs.with_trace trace manifest @@ fun () ->
-          with_jobs jobs @@ fun pool ->
+          Pool.with_jobs jobs @@ fun pool ->
           let config =
             {
               (Serve.default_config ~dir ~resolve:(Serve.universe_resolve ops) desc) with
@@ -155,7 +140,7 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
           let lookup_s = ref 0.0 in
           for wave = 1 to waves do
             Obs.with_span "serve.wave" (fun () ->
-                let t0 = Unix.gettimeofday () in
+                let t0 = Obs.Clock.now_ns () in
                 for _ = 1 to per_wave do
                   let p = probes.(Traffic.next traffic) in
                   let n0 = Obs.Clock.now_ns () in
@@ -165,7 +150,7 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
                   lat.(!measured) <- n1 - n0;
                   incr measured
                 done;
-                lookup_s := !lookup_s +. (Unix.gettimeofday () -. t0));
+                lookup_s := !lookup_s +. (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9));
             let tuned = Serve.drain ?pool ~on_publish daemon in
             Printf.printf "wave %d: drained %d tasks, library v%d (%d entries)\n%!" wave tuned
               (Serve.version daemon)
@@ -324,9 +309,11 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt int (default_jobs ())
+      & opt int (Pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Domain-pool parallelism for background tuning. Results are identical for any value.")
+          ~doc:
+            "Domain-pool parallelism for CSP solving in background tuning, the only parallel \
+             phase. Results are identical for any value.")
   in
   let kill_after =
     Arg.(

@@ -7,23 +7,6 @@ module D = Heron_dla.Descriptor
 module Pool = Heron_util.Pool
 module Obs = Heron_obs.Obs
 
-let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
-
-(* Run [f] with a domain pool of [jobs] workers installed as the process
-   default; every parallel phase of the pipeline picks it up. *)
-let with_jobs jobs f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then f None
-  else begin
-    let pool = Pool.create ~domains:jobs in
-    Pool.set_default (Some pool);
-    Fun.protect
-      ~finally:(fun () ->
-        Pool.set_default None;
-        Pool.shutdown pool)
-      (fun () -> f (Some pool))
-  end
-
 let desc_of_string = function
   | "v100" -> Ok D.v100
   | "t4" -> Ok D.t4
@@ -71,7 +54,7 @@ let run_network desc name ~budget ~seed ~jobs ~slice ~policy ~transfer trace met
       in
       (match
          Obs.with_trace trace manifest (fun () ->
-             with_jobs jobs (fun pool ->
+             Pool.with_jobs jobs (fun pool ->
                  Heron_nets.Tuner.tune ~budget ~seed ~slice ~policy ~transfer ?pool ?checkpoint
                    ?resume ?kill_after desc net))
        with
@@ -150,7 +133,7 @@ let run dla network kind dims dt trials seed jobs slice round_robin no_transfer 
           in
           match
             Obs.with_trace trace manifest (fun () ->
-                with_jobs jobs (fun pool ->
+                Pool.with_jobs jobs (fun pool ->
                     Heron.Pipeline.tune ~budget:trials ~seed ?pool ?checkpoint ?resume
                       ?kill_after desc op))
           with
@@ -202,12 +185,13 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt int (default_jobs ())
+      & opt int (Pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Domain-pool parallelism for measurement batches, CSP solving \
-             and cost-model training (default: recommended domain count - \
-             1). Results are identical for any value.")
+            "Domain-pool parallelism for CSP solving, the only parallel \
+             phase; measurement and the cost model run on one domain \
+             (default: recommended domain count - 1). Results are \
+             identical for any value.")
   in
   let trace =
     Arg.(

@@ -122,8 +122,8 @@ let draw_programs (gen : Generator.t) rng n =
   |> List.map (fun a -> (a, Concrete.instantiate gen.template a))
 
 (* The hoisted evaluation context against the scalar model: full breakdowns
-   (a float-record comparison, so every component is exact) and the pooled
-   batch entry point must agree with per-program analysis. *)
+   (a float-record comparison, so every component is exact) and latencies
+   must agree with per-program analysis. *)
 let perf_ctx_matches_scalar ~count =
   QCheck.Test.make ~name:"model: Perf_model ctx/batch evaluation equals scalar analyze"
     ~count seed_arb (fun seed ->
@@ -133,28 +133,10 @@ let perf_ctx_matches_scalar ~count =
           let progs = draw_programs gen rng 4 in
           let ctx = Perf_model.make_ctx desc gen.template.Heron_sched.Template.op in
           List.for_all
-            (fun (_, prog) -> Perf_model.analyze_ctx ctx prog = Perf_model.analyze desc prog)
-            progs
-          &&
-          let arr = Array.of_list (List.map snd progs) in
-          Perf_model.latency_batch ctx arr
-          = Array.map (fun p -> Perf_model.latency_us desc p) arr)
-        (List.mapi (fun i s -> (i, s)) (Lazy.force spaces)))
-
-(* The pipeline's batched measurement provider against its scalar closure:
-   same outcome per assignment (including instantiation failures) and the
-   same measurer invocation count. *)
-let measure_batch_matches_scalar ~count =
-  QCheck.Test.make ~name:"model: batched measurement equals scalar measurement" ~count
-    seed_arb (fun seed ->
-      List.for_all
-        (fun (i, (desc, (gen : Generator.t))) ->
-          let rng = Rng.create ((seed * 37) + i) in
-          let batch = Array.of_list (List.map fst (draw_programs gen rng 6)) in
-          let s = Pipeline.make_measure_set desc gen in
-          let batched = s.Pipeline.measure_batch batch in
-          let scalar = Array.map s.Pipeline.measure batch in
-          batched = scalar && s.Pipeline.measured () = 2 * Array.length batch)
+            (fun (_, prog) ->
+              Perf_model.analyze_ctx ctx prog = Perf_model.analyze desc prog
+              && Perf_model.latency_us_ctx ctx prog = Perf_model.latency_us desc prog)
+            progs)
         (List.mapi (fun i s -> (i, s)) (Lazy.force spaces)))
 
 let tests ?(count = 40) () =
@@ -163,5 +145,4 @@ let tests ?(count = 40) () =
     ring_window_semantics ~count;
     predict_batch_matches_scalar ~count;
     perf_ctx_matches_scalar ~count;
-    measure_batch_matches_scalar ~count;
   ]

@@ -1,5 +1,5 @@
 (** Differential properties for the flat-array cost-model engine and the
-    batched perf-model evaluation path:
+    hoisted perf-model evaluation context:
 
     - the struct-of-arrays {!Heron_cost.Gbt} must fit and predict
       byte-identically to the frozen pre-overhaul {!Heron_cost.Gbt_ref}
@@ -9,9 +9,7 @@
       the old list-window semantics for any record stream;
     - [Model.predict_batch] must agree pointwise with scalar [predict],
       trained or not;
-    - {!Heron_dla.Perf_model} context/batch evaluation must equal scalar
-      [analyze] on full breakdowns;
-    - the pipeline's batched measurement provider must equal its scalar
-      measurement closure, invocation counts included. *)
+    - {!Heron_dla.Perf_model} context evaluation must equal scalar
+      [analyze] on full breakdowns and [latency_us] on each latency. *)
 
 val tests : ?count:int -> unit -> QCheck.Test.t list

@@ -157,14 +157,8 @@ let no_transfer_inert ~count =
           let t = tr.Tuner.tr_task in
           let tseed = Tuner.task_seed ~seed t.Tasks.t_key in
           let gen = Generator.generate ~seed:tseed desc t.Tasks.t_op in
-          let ms = Pipeline.make_measure_set desc gen in
-          let env =
-            {
-              Env.problem = gen.Generator.problem;
-              measure = ms.Pipeline.measure;
-              rng = Rng.create tseed;
-            }
-          in
+          let measure, _ = Pipeline.make_measure desc gen in
+          let env = { Env.problem = gen.Generator.problem; measure; rng = Rng.create tseed } in
           let snapshot = ref None in
           let cum = ref 0 in
           List.iter
@@ -172,7 +166,7 @@ let no_transfer_inert ~count =
               if task = t.Tasks.t_id then begin
                 cum := !cum + alloc;
                 ignore
-                  (Cga.run ~measure_batch:ms.Pipeline.measure_batch ?resume:!snapshot
+                  (Cga.run ?resume:!snapshot
                      ~on_snapshot:(fun s -> snapshot := Some s)
                      env ~budget:!cum)
               end)

@@ -20,52 +20,16 @@ type tuned = {
   measurements : int;
 }
 
-type measure_set = {
-  measure : Assignment.t -> float option;
-  measure_batch : ?pool:Heron_util.Pool.t -> Assignment.t array -> float option array;
-  measured : unit -> int;
-}
-
-let make_measure_set ?reps desc (gen : Generator.t) =
-  (* One measurer for both entry points, with the per-operator perf-model
-     context built once up front. *)
+let make_measure ?reps desc (gen : Generator.t) =
+  (* One measurer per closure, with the per-operator perf-model context
+     built once up front. *)
   let measurer = Measure.create ?reps ~op:gen.Generator.template.Heron_sched.Template.op desc in
-  let instantiate a =
+  let measure a =
     match Concrete.instantiate gen.Generator.template a with
     | exception Invalid_argument _ -> None
-    | prog -> Some prog
+    | prog -> ( match Measure.run measurer prog with Ok l -> Some l | Error _ -> None)
   in
-  let measure a =
-    match instantiate a with
-    | None -> None
-    | Some prog -> ( match Measure.run measurer prog with Ok l -> Some l | Error _ -> None)
-  in
-  let measure_batch ?pool assignments =
-    (* Instantiate sequentially (cheap and deterministic), then push every
-       instantiable program through one pooled measurer dispatch. Same
-       values, counters and measurement count as scalar [measure] calls. *)
-    let progs = Array.map instantiate assignments in
-    let dense =
-      Array.of_list (List.filter_map (fun p -> p) (Array.to_list progs))
-    in
-    let results = Measure.run_batch ?pool measurer dense in
-    let out = Array.make (Array.length assignments) None in
-    let j = ref 0 in
-    Array.iteri
-      (fun i p ->
-        match p with
-        | None -> ()
-        | Some _ ->
-            (out.(i) <- (match results.(!j) with Ok l -> Some l | Error _ -> None));
-            incr j)
-      progs;
-    out
-  in
-  { measure; measure_batch; measured = (fun () -> Measure.count measurer) }
-
-let make_measure ?reps desc gen =
-  let s = make_measure_set ?reps desc gen in
-  (s.measure, s.measured)
+  (measure, fun () -> Measure.count measurer)
 
 let make_env ?reps ?(seed = 42) desc gen =
   let measure, _count = make_measure ?reps desc gen in
@@ -96,7 +60,7 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
     ?kill_after desc op =
   let faults = Faults.resolve faults in
   let gen = Generator.generate ~seed desc op in
-  let { measure; measure_batch; measured = count } = make_measure_set ?reps desc gen in
+  let measure, count = make_measure ?reps desc gen in
   let env = { Env.problem = gen.Generator.problem; measure; rng = Rng.create seed } in
   let resilience =
     match faults with
@@ -132,7 +96,7 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
                crash would) after the Nth checkpoint write. *)
             match kill_after with Some n when !writes >= n -> exit 3 | _ -> ())
   in
-  let outcome = Cga.run ?params ?pool ~measure_batch ?resilience ?resume ?on_snapshot env ~budget in
+  let outcome = Cga.run ?params ?pool ?resilience ?resume ?on_snapshot env ~budget in
   { gen; outcome; desc; op; measurements = count () }
 
 let best_latency_us t = t.outcome.Cga.result.Env.best_latency

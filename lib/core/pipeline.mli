@@ -22,18 +22,6 @@ val make_measure :
     template with the assignment, validate on the DLA, simulate. The second
     component reports how many measurements ran. *)
 
-(** Scalar and batched views of one measurer (shared invocation count).
-    [measure_batch] agrees with [measure] element by element; it
-    instantiates sequentially and measures through one pooled dispatch,
-    reusing the per-operator perf-model context built at creation. *)
-type measure_set = {
-  measure : Assignment.t -> float option;
-  measure_batch : ?pool:Heron_util.Pool.t -> Assignment.t array -> float option array;
-  measured : unit -> int;
-}
-
-val make_measure_set : ?reps:int -> Descriptor.t -> Generator.t -> measure_set
-
 val make_env : ?reps:int -> ?seed:int -> Descriptor.t -> Generator.t -> Env.t
 
 val make_attempt_measure :
@@ -70,9 +58,8 @@ val tune :
   tuned
 (** Generate the constrained space for [op] on the DLA and explore it with
     CGA under the given measurement budget (default 200). [?pool] (or the
-    process default pool) parallelizes measurement batches, CSP solving
-    and cost-model training without changing the result for a fixed
-    seed.
+    process default pool) parallelizes CSP solving only, without
+    changing the result for a fixed seed.
 
     [?faults] (or the process default, {!Heron_dla.Faults.set_default})
     injects deterministic measurement faults; the search then runs behind

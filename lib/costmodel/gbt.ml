@@ -10,13 +10,6 @@ type params = { n_trees : int; learning_rate : float; tree : Tree.params }
 
 let default_params = { n_trees = 24; learning_rate = 0.3; tree = Tree.default_params }
 
-(* A tree walk costs tens of nanoseconds; a pool barrier costs tens of
-   microseconds. Below this many rows, pooled dispatch loses to running
-   inline, so the batch entry points fall back to the sequential path.
-   Harmless for results either way: the pool contract makes them identical
-   at any pool size. *)
-let pool_cutoff_rows = 4096
-
 type t = {
   base : float;
   rate : float;
@@ -60,7 +53,7 @@ let compile ~base ~rate ~n_features (trees : Tree.t array) =
   tree_off.(nt) <- !off;
   { base; rate; n_features; tree_off; feat; bin; left; right; value; gain }
 
-let fit ?(params = default_params) ?pool ~n_bins (m : Fmat.t) ys =
+let fit ?(params = default_params) ~n_bins (m : Fmat.t) ys =
   let n = Fmat.n_rows m in
   if n = 0 then invalid_arg "Gbt.fit: empty data";
   if Array.length ys < n then invalid_arg "Gbt.fit: ys shorter than the matrix";
@@ -74,7 +67,6 @@ let fit ?(params = default_params) ?pool ~n_bins (m : Fmat.t) ys =
   let residuals = Array.make n 0.0 in
   let trees = Array.make params.n_trees None in
   let scratch = Tree.scratch () in
-  let pool = if n < pool_cutoff_rows then None else pool in
   for round = 0 to params.n_trees - 1 do
     (* Squared loss: the negative gradient is the residual. *)
     for i = 0 to n - 1 do
@@ -82,19 +74,9 @@ let fit ?(params = default_params) ?pool ~n_bins (m : Fmat.t) ys =
     done;
     let tree = Tree.fit ~params:params.tree ~scratch ~n_bins m residuals in
     trees.(round) <- Some tree;
-    (* Per-sample tree outputs are independent, so each preds.(i) update is
-       the same float expression whether contributions are computed on the
-       pool or fused into the sequential loop. *)
-    match pool with
-    | None ->
-        for i = 0 to n - 1 do
-          preds.(i) <- preds.(i) +. (params.learning_rate *. Tree.predict_row tree m i)
-        done
-    | Some _ ->
-        let contrib = Heron_util.Pool.init ?pool n (fun i -> Tree.predict_row tree m i) in
-        Array.iteri
-          (fun i c -> preds.(i) <- preds.(i) +. (params.learning_rate *. c))
-          contrib
+    for i = 0 to n - 1 do
+      preds.(i) <- preds.(i) +. (params.learning_rate *. Tree.predict_row tree m i)
+    done
   done;
   let trees = Array.map (function Some t -> t | None -> assert false) trees in
   compile ~base ~rate:params.learning_rate ~n_features:(Fmat.n_features m) trees
@@ -134,13 +116,13 @@ let predict_bytes t rows base =
 
 let predict_row t m r = predict_bytes t (Fmat.data m) (r * Fmat.n_features m)
 
-let predict_batch_into ?pool t m out =
+let predict_batch_into t m out =
   let n = Fmat.n_rows m in
   if Array.length out < n then invalid_arg "Gbt.predict_batch_into: output buffer too small";
   let rows = Fmat.data m and nf = Fmat.n_features m in
-  (* Disjoint per-row float stores: safe and deterministic on the pool. *)
-  let pool = if n < pool_cutoff_rows then None else pool in
-  ignore (Heron_util.Pool.init ?pool n (fun r -> out.(r) <- predict_bytes t rows (r * nf)))
+  for r = 0 to n - 1 do
+    out.(r) <- predict_bytes t rows (r * nf)
+  done
 
 let feature_gains t =
   let acc = Array.make t.n_features 0.0 in

@@ -16,26 +16,17 @@ val default_params : params
 
 type t
 
-val fit :
-  ?params:params ->
-  ?pool:Heron_util.Pool.t ->
-  n_bins:int array ->
-  Fmat.t ->
-  float array ->
-  t
+val fit : ?params:params -> n_bins:int array -> Fmat.t -> float array -> t
 (** [fit ~n_bins m ys] boosts on the first [Fmat.n_rows m] rows against
-    [ys] (extra entries ignored). With [?pool], each round's per-sample
-    residual predictions fan out; the ensemble is identical for any pool
-    size. @raise Invalid_argument on empty data. *)
+    [ys] (extra entries ignored). @raise Invalid_argument on empty data. *)
 
 val predict : t -> int array -> float
 val predict_row : t -> Fmat.t -> int -> float
 
-val predict_batch_into : ?pool:Heron_util.Pool.t -> t -> Fmat.t -> float array -> unit
-(** [predict_batch_into ?pool t m out] writes the prediction for row [r]
-    into [out.(r)] for every row of [m] — the caller owns (and reuses)
-    the output buffer across batches. Optionally fanned out across the
-    pool (disjoint per-row stores, deterministic).
+val predict_batch_into : t -> Fmat.t -> float array -> unit
+(** [predict_batch_into t m out] writes the prediction for row [r] into
+    [out.(r)] for every row of [m] — the caller owns (and reuses) the
+    output buffer across batches.
     @raise Invalid_argument when [out] is shorter than [Fmat.n_rows m]. *)
 
 val feature_gains : t -> float array

@@ -38,7 +38,6 @@ type t = {
   fit_y : float array;
   pred_m : Fmat.t;  (* batch-prediction scratch, reused across generations *)
   mutable pred_out : float array;  (* reused prediction output buffer *)
-  rec_m : Fmat.t;  (* batched-record binning scratch *)
 }
 
 let create ?(gbt_params = Gbt.default_params) ?(window = 512) problem =
@@ -61,10 +60,9 @@ let create ?(gbt_params = Gbt.default_params) ?(window = 512) problem =
     fit_y = Array.make window 0.0;
     pred_m = Fmat.create ~n_features:nf ();
     pred_out = [||];
-    rec_m = Fmat.create ~n_features:nf ();
   }
 
-let commit_row t src r score =
+let record_row t src r score =
   Obs.Counter.incr c_record_calls;
   Fmat.blit_row src r t.ring t.next;
   t.ring_y.(t.next) <- score;
@@ -78,28 +76,12 @@ let record t a score =
   t.next <- (t.next + 1) mod t.window;
   if t.count < t.window then t.count <- t.count + 1
 
-let record_row = commit_row
-
-let record_batch ?pool t obs =
-  (* Bin every observation on the pool (disjoint rows of the scratch
-     matrix), then commit to the ring sequentially in list order — the
-     ring bytes and counters end up identical to iterated [record]. *)
-  let obs = Array.of_list obs in
-  let n = Array.length obs in
-  Fmat.set_rows t.rec_m n;
-  ignore
-    (Heron_util.Pool.init ?pool n (fun r ->
-         Features.bin_row t.features (fst obs.(r)) t.rec_m r));
-  for r = 0 to n - 1 do
-    commit_row t t.rec_m r (snd obs.(r))
-  done
-
 let featurize_row t a m r = Features.bin_row t.features a m r
 
 (* Slot of the k-th most recent sample (k = 0 is the newest). *)
 let slot t k = ((t.next - 1 - k) mod t.window + t.window) mod t.window
 
-let refit ?pool t =
+let refit t =
   if t.count >= 8 then
     timed_count c_fit_calls c_fit_ns (fun () ->
         Obs.with_span "costmodel.fit" (fun () ->
@@ -113,8 +95,8 @@ let refit ?pool t =
             done;
             t.ensemble <-
               Some
-                (Gbt.fit ~params:t.gbt_params ?pool
-                   ~n_bins:(Features.n_bins t.features) t.fit_m t.fit_y)))
+                (Gbt.fit ~params:t.gbt_params ~n_bins:(Features.n_bins t.features) t.fit_m
+                   t.fit_y)))
 
 let trained t = t.ensemble <> None
 
@@ -123,7 +105,7 @@ let predict t a =
   | None -> 0.0
   | Some g -> Gbt.predict g (Features.binned t.features a)
 
-let predict_batch ?pool t assignments =
+let predict_batch t assignments =
   (* The untrained path counts too, so traces distinguish "cheap because
      untrained" from "never called". *)
   timed_count c_predict_calls c_predict_ns (fun () ->
@@ -132,16 +114,15 @@ let predict_batch ?pool t assignments =
       | None -> List.map (fun _ -> 0.0) assignments
       | Some g ->
           (* Batch-bin into the reused flat matrix, then walk the compiled
-             ensemble over all rows into the reused output buffer. Scoring
-             fans out across the pool by row index; order is preserved. *)
+             ensemble over all rows into the reused output buffer. *)
           let n = List.length assignments in
           Fmat.set_rows t.pred_m n;
           List.iteri (fun r a -> Features.bin_row t.features a t.pred_m r) assignments;
           if Array.length t.pred_out < n then t.pred_out <- Array.make n 0.0;
-          Gbt.predict_batch_into ?pool g t.pred_m t.pred_out;
+          Gbt.predict_batch_into g t.pred_m t.pred_out;
           List.init n (fun r -> t.pred_out.(r)))
 
-let predict_gather ?pool t src rows n out =
+let predict_gather t src rows n out =
   (* Zero-copy ranking entry: [rows.(0 .. n-1)] index pre-binned feature
      rows of [src] (built once per assignment with {!featurize_row}), so
      scoring a population is row blits plus the compiled ensemble — no
@@ -156,7 +137,7 @@ let predict_gather ?pool t src rows n out =
           for r = 0 to n - 1 do
             Fmat.blit_row src rows.(r) t.pred_m r
           done;
-          Gbt.predict_batch_into ?pool g t.pred_m out)
+          Gbt.predict_batch_into g t.pred_m out)
 
 let importance t =
   match t.ensemble with

@@ -27,35 +27,25 @@ val record_row : t -> Fmat.t -> int -> float -> unit
     path of the interned search engine, which bins each candidate once
     at intern time. *)
 
-val record_batch :
-  ?pool:Heron_util.Pool.t -> t -> (Assignment.t * float) list -> unit
-(** Records a batch of observations, binning the feature rows on the
-    pool (disjoint scratch rows) and committing to the ring sequentially
-    in list order — observably identical to iterating {!record}. *)
-
 val featurize_row : t -> Assignment.t -> Fmat.t -> int -> unit
 (** [featurize_row t a m r] bins [a] into row [r] of the caller's matrix
     with this model's feature layout ([m] must have {!n_features}
     columns). Callers cache such rows per assignment and feed them back
     through {!record_row} / {!predict_gather}. *)
 
-val refit : ?pool:Heron_util.Pool.t -> t -> unit
+val refit : t -> unit
 (** Retrains the ensemble on the stored observations (cheap; histogram
-    trees on at most [window] samples). No-op with fewer than 8 samples.
-    With [?pool], each boosting round's residual predictions fan out;
-    the model is identical for any pool size. *)
+    trees on at most [window] samples). No-op with fewer than 8 samples. *)
 
 val trained : t -> bool
 
 val predict : t -> Assignment.t -> float
 (** Predicted fitness; 0 when the model is not yet trained. *)
 
-val predict_batch : ?pool:Heron_util.Pool.t -> t -> Assignment.t list -> float list
-(** Batch [predict], optionally fanned out across a domain pool; output
-    order matches input order. *)
+val predict_batch : t -> Assignment.t list -> float list
+(** Batch [predict]; output order matches input order. *)
 
-val predict_gather :
-  ?pool:Heron_util.Pool.t -> t -> Fmat.t -> int array -> int -> float array -> unit
+val predict_gather : t -> Fmat.t -> int array -> int -> float array -> unit
 (** [predict_gather t src rows n out] scores the pre-binned feature rows
     [src.(rows.(0)) .. src.(rows.(n-1))] into [out.(0 .. n-1)] (which
     must hold at least [n] cells) — the zero-copy ranking path: row

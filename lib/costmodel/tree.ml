@@ -49,7 +49,7 @@ type scratch = {
 
 let scratch () = { s_offs = [||]; s_hist_n = [||]; s_hist_s = [||]; s_idx = [||]; s_tmp = [||] }
 
-let fit ?(params = default_params) ?pool:_ ?scratch:sc ~n_bins (m : Fmat.t) ys =
+let fit ?(params = default_params) ?scratch:sc ~n_bins (m : Fmat.t) ys =
   let n = Fmat.n_rows m in
   if n = 0 then invalid_arg "Tree.fit: empty data";
   if Array.length ys < n then invalid_arg "Tree.fit: ys shorter than the matrix";

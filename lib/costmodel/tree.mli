@@ -37,7 +37,6 @@ val scratch : unit -> scratch
 
 val fit :
   ?params:params ->
-  ?pool:Heron_util.Pool.t ->
   ?scratch:scratch ->
   n_bins:int array ->
   Fmat.t ->
@@ -45,10 +44,8 @@ val fit :
   t
 (** [fit ~n_bins m ys] trains on the first [Fmat.n_rows m] rows of [m]
     against targets [ys] (which may be longer; extra entries are ignored).
-    [?pool] is accepted for interface stability but unused: the
-    single-pass histogram build is sequential and the fitted tree is
-    identical regardless. [?scratch] amortizes workspace allocation across
-    repeated fits (e.g. boosting rounds) and never changes the result.
+    [?scratch] amortizes workspace allocation across repeated fits (e.g.
+    boosting rounds) and never changes the result.
     @raise Invalid_argument on empty or mismatched data. *)
 
 val predict : t -> int array -> float

@@ -44,9 +44,6 @@ let run t prog =
       done;
       Ok (!total /. float_of_int t.reps)
 
-let run_batch ?pool t progs =
-  Heron_util.Pool.init ?pool (Array.length progs) (fun i -> run t progs.(i))
-
 let latency_exn t prog =
   match run t prog with
   | Ok l -> l

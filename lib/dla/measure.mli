@@ -6,8 +6,10 @@ type t = {
   desc : Descriptor.t;
   reps : int;
   count : int Atomic.t;
-      (** total measurement invocations so far; atomic because batches of
-          candidates are measured in parallel on a domain pool *)
+      (** total measurement invocations so far. The library measures on
+          the calling domain only; the count stays atomic so that a
+          caller sharing one measurer across domains still counts
+          exactly. *)
   ctx : Perf_model.ctx option;
       (** per-operator evaluation context, built eagerly by [create ~op];
           used when it matches the measured program's operator *)
@@ -24,15 +26,6 @@ val count : t -> int
 val run : t -> Heron_sched.Concrete.t -> (float, Violation.t) result
 (** Average latency in microseconds, or the violation that makes the
     program fail to compile/run. *)
-
-val run_batch :
-  ?pool:Heron_util.Pool.t ->
-  t ->
-  Heron_sched.Concrete.t array ->
-  (float, Violation.t) result array
-(** One {!run} per program, optionally fanned out across the pool; output
-    order matches input order and each entry is byte-identical to the
-    scalar call. *)
 
 val latency_exn : t -> Heron_sched.Concrete.t -> float
 (** @raise Failure on an invalid program. *)

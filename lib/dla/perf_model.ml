@@ -262,7 +262,4 @@ let latency_us desc prog = (analyze desc prog).latency_us
 
 let latency_us_ctx ctx prog = (analyze_ctx ctx prog).latency_us
 
-let latency_batch ?pool ctx progs =
-  Heron_util.Pool.init ?pool (Array.length progs) (fun i -> latency_us_ctx ctx progs.(i))
-
 let achieved_tflops (op : Op.t) latency_us = op.flops /. latency_us /. 1e6

@@ -48,11 +48,5 @@ val analyze_ctx : ctx -> Heron_sched.Concrete.t -> breakdown
 
 val latency_us_ctx : ctx -> Heron_sched.Concrete.t -> float
 
-val latency_batch :
-  ?pool:Heron_util.Pool.t -> ctx -> Heron_sched.Concrete.t array -> float array
-(** Latency per program, optionally fanned out across the pool; output
-    order matches input order and every entry equals the scalar
-    [latency_us]. *)
-
 val achieved_tflops : Heron_tensor.Op.t -> float -> float
 (** [achieved_tflops op latency_us] from the operator's nominal flops. *)

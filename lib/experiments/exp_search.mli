@@ -5,8 +5,8 @@
 val fig2 : ?budget:int -> ?seed:int -> unit -> string
 
 val fig12 : ?budget:int -> ?seed:int -> ?pool:Heron_util.Pool.t -> unit -> string
-(** [?pool] parallelizes the CGA runs' measurement/CSP/model phases
-    without changing results for a fixed seed. *)
+(** [?pool] parallelizes the CGA runs' CSP solving without changing
+    results for a fixed seed. *)
 
 val fig13 : ?budget:int -> ?seed:int -> ?pool:Heron_util.Pool.t -> unit -> string
 

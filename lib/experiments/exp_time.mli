@@ -10,5 +10,5 @@
 val table10 : ?budget:int -> ?seed:int -> unit -> string
 
 val fig14 : ?budget:int -> ?seed:int -> ?pool:Heron_util.Pool.t -> unit -> string
-(** [?pool] parallelizes tuning; the reported breakdown then reflects the
-    parallel wall-clock of each phase. *)
+(** [?pool] parallelizes tuning's CSP solving; the search time in the
+    reported breakdown is then parallel wall-clock. *)

@@ -59,7 +59,7 @@ let task_seed ~seed key =
    task seed), so it is safe to rebuild after a resume. *)
 type runtime = {
   gen : Generator.t;
-  ms : Pipeline.measure_set;
+  measured : unit -> int;  (** measurer invocations so far *)
   env : Env.t;
   features : Features.t;
 }
@@ -80,16 +80,10 @@ let runtime_of desc st =
   | Some rt -> rt
   | None ->
       let gen = Generator.generate ~seed:st.seed desc st.task.Tasks.t_op in
-      let ms = Pipeline.make_measure_set desc gen in
-      let env =
-        {
-          Env.problem = gen.Generator.problem;
-          measure = ms.Pipeline.measure;
-          rng = Rng.create st.seed;
-        }
-      in
+      let measure, measured = Pipeline.make_measure desc gen in
+      let env = { Env.problem = gen.Generator.problem; measure; rng = Rng.create st.seed } in
       let features = Features.of_problem gen.Generator.problem in
-      let rt = { gen; ms; env; features } in
+      let rt = { gen; measured; env; features } in
       st.rt <- Some rt;
       rt
 
@@ -353,14 +347,14 @@ let tune ?(budget = 256) ?(seed = 42) ?(slice = 16) ?(policy = Scheduler.Gradien
         | Error e -> invalid_arg e)
   in
   let allocations = ref allocations in
+  let file = Option.map (fun path -> Checkpoint.file ~path ~what:"nets.checkpoint") checkpoint in
   let writes = ref 0 in
   let save_checkpoint () =
-    match checkpoint with
+    match file with
     | None -> ()
-    | Some path ->
-        Heron_util.Atomic_io.with_retry ~what:"nets.checkpoint" (fun () ->
-            Heron_util.Atomic_io.write_string ~path
-              (Json.to_string (checkpoint_json ~label sched !allocations states) ^ "\n"));
+    | Some f ->
+        Obs.with_span "nets.checkpoint" (fun () ->
+            Checkpoint.write_json f (checkpoint_json ~label sched !allocations states));
         incr writes;
         (* Crash simulation: die (uncleanly, as a crash would) after the
            Nth checkpoint write. *)
@@ -384,8 +378,7 @@ let tune ?(budget = 256) ?(seed = 42) ?(slice = 16) ?(policy = Scheduler.Gradien
             let last_snap = ref st.snapshot in
             let _outcome =
               Obs.with_span "nets.round" (fun () ->
-                  Cga.run ?params ?pool ~measure_batch:rt.ms.Pipeline.measure_batch
-                    ?resume:st.snapshot
+                  Cga.run ?params ?pool ?resume:st.snapshot
                     ~on_snapshot:(fun s -> last_snap := Some s)
                     rt.env ~budget:st.cum_budget)
             in
@@ -437,7 +430,7 @@ let tune ?(budget = 256) ?(seed = 42) ?(slice = 16) ?(policy = Scheduler.Gradien
                    latency := Some (acc +. (float_of_int st.task.Tasks.t_weight *. b))
                | _ -> latency := None);
                (match st.rt with
-               | Some rt -> measurements := !measurements + rt.ms.Pipeline.measured ()
+               | Some rt -> measurements := !measurements + rt.measured ()
                | None -> ());
                let views = Scheduler.views sched in
                let v = views.(st.task.Tasks.t_id) in

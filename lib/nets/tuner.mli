@@ -84,8 +84,9 @@ val tune :
 (** Tune the whole network under a total measurement budget (default
     256), [slice] trials per round (default 16).
 
-    [?checkpoint] writes one atomic JSON file after every round, with
-    the scheduler state and every task's embedded CGA snapshot;
+    [?checkpoint] writes one atomic JSON file after every round (one
+    [nets.checkpoint] span each), with the scheduler state and every
+    task's embedded CGA snapshot;
     [?resume] restores it (refusing a label mismatch or a task-set
     mismatch) and continues byte-identically to an uninterrupted run.
     [?kill_after n] exits the process with status 3 after the [n]th

@@ -17,19 +17,9 @@ let schema_version = 1
 (* ---------- monotonic clock ---------- *)
 
 module Clock = struct
-  (* OCaml 5.1's Unix has no clock_gettime; monotonise the wall clock with
-     an atomic running max so spans never see time move backwards. *)
-  let last = Atomic.make 0
-
-  let now_ns () =
-    let raw = int_of_float (Unix.gettimeofday () *. 1e9) in
-    let rec clamp () =
-      let prev = Atomic.get last in
-      if raw <= prev then prev
-      else if Atomic.compare_and_set last prev raw then raw
-      else clamp ()
-    in
-    clamp ()
+  (* CLOCK_MONOTONIC through bechamel's C stub: nanosecond resolution,
+     never steps backwards, one clock for every domain. *)
+  let now_ns () = Int64.to_int (Monotonic_clock.now ())
 end
 
 (* ---------- counters and gauges ---------- *)

@@ -14,8 +14,9 @@ val schema_version : int
 
 module Clock : sig
   val now_ns : unit -> int
-  (** Wall clock in nanoseconds, monotonised with an atomic running max:
-      never decreases, process-wide. *)
+  (** The system's monotonic clock in nanoseconds, from an arbitrary
+      origin: never decreases, the same clock on every domain. Only
+      differences between readings are meaningful. *)
 end
 
 (** Named monotone counters. [make] is idempotent by name — modules create

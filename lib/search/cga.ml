@@ -233,7 +233,7 @@ let sort_order sc nf =
     sift 0 k
   done
 
-let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_snapshot
+let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
     (env : Env.t) ~budget =
   let params = { params with batch = min params.batch (max 4 (budget / 8)) } in
   let pool = Pool.resolve pool in
@@ -296,8 +296,8 @@ let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_
       | Some a -> check_assignment "recorder best assignment" a));
   let rec_ =
     match resume with
-    | None -> Env.Recorder.create ?measure_batch ?resilience env ~budget
-    | Some s -> Env.Recorder.import ?measure_batch ?resilience env ~budget s.s_recorder
+    | None -> Env.Recorder.create ?resilience env ~budget
+    | Some s -> Env.Recorder.import ?resilience env ~budget s.s_recorder
   in
   let intern = Env.Recorder.interner rec_ in
   let sc = make_scratch (Model.n_features model) in
@@ -315,7 +315,7 @@ let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_
       | Ok () -> ()
       | Error e -> invalid_arg ("Cga.run: resume: " ^ e));
       Model.restore model s.s_model;
-      Model.refit ?pool model);
+      Model.refit model);
   let emit_snapshot () =
     match on_snapshot with
     | None -> ()
@@ -339,7 +339,7 @@ let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_
   let score_ids ids n =
     sync_feats model intern sc;
     sc.scores <- grown_float sc.scores n;
-    Model.predict_gather ?pool model sc.feats ids n sc.scores;
+    Model.predict_gather model sc.feats ids n sc.scores;
     for i = 0 to n - 1 do
       if sc.scores.(i) < 1e-6 then sc.scores.(i) <- 1e-6
     done
@@ -502,7 +502,7 @@ let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_
         in
         let latencies =
           timed time_measure "cga.measure" (fun () ->
-              Env.Recorder.eval_batch_ids ?pool rec_ chosen)
+              Array.map (Env.Recorder.eval_id rec_) chosen)
         in
         let measured = ref [] in
         for i = n_chosen - 1 downto 0 do
@@ -517,7 +517,7 @@ let run ?(params = default_params) ?pool ?measure_batch ?resilience ?resume ?on_
             List.iter
               (fun (id, l) -> Model.record_row model sc.feats id (Env.score l))
               measured;
-            Model.refit ?pool model);
+            Model.refit model);
         let valid =
           List.filter_map
             (fun (id, l) -> match l with Some v -> Some (id, v) | None -> None)

@@ -52,10 +52,6 @@ type snapshot = {
 val run :
   ?params:params ->
   ?pool:Heron_util.Pool.t ->
-  ?measure_batch:
-    (?pool:Heron_util.Pool.t ->
-    Heron_csp.Assignment.t array ->
-    float option array) ->
   ?resilience:Env.Recorder.resilience ->
   ?resume:snapshot ->
   ?on_snapshot:(snapshot -> unit) ->
@@ -63,14 +59,11 @@ val run :
   budget:int ->
   outcome
 (** Explore under the measurement budget. With [?pool] (or a process
-    default pool, see {!Heron_util.Pool.set_default}), the three hot
-    phases — batch measurement, CSP sampling/crossover solving, and
-    cost-model training/scoring — fan out across the pool's domains.
-
-    [?measure_batch] is handed to the {!Env.Recorder}: fresh candidates of
-    a measurement batch then go through one batched dispatch (per-operator
-    model state reused) instead of pool-mapped scalar calls; results are
-    byte-identical either way. Ignored when [?resilience] is installed.
+    default pool, see {!Heron_util.Pool.set_default}), CSP solving — the
+    seed population's random draws and the crossover offspring — fans out
+    across the pool's domains. Measurement and the cost model run on the
+    calling domain: a measurement batch is too small, and a refit too
+    cheap, to pay for a pool barrier.
 
     With [?resilience], every fresh measurement runs as a retry session
     (see {!Env.Recorder}); the degraded-candidate fallback is wired to

@@ -172,7 +172,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
       | Ok () -> ()
       | Error e -> invalid_arg ("Cga.run: resume: " ^ e));
       Model.restore model s.Cga.s_model;
-      Model.refit ?pool model);
+      Model.refit model);
   let emit_snapshot () =
     match on_snapshot with
     | None -> ()
@@ -204,7 +204,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
         List.map2
           (fun a s -> (a, max s 1e-6))
           assignments
-          (Model.predict_batch ?pool model assignments)
+          (Model.predict_batch model assignments)
       in
       (* Step 2: evolve on CSPs for several generations. *)
       let pop = ref (dedupe pop0) in
@@ -277,7 +277,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
         (* Step 4: update the cost model on the measured scores. *)
         timed time_model "cga.model" (fun () ->
             List.iter (fun (a, l) -> Model.record model a (Env.score l)) measured;
-            Model.refit ?pool model);
+            Model.refit model);
         let valid =
           List.filter_map (fun (a, l) -> match l with Some v -> Some (a, v) | None -> None)
             measured

@@ -58,19 +58,24 @@ let to_json ~label (s : Cga.snapshot) =
              s.Cga.s_model) );
     ]
 
-(* One writer per run: successive snapshots of a run repeat nearly every
+(* One file per run: successive checkpoints of a run repeat nearly every
    float of the previous one, so the printer's memo formats each once, and
    the one buffer is rewritten in place instead of reallocated. *)
-type writer = { path : string; label : string; printer : Json.printer; buf : Buffer.t }
+type file = { path : string; what : string; printer : Json.printer; buf : Buffer.t }
 
-let writer ~path ~label = { path; label; printer = Json.printer (); buf = Buffer.create 4096 }
+let file ~path ~what = { path; what; printer = Json.printer (); buf = Buffer.create 4096 }
 
-let write w s =
-  Buffer.clear w.buf;
-  Json.print w.printer w.buf (to_json ~label:w.label s);
-  Buffer.add_char w.buf '\n';
-  Heron_util.Atomic_io.with_retry ~what:"search.checkpoint" (fun () ->
-      Heron_util.Atomic_io.with_file_out ~path:w.path (fun oc -> Buffer.output_buffer oc w.buf))
+let write_json f v =
+  Buffer.clear f.buf;
+  Json.print f.printer f.buf v;
+  Buffer.add_char f.buf '\n';
+  Heron_util.Atomic_io.with_retry ~what:f.what (fun () ->
+      Heron_util.Atomic_io.with_file_out ~path:f.path (fun oc -> Buffer.output_buffer oc f.buf))
+
+type writer = { file : file; label : string }
+
+let writer ~path ~label = { file = file ~path ~what:"search.checkpoint"; label }
+let write w s = write_json w.file (to_json ~label:w.label s)
 
 let save ~path ~label s = write (writer ~path ~label) s
 

@@ -9,17 +9,29 @@
 
 val version : int
 
+type file
+(** A JSON file rewritten in place, one whole value per {!write_json}:
+    the value is printed into one reused buffer by one printer that
+    remembers the text of every float it has already printed, so
+    rewriting a mostly unchanged value costs little re-formatting. The
+    bytes are exactly [Heron_obs.Json.to_string v ^ "\n"]. *)
+
+val file : path:string -> what:string -> file
+(** [what] labels the write's retries ({!Heron_util.Atomic_io.with_retry}). *)
+
+val write_json : file -> Heron_obs.Json.t -> unit
+(** Atomic write: the JSON lands in [path ^ ".tmp"] and is renamed over
+    [path] only once complete. A transient [Sys_error] is retried. *)
+
 type writer
-(** The checkpoint file of one run: every {!write} replaces it with the
-    given snapshot, byte-for-byte what {!save} would write, reusing one
-    buffer and remembering the text of every float already printed. *)
+(** The checkpoint {!file} of one run: every {!write} replaces it with
+    the given snapshot, byte-for-byte what {!save} would write. *)
 
 val writer : path:string -> label:string -> writer
 
 val write : writer -> Cga.snapshot -> unit
-(** Atomic write: the JSON lands in [path ^ ".tmp"] and is renamed over
-    [path] only once complete. A transient [Sys_error] is retried
-    ({!Heron_util.Atomic_io.with_retry}). *)
+(** {!write_json} of the snapshot; retries are labelled
+    [search.checkpoint]. *)
 
 val save : path:string -> label:string -> Cga.snapshot -> unit
 (** [write] through a fresh writer. *)

@@ -67,7 +67,6 @@ module Recorder = struct
     env : t;
     budget : int;
     resilience : resilience option;
-    measure_batch : (?pool:Heron_util.Pool.t -> Assignment.t array -> float option array) option;
     intern : Intern.t;
     mutable flags : Bytes.t;  (* per-id f_* bits *)
     mutable cvals : float option array;  (* per-id cached measurement *)
@@ -86,12 +85,11 @@ module Recorder = struct
 
   let default_cache_cap = 65_536
 
-  let create ?(cache_cap = default_cache_cap) ?measure_batch ?resilience env ~budget =
+  let create ?(cache_cap = default_cache_cap) ?resilience env ~budget =
     {
       env;
       budget;
       resilience;
-      measure_batch;
       intern = Intern.create ();
       flags = Bytes.make 256 '\000';
       cvals = Array.make 256 None;
@@ -154,8 +152,6 @@ module Recorder = struct
   let degraded_id r id = get_flag r id f_degraded
   let degraded r a = degraded_id r (intern r a)
 
-  let cached_value r id = if get_flag r id f_cached then r.cvals.(id) else None
-
   (* Insert a fresh measurement, evicting oldest entries beyond the cap.
      Evicted configurations cost a fresh step if revisited, so the default
      cap is far above any realistic campaign's distinct-config count. *)
@@ -175,8 +171,7 @@ module Recorder = struct
     r.cvals.(id) <- l;
     Queue.push id r.cache_order
 
-  (* Shared commit path of [eval] and [eval_batch]: bookkeeping for one
-     fresh measurement, in submission order. A [degraded] commit stores a
+  (* Bookkeeping for one fresh measurement. A [degraded] commit stores a
      cost-model prediction, not a measurement: it never becomes the
      incumbent best. Neither degraded nor quarantined commits count as
      [invalid] — that bucket means "the validator rejected the program". *)
@@ -210,26 +205,15 @@ module Recorder = struct
         @ if quarantined then [ ("quarantined", Json.Bool true) ] else []);
     l
 
-  (* The measurement of one fresh candidate, safe to run on a pool worker:
-     either the plain measure call, or a full resilient retry session
-     (attempts, simulated backoff). All mutable bookkeeping happens later,
-     in [commit_outcome], sequentially. *)
-  type outcome = Plain of float option | Resilient of Resilience.verdict
-
-  let measure_outcome r a =
+  (* Measure one fresh candidate and commit it: either the plain measure
+     call, or a full resilient retry session (attempts, simulated
+     backoff) whose verdict decides how the result is recorded. *)
+  let measure_fresh r id =
+    let a = Intern.assignment r.intern id in
     match r.resilience with
-    | None -> Plain (r.env.measure a)
-    | Some rz ->
-        Resilient (Resilience.run rz.policy (fun ~attempt -> rz.attempt_measure a ~attempt))
-
-  let commit_outcome r id = function
-    | Plain l -> commit_fresh r id l
-    | Resilient v -> (
-        let rz =
-          match r.resilience with
-          | Some rz -> rz
-          | None -> assert false (* Resilient outcomes only arise with resilience on *)
-        in
+    | None -> commit_fresh r id (r.env.measure a)
+    | Some rz -> (
+        let v = Resilience.run rz.policy (fun ~attempt -> rz.attempt_measure a ~attempt) in
         let t = Resilience.tally_of v in
         Obs.Counter.add c_retries t.Resilience.retries;
         Obs.Counter.add c_fault_timeouts t.Resilience.timeouts;
@@ -244,11 +228,7 @@ module Recorder = struct
               set_flag r id f_degraded;
               r.degr_rev <- id :: r.degr_rev
             end;
-            let l =
-              match rz.predict with
-              | None -> None
-              | Some p -> p (Intern.assignment r.intern id)
-            in
+            let l = match rz.predict with None -> None | Some p -> p a in
             commit_fresh ~degraded:true r id l
         | Resilience.Quarantined _ ->
             Obs.Counter.incr c_quarantined;
@@ -281,92 +261,9 @@ module Recorder = struct
       Obs.Counter.incr c_skips;
       None
     end
-    else commit_outcome r id (measure_outcome r (Intern.assignment r.intern id))
+    else measure_fresh r id
 
   let eval r a = eval_id r (intern r a)
-
-  (* What [eval] would do with one batch element, decided up front so the
-     expensive [measure] calls can run in parallel while every piece of
-     mutable bookkeeping stays sequential. *)
-  type plan =
-    | Cached of float option
-        (* replay of a pre-batch cache entry, pinned at classification time
-           so a (vanishingly rare) mid-batch eviction cannot lose it *)
-    | Run of int  (* fresh measurement, index into the parallel job array *)
-    | Dup of int  (* same id as job i, measured earlier in this batch *)
-    | Skip  (* budget exhausted: eval would return None unmeasured *)
-    | Qhit  (* quarantined (and evicted from cache): never re-measured *)
-
-  let eval_batch_ids ?pool r ids =
-    let n = Array.length ids in
-    (* Phase 1 — sequential classification, mirroring [eval] exactly:
-       cache lookups, the budget check against steps consumed by earlier
-       batch elements, within-batch duplicates (the second occurrence of
-       an id replays the first one's cache entry), and the quarantine
-       flags. All O(1) per element on the per-id arrays. *)
-    let plans = Array.make n Skip in
-    let jobs_rev = ref [] and n_jobs = ref 0 in
-    let evals_v = ref r.evals and steps_v = ref r.steps in
-    let fresh_ids = Hashtbl.create (2 * n) in
-    for i = 0 to n - 1 do
-      incr evals_v;
-      let id = ids.(i) in
-      if get_flag r id f_cached then plans.(i) <- Cached r.cvals.(id)
-      else
-        match Hashtbl.find_opt fresh_ids id with
-        | Some j -> plans.(i) <- Dup j
-        | None ->
-            if get_flag r id f_quarantined then plans.(i) <- Qhit
-            else if !steps_v >= r.budget || !evals_v >= 50 * r.budget then
-              plans.(i) <- Skip
-            else begin
-              plans.(i) <- Run !n_jobs;
-              Hashtbl.replace fresh_ids id !n_jobs;
-              jobs_rev := id :: !jobs_rev;
-              incr n_jobs;
-              incr steps_v
-            end
-    done;
-    (* Phase 2 — the only parallel part: run the measurer (with its whole
-       retry session when resilience is on) on every fresh candidate.
-       Results land by job index. *)
-    let job_ids = Array.of_list (List.rev !jobs_rev) in
-    let jobs = Array.map (Intern.assignment r.intern) job_ids in
-    let measured =
-      match (r.measure_batch, r.resilience) with
-      | Some mb, None ->
-          (* The batched provider (ctx reuse, one pool dispatch) — only
-             when no resilience layer wraps per-attempt closures around
-             each measurement. Same values as the scalar [measure]. *)
-          Array.map (fun l -> Plain l) (mb ?pool jobs)
-      | _ -> Heron_util.Pool.map ?pool (fun a -> measure_outcome r a) jobs
-    in
-    (* Phase 3 — sequential commit in submission order, byte-identical to
-       calling [eval] element by element. *)
-    Array.mapi
-      (fun i id ->
-        r.evals <- r.evals + 1;
-        Obs.Counter.incr c_evals;
-        match plans.(i) with
-        | Cached l ->
-            Obs.Counter.incr c_cache_hits;
-            l
-        | Dup j ->
-            Obs.Counter.incr c_cache_hits;
-            (* Replay whatever job [j]'s commit put in the cache. *)
-            cached_value r job_ids.(j)
-        | Skip ->
-            Obs.Counter.incr c_skips;
-            None
-        | Qhit ->
-            Obs.Counter.incr c_quarantine_hits;
-            None
-        | Run j -> commit_outcome r id measured.(j))
-      ids
-
-  let eval_batch ?pool r batch =
-    let ids = Array.of_list (List.map (fun a -> intern r a) batch) in
-    Array.to_list (eval_batch_ids ?pool r ids)
 
   let finish r =
     {
@@ -418,8 +315,8 @@ module Recorder = struct
     | Error e ->
         invalid_arg (Printf.sprintf "Env.Recorder.import: %s key %S: %s" ctx k e)
 
-  let import ?cache_cap ?measure_batch ?resilience env ~budget x =
-    let r = create ?cache_cap ?measure_batch ?resilience env ~budget in
+  let import ?cache_cap ?resilience env ~budget x =
+    let r = create ?cache_cap ?resilience env ~budget in
     List.iter
       (fun (key, l) ->
         let id = id_of_key r "cache" key in

@@ -64,24 +64,12 @@ module Recorder : sig
       candidates. Searchers that train a cost model update this as the
       model refits. *)
 
-  val create :
-    ?cache_cap:int ->
-    ?measure_batch:(?pool:Heron_util.Pool.t -> Assignment.t array -> float option array) ->
-    ?resilience:resilience ->
-    t ->
-    budget:int ->
-    r
+  val create : ?cache_cap:int -> ?resilience:resilience -> t -> budget:int -> r
   (** [cache_cap] bounds the measurement cache (default 65536): beyond it,
       the oldest entries are evicted FIFO and counted on the
       [env.cache_evictions] metric. An evicted configuration costs a fresh
       measurement step if revisited, so the default is far above any
-      realistic campaign's distinct-configuration count.
-
-      [measure_batch], when given, must agree with [t.measure] element by
-      element; {!eval_batch} then measures fresh candidates through it in
-      one dispatch (letting the provider reuse per-operator state) instead
-      of pool-mapping scalar calls. Ignored when [resilience] is installed
-      — retry sessions wrap each measurement individually. *)
+      realistic campaign's distinct-configuration count. *)
 
   val exhausted : r -> bool
   val steps_left : r -> int
@@ -94,15 +82,6 @@ module Recorder : sig
       Returns the latency. Cached replays do not consume budget, but a
       secondary cap (50x budget total evaluations) guarantees termination
       for searchers that converge onto already-measured points. *)
-
-  val eval_batch :
-    ?pool:Heron_util.Pool.t -> r -> Assignment.t list -> float option list
-  (** [eval_batch ?pool r batch] is observably identical to
-      [List.map (eval r) batch] — same return values, cache, trace, best
-      tracking and budget accounting, all updated in submission order —
-      but the underlying hardware measurements of fresh candidates (whole
-      retry sessions, when resilience is on) run in parallel on [pool].
-      Pool size cannot change the result, only the wall-clock. *)
 
   val seen : r -> Assignment.t -> bool
 
@@ -129,10 +108,6 @@ module Recorder : sig
   val degraded_id : r -> int -> bool
   val eval_id : r -> int -> float option
 
-  val eval_batch_ids : ?pool:Heron_util.Pool.t -> r -> int array -> float option array
-  (** [eval_batch] over interned ids; element [i] of the result is the
-      latency of [ids.(i)]. *)
-
   val finish : r -> result
 
   (** Serializable snapshot of a recorder for checkpoint/resume. *)
@@ -150,14 +125,7 @@ module Recorder : sig
 
   val export : r -> export
 
-  val import :
-    ?cache_cap:int ->
-    ?measure_batch:(?pool:Heron_util.Pool.t -> Assignment.t array -> float option array) ->
-    ?resilience:resilience ->
-    t ->
-    budget:int ->
-    export ->
-    r
+  val import : ?cache_cap:int -> ?resilience:resilience -> t -> budget:int -> export -> r
   (** Rebuild a recorder in exactly the exported state (cache in the same
       FIFO order, quarantine and degraded sets restored when [resilience]
       is given), so a resumed search continues byte-identically to one

@@ -213,15 +213,10 @@ let tune_task ?pool ?params ~donor t task op =
   Obs.with_span "serve.tune" (fun () ->
       let seed = task_seed t task in
       let gen = Generator.generate ~seed t.config.desc op in
-      let ms = Pipeline.make_measure_set t.config.desc gen in
-      let env =
-        { Env.problem = gen.Heron.Generator.problem; measure = ms.Pipeline.measure; rng = Rng.create seed }
-      in
+      let measure, _ = Pipeline.make_measure t.config.desc gen in
+      let env = { Env.problem = gen.Heron.Generator.problem; measure; rng = Rng.create seed } in
       let resume = warm_snapshot env donor in
-      let outcome =
-        Cga.run ?params ?pool ~measure_batch:ms.Pipeline.measure_batch ?resume env
-          ~budget:t.config.budget
-      in
+      let outcome = Cga.run ?params ?pool ?resume env ~budget:t.config.budget in
       Obs.Counter.incr c_tasks;
       let result =
         match (outcome.Cga.result.Env.best_latency, outcome.Cga.result.Env.best_assignment) with

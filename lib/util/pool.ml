@@ -171,8 +171,6 @@ let init ?pool n f =
       end
   | Some t -> parallel_init t n f
 
-let map_list ?pool f xs = Array.to_list (map ?pool f (Array.of_list xs))
-
 let default_pool = ref None
 
 let set_default p =
@@ -180,3 +178,13 @@ let set_default p =
   Obs.Gauge.set g_jobs (match p with Some t -> float_of_int t.jobs | None -> 1.0)
 let default () = !default_pool
 let resolve = function Some _ as p -> p | None -> default ()
+
+let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+
+let with_jobs jobs f =
+  let jobs = max 1 jobs in
+  if jobs = 1 then f None
+  else
+    with_pool ~domains:jobs (fun pool ->
+        set_default (Some pool);
+        Fun.protect ~finally:(fun () -> set_default None) (fun () -> f (Some pool)))

@@ -49,9 +49,6 @@ val init : ?pool:t -> int -> (int -> 'a) -> 'a array
 (** {!parallel_init} when [?pool] is given, [Array.init] (evaluated in
     index order) otherwise. *)
 
-val map_list : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-(** List counterpart of {!map}; preserves order. *)
-
 val set_default : t option -> unit
 (** Install (or clear) the process-wide default pool picked up by
     {!resolve}. Entry points ([--jobs]) set this once at startup so the
@@ -62,3 +59,13 @@ val default : unit -> t option
 val resolve : t option -> t option
 (** [resolve pool] is [pool] when [Some _], otherwise the process default.
     The standard idiom for [?pool] parameters deep in the library. *)
+
+val default_jobs : unit -> int
+(** The default [--jobs] of the command-line tools: the recommended
+    domain count minus one, at least 1. *)
+
+val with_jobs : int -> (t option -> 'a) -> 'a
+(** [with_jobs jobs f] is [f None] when [jobs <= 1]. Otherwise it runs
+    [f (Some pool)] with a fresh pool of [jobs] domains installed as the
+    process default ({!set_default}), then clears the default and shuts
+    the pool down, even when [f] raises. *)

@@ -214,18 +214,13 @@ let same_samples msg a b =
       Alcotest.(check (float 0.0)) (msg ^ ": score") y1 y2)
     sa sb
 
-let test_record_batch_matches_record () =
+(* record_row through a caller-binned matrix is the same observation as
+   record on the assignment, across ring wrap-around. *)
+let test_record_row_matches_record () =
   let p = toy_problem () in
   let obs = batch_observations 40 in
   let scalar = Model.create ~window:24 p in
   List.iter (fun (a, y) -> Model.record scalar a y) obs;
-  let batched = Model.create ~window:24 p in
-  Model.record_batch batched obs;
-  same_samples "no pool" scalar batched;
-  let pooled = Model.create ~window:24 p in
-  Heron_util.Pool.with_pool ~domains:3 (fun pool -> Model.record_batch ~pool pooled obs);
-  same_samples "pool of 3" scalar pooled;
-  (* record_row through a caller-binned matrix is the same observation. *)
   let rowed = Model.create ~window:24 p in
   let m = Fmat.create ~capacity:1 ~n_features:(Model.n_features rowed) () in
   Fmat.set_rows m 1;
@@ -309,7 +304,7 @@ let suite =
     Alcotest.test_case "key variable fallback" `Quick test_key_variables_fallback;
     Alcotest.test_case "gbt matches reference" `Quick test_gbt_matches_reference;
     Alcotest.test_case "O(1) record" `Quick test_record_constant_allocation;
-    Alcotest.test_case "record_batch = record" `Quick test_record_batch_matches_record;
+    Alcotest.test_case "record_row = record" `Quick test_record_row_matches_record;
     Alcotest.test_case "predict_gather = predict_batch" `Quick
       test_predict_gather_matches_predict_batch;
     Alcotest.test_case "untrained predict_batch counts" `Quick test_untrained_predict_batch_counts;

@@ -1,9 +1,10 @@
-(* Observability layer tests: JSON round-trips, counter semantics (incl.
-   race-freedom under the domain pool), span nesting, golden-trace
-   regression on a fixed-seed tuning run (schema validity, monotone
-   best-so-far, counter/evals agreement), tracing transparency (results
-   are byte-identical with and without a journal), jobs-independence of
-   the deterministic counters, and the Recorder cache cap. *)
+(* Observability layer tests: JSON round-trips, clock resolution, counter
+   semantics (incl. race-freedom under the domain pool), span nesting,
+   golden-trace regression on a fixed-seed tuning run (schema validity,
+   monotone best-so-far, counter/evals agreement), tracing transparency
+   (results are byte-identical with and without a journal),
+   jobs-independence of the deterministic counters, and the Recorder
+   cache cap. *)
 
 module Obs = Heron_obs.Obs
 module Json = Heron_obs.Json
@@ -300,6 +301,25 @@ let test_printer_signed_zero () =
   Alcotest.(check string) "signed zeros kept apart" "[-0.0,0.0,-0.0]"
     (render p (Json.List [ Json.Float (-0.0); Json.Float 0.0; Json.Float (-0.0) ]))
 
+(* ---------- clock ---------- *)
+
+(* Back-to-back readings resolve well below a microsecond: a 1 us clock
+   would read the same value twice far more often than not. *)
+let test_clock_resolution () =
+  let n = 10_000 in
+  let deltas = Array.make n 0 in
+  let prev = ref (Obs.Clock.now_ns ()) in
+  for i = 0 to n - 1 do
+    let t = Obs.Clock.now_ns () in
+    deltas.(i) <- t - !prev;
+    prev := t
+  done;
+  Array.sort Int.compare deltas;
+  let median = deltas.(n / 2) in
+  Alcotest.(check bool) "never decreases" true (deltas.(0) >= 0);
+  Alcotest.(check bool) (Printf.sprintf "median delta %d ns > 0" median) true (median > 0);
+  Alcotest.(check bool) (Printf.sprintf "median delta %d ns < 1 us" median) true (median < 1000)
+
 (* ---------- counters ---------- *)
 
 let test_counter_basics () =
@@ -547,6 +567,37 @@ let test_checkpoint_span_per_iteration () =
         (Some spans);
       Alcotest.(check string) "traced checkpoint identical" (read plain) (read traced))
 
+(* The network tuner's composite checkpoint: one [nets.checkpoint] span per
+   scheduler round, and the same file bytes with and without a journal. *)
+let test_nets_checkpoint_span_per_round () =
+  let tune path =
+    ignore
+      (Heron_nets.Tuner.tune ~budget:24 ~seed:3 ~slice:8 ~checkpoint:path
+         Heron_dla.Descriptor.v100 Heron_nets.Models.tiny)
+  in
+  let plain = Filename.temp_file "heron_nets_plain" ".json" in
+  let traced = Filename.temp_file "heron_nets_traced" ".json" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove plain;
+      Sys.remove traced)
+    (fun () ->
+      tune plain;
+      let (), events = with_journal (fun () -> tune traced) in
+      check_valid events;
+      let spans =
+        List.length
+          (List.filter
+             (fun (e : Trace.event) ->
+               e.ev = "span_begin" && Trace.string_field "span" e = Some "nets.checkpoint")
+             events)
+      in
+      Alcotest.(check bool) "checkpoints written" true (spans > 0);
+      Alcotest.(check (option int)) "one span per round" (Trace.counter events "nets.rounds")
+        (Some spans);
+      Alcotest.(check string) "traced checkpoint identical" (read plain) (read traced))
+
 (* The deterministic counters advance by exactly the same amount for any
    pool size (atomic increments over identical work). *)
 let deterministic_counters =
@@ -586,6 +637,20 @@ let test_counters_jobs_independent () =
                 (List.nth deltas0 i) (List.nth deltas i))
             deterministic_counters))
     [ 2; 4 ]
+
+(* CSP solving is the pool's only client inside CGA: every pool task of a
+   pooled run is one random draw or one crossover offspring solve. *)
+let test_pool_tasks_are_solver_tasks () =
+  let names = [ "pool.tasks"; "solver.rand_sat_draws"; "cga.offspring_attempted" ] in
+  let _, deltas =
+    Pool.with_pool ~domains:2 (fun p ->
+        counter_delta names (fun () -> ignore (Cga.run ~pool:p (toy_env 21) ~budget:40)))
+  in
+  match deltas with
+  | [ tasks; draws; offspring ] ->
+      Alcotest.(check bool) "solver tasks ran" true (draws > 0 && offspring > 0);
+      Alcotest.(check int) "pool.tasks = draws + offspring" (draws + offspring) tasks
+  | _ -> assert false
 
 (* ---------- Recorder cache cap ---------- *)
 
@@ -680,6 +745,7 @@ let suite =
     Alcotest.test_case "printer signed zero" `Quick test_printer_signed_zero;
     Heron_check.Replay.to_alcotest ~seed:(Heron_check.Replay.seed_from_env ())
       prop_printer_matches_oracle;
+    Alcotest.test_case "clock resolves below 1 us" `Quick test_clock_resolution;
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "gauge basics" `Quick test_gauge_basics;
     Alcotest.test_case "counters race-free under pool" `Quick
@@ -695,7 +761,10 @@ let suite =
     Alcotest.test_case "golden tuning trace" `Quick test_golden_tuning_trace;
     Alcotest.test_case "tracing is transparent" `Quick test_tracing_transparent;
     Alcotest.test_case "checkpoint span per iteration" `Quick test_checkpoint_span_per_iteration;
+    Alcotest.test_case "nets checkpoint span per round" `Quick
+      test_nets_checkpoint_span_per_round;
     Alcotest.test_case "counters jobs-independent" `Quick test_counters_jobs_independent;
+    Alcotest.test_case "pool tasks are solver tasks" `Quick test_pool_tasks_are_solver_tasks;
     Alcotest.test_case "cache cap holds with evictions" `Quick test_cache_cap_holds;
     Alcotest.test_case "default cap never evicts" `Quick test_cache_cap_default_never_evicts;
     Alcotest.test_case "journal write fault drops one event" `Quick

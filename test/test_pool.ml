@@ -24,8 +24,7 @@ let test_init_matches_sequential () =
 let test_empty_inputs () =
   with_pool 4 (fun pool ->
       Alcotest.(check (array int)) "empty map" [||] (Pool.parallel_map pool (fun x -> x) [||]);
-      Alcotest.(check (array int)) "empty init" [||] (Pool.parallel_init pool 0 (fun i -> i));
-      Alcotest.(check (list int)) "empty map_list" [] (Pool.map_list ~pool (fun x -> x) []))
+      Alcotest.(check (array int)) "empty init" [||] (Pool.parallel_init pool 0 (fun i -> i)))
 
 let test_single_element () =
   with_pool 4 (fun pool ->
@@ -120,12 +119,6 @@ let test_exception_ordering_randomized pool =
       | out -> failing = [] && out = Array.init n (fun i -> i * 2)
       | exception Boom i -> failing <> [] && i = List.hd failing)
 
-let test_map_list_order () =
-  with_pool 4 (fun pool ->
-      let xs = List.init 100 (fun i -> i) in
-      Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * 3) xs)
-        (Pool.map_list ~pool (fun x -> x * 3) xs))
-
 (* Tasks that crash via the deterministic fault injector: whatever the
    pool size, the propagated exception is the one from the lowest-index
    faulting task — the Pool failure contract under a realistic fault
@@ -193,7 +186,6 @@ let suite =
     Alcotest.test_case "pool of one inline" `Quick test_pool_of_one_runs_inline;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent_and_inline_after;
     Alcotest.test_case "default pool resolution" `Quick test_default_pool_resolution;
-    Alcotest.test_case "map_list order" `Quick test_map_list_order;
     Alcotest.test_case "faulting tasks: deterministic propagation" `Quick
       test_faulting_tasks_deterministic;
     Alcotest.test_case "faulting tasks: no lost or duplicated results" `Quick

@@ -207,41 +207,64 @@ let test_cga_trace_identical_across_jobs () =
   Heron_util.Pool.with_pool ~domains:4 (fun p ->
       Alcotest.(check bool) "jobs=4 identical" true (run (Some p) = sequential))
 
-(* eval_batch must be observably identical to evaluating the batch one
-   call at a time: same returns, trace, best, budget accounting — across
-   cache replays, within-batch duplicates, invalid programs and budget
-   exhaustion mid-batch. *)
-let test_eval_batch_matches_sequential_eval () =
+(* The recorder's two entry points, assignment-keyed [eval] and interned
+   [eval_id], interleaved over one budget-5 run: explicit returns,
+   budget left and trace across a cache replay, a duplicate, an invalid
+   program, budget exhaustion and a replay after it. *)
+let test_eval_and_eval_id () =
   let assignment x y z = Assignment.of_list [ ("x", x); ("y", y); ("z", z); ("xy", x * y) ] in
-  let batch =
+  let lat x y z = Some (1000.0 /. fig5_objective (assignment x y z)) in
+  let env = fig5_env 17 in
+  let measured = ref 0 in
+  let env =
+    {
+      env with
+      Env.measure =
+        (fun a ->
+          incr measured;
+          env.Env.measure a);
+    }
+  in
+  let r = Env.Recorder.create env ~budget:5 in
+  let by_id a = Env.Recorder.eval_id r (Env.Recorder.intern r a) in
+  let steps =
     [
-      assignment 1 5 1;
-      assignment 2 4 0;
-      assignment 1 5 1 (* within-batch duplicate: replay, no budget *);
-      assignment 5 5 0 (* invalid: x*y = 25 violates xy <= 8 *);
-      assignment 1 3 0;
-      assignment 2 3 1;
-      assignment 1 4 0 (* budget (5) exhausted from here on *);
-      assignment 2 2 1;
+      (Env.Recorder.eval r, assignment 1 1 0, lat 1 1 0, 4);
+      (by_id, assignment 1 1 0, lat 1 1 0, 4) (* cache replay: no budget *);
+      (by_id, assignment 1 5 1, lat 1 5 1, 3);
+      (Env.Recorder.eval r, assignment 2 4 0, lat 2 4 0, 2);
+      (Env.Recorder.eval r, assignment 1 5 1, lat 1 5 1, 2) (* duplicate: replay *);
+      (by_id, assignment 5 5 0, None, 1) (* invalid: x*y = 25 violates xy <= 8 *);
+      (Env.Recorder.eval r, assignment 1 3 0, lat 1 3 0, 0);
+      (by_id, assignment 2 3 1, None, 0) (* budget exhausted: not measured *);
+      (Env.Recorder.eval r, assignment 2 2 1, None, 0);
+      (by_id, assignment 2 4 0, lat 2 4 0, 0) (* replay still served *);
     ]
   in
-  let run_with eval_list =
-    let r = Env.Recorder.create (fig5_env 17) ~budget:5 in
-    ignore (Env.Recorder.eval r (assignment 1 1 0));  (* pre-batch cache entry *)
-    let pre_cached = Env.Recorder.eval r (assignment 1 1 0) in
-    let out = eval_list r batch in
-    (pre_cached, out, Env.Recorder.steps_left r, Env.Recorder.finish r)
+  List.iteri
+    (fun i (eval, a, expected, left) ->
+      Alcotest.(check (option (float 0.0))) (Printf.sprintf "return %d" i) expected (eval a);
+      Alcotest.(check int) (Printf.sprintf "steps_left after %d" i) left
+        (Env.Recorder.steps_left r))
+    steps;
+  Alcotest.(check int) "one measurement per fresh step" 5 !measured;
+  Alcotest.(check bool) "exhausted" true (Env.Recorder.exhausted r);
+  let res = Env.Recorder.finish r in
+  let best = lat 1 5 1 in
+  let expected_trace =
+    [
+      { Env.step = 1; latency = lat 1 1 0; best = lat 1 1 0 };
+      { Env.step = 2; latency = best; best };
+      { Env.step = 3; latency = lat 2 4 0; best };
+      { Env.step = 4; latency = None; best };
+      { Env.step = 5; latency = lat 1 3 0; best };
+    ]
   in
-  let sequential = run_with (fun r b -> List.map (Env.Recorder.eval r) b) in
-  let singletons =
-    run_with (fun r b -> List.concat_map (fun a -> Env.Recorder.eval_batch r [ a ]) b)
-  in
-  let batched = run_with (fun r b -> Env.Recorder.eval_batch r b) in
-  Alcotest.(check bool) "singleton batches = sequential" true (singletons = sequential);
-  Alcotest.(check bool) "one batch = sequential" true (batched = sequential);
-  Heron_util.Pool.with_pool ~domains:4 (fun pool ->
-      let pooled = run_with (fun r b -> Env.Recorder.eval_batch ~pool r b) in
-      Alcotest.(check bool) "pooled = sequential" true (pooled = sequential))
+  Alcotest.(check bool) "trace" true (res.Env.trace = expected_trace);
+  Alcotest.(check (option (float 0.0))) "best latency" best res.Env.best_latency;
+  Alcotest.(check bool) "best assignment" true
+    (Option.equal Assignment.equal res.Env.best_assignment (Some (assignment 1 5 1)));
+  Alcotest.(check int) "invalid" 1 res.Env.invalid
 
 module Resilience = Heron_search.Resilience
 module Checkpoint = Heron_search.Checkpoint
@@ -563,8 +586,7 @@ let suite =
     Alcotest.test_case "CGA deterministic" `Quick test_cga_deterministic_given_seed;
     Alcotest.test_case "CGA trace identical across jobs" `Quick
       test_cga_trace_identical_across_jobs;
-    Alcotest.test_case "eval_batch = sequential eval" `Quick
-      test_eval_batch_matches_sequential_eval;
+    Alcotest.test_case "eval and eval_id, step by step" `Quick test_eval_and_eval_id;
     Alcotest.test_case "resilience verdicts" `Quick test_resilience_verdicts;
     Alcotest.test_case "checkpoint JSON roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint writer = cold render" `Quick test_checkpoint_writer_identity;
