@@ -5,19 +5,68 @@ let bits_per_word = 62
 
 let nwords n = (n + bits_per_word - 1) / bits_per_word
 
-(* The [int] annotations matter: without them this infers ['a array] and
-   every probe of the hot binary search goes through polymorphic
-   [compare] — ~2x whole-solver slowdown under profiling. *)
-let index_of (values : int array) (v : int) =
-  let rec bs lo hi =
-    if lo > hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      if values.(mid) = v then mid
-      else if values.(mid) < v then bs (mid + 1) hi
-      else bs lo (mid - 1)
-  in
-  bs 0 (Array.length values - 1)
+(* The [int] annotations matter: without them these infer ['a array] and
+   every probe goes through polymorphic [compare] — ~2x whole-solver
+   slowdown under profiling. *)
+let count_lt (values : int array) (x : int) =
+  let lo = ref 0 and hi = ref (Array.length values) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if values.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let count_le (values : int array) (x : int) =
+  let lo = ref 0 and hi = ref (Array.length values) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if values.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Bucket [k] holds the values [v] with [(v - lo) lsr shift = k], at
+   positions [start k, start (k + 1)). [shift] is the least one that
+   leaves at most [n] buckets, so a bucket holds about one value. The
+   starts are 32-bit: an index costs as much memory as half its
+   universe, and compiled templates keep one per variable. *)
+type index = { values : int array; lo : int; hi : int; shift : int; starts : Bytes.t }
+
+let start ix k = Int32.to_int (Bytes.get_int32_le ix.starts (4 * k))
+
+let index (values : int array) =
+  let n = Array.length values in
+  if n = 0 then { values; lo = 0; hi = -1; shift = 0; starts = Bytes.make 4 '\000' }
+  else begin
+    let lo = values.(0) and hi = values.(n - 1) in
+    let shift = ref 0 in
+    while (hi - lo) lsr !shift >= n do
+      incr shift
+    done;
+    let nb = ((hi - lo) lsr !shift) + 1 in
+    let starts = Bytes.create (4 * (nb + 1)) in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      let b = (values.(i) - lo) lsr !shift in
+      while !k <= b do
+        Bytes.set_int32_le starts (4 * !k) (Int32.of_int i);
+        incr k
+      done
+    done;
+    Bytes.set_int32_le starts (4 * nb) (Int32.of_int n);
+    { values; lo; hi; shift = !shift; starts }
+  end
+
+let position ix (x : int) =
+  if x < ix.lo || x > ix.hi then -1
+  else begin
+    let k = (x - ix.lo) lsr ix.shift in
+    let stop = start ix (k + 1) in
+    let i = ref (start ix k) in
+    while !i < stop && ix.values.(!i) < x do
+      incr i
+    done;
+    if !i < stop && ix.values.(!i) = x then !i else -1
+  end
 
 let full_word = (1 lsl bits_per_word) - 1
 
@@ -95,6 +144,13 @@ let equal_slices (a : int array) aoff (b : int array) boff ~nw =
   let rec go wi = wi >= nw || (a.(aoff + wi) = b.(boff + wi) && go (wi + 1)) in
   go 0
 
+let mask_range store ~off ~nw ilo ihi (dst : int array) =
+  for wi = 0 to nw - 1 do
+    let base = wi * bits_per_word in
+    let lo = Int.max 0 (ilo - base) and hi = Int.min bits_per_word (ihi - base) in
+    dst.(wi) <- (if lo >= hi then 0 else store.(off + wi) land (((1 lsl (hi - lo)) - 1) lsl lo))
+  done
+
 type t = { values : int array; words : int array }
 
 let of_domain d =
@@ -108,8 +164,8 @@ let size t = popcount t.words ~off:0 ~nw:(Array.length t.words)
 let is_empty t = is_empty_slice t.words ~off:0 ~nw:(Array.length t.words)
 
 let mem v t =
-  let i = index_of t.values v in
-  i >= 0 && mem_bit t.words ~off:0 i
+  let i = count_lt t.values v in
+  i < Array.length t.values && t.values.(i) = v && mem_bit t.words ~off:0 i
 
 let min_value t =
   match min_bit t.words ~off:0 ~nw:(Array.length t.words) with

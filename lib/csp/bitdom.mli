@@ -29,9 +29,29 @@ val bits_per_word : int
 val nwords : int -> int
 (** Words needed for a universe of [n] values. [nwords 0 = 0]. *)
 
-val index_of : int array -> int -> int
-(** [index_of values v] is the position of [v] in the sorted array
-    [values], or [-1] if absent. *)
+val count_lt : int array -> int -> int
+(** [count_lt values x] is the number of values below [x] in the sorted
+    array [values]: the position of [x] if present, else where it would
+    go. Binary search. *)
+
+val count_le : int array -> int -> int
+(** [count_le values x] is the number of values [<= x] in [values]. *)
+
+(** {1 Universe index} *)
+
+type index
+(** A value-to-position map over one sorted universe, bucketed by value
+    with at most one bucket per value: O(1) for evenly spread values, a
+    scan of one crowded bucket for skewed ones. Built once per
+    universe. *)
+
+val index : int array -> index
+(** [index values] indexes the strictly ascending array [values] (kept
+    by reference, not copied). *)
+
+val position : index -> int -> int
+(** [position ix x] is the position of [x] in the indexed universe, or
+    [-1] if absent. *)
 
 (** {1 Slice primitives}
 
@@ -59,6 +79,12 @@ val iter_bits : (int -> unit) -> int array -> off:int -> nw:int -> unit
 
 val equal_slices : int array -> int -> int array -> int -> nw:int -> bool
 (** [equal_slices a aoff b boff ~nw] compares two [nw]-word slices. *)
+
+val mask_range : int array -> off:int -> nw:int -> int -> int -> int array -> unit
+(** [mask_range store ~off ~nw ilo ihi dst] writes into [dst.(0 .. nw-1)]
+    the slice's words with every bit outside positions [[ilo, ihi)]
+    cleared: the live values of a sorted universe that lie in a value
+    range, one AND per word. *)
 
 (** {1 Self-contained domains (for tests)} *)
 

@@ -41,8 +41,9 @@ let default_exact_limit = 10_000
 (* Where variable [i]'s live domain lives: a slice of [nw] words at word
    offset [off] of the engine's flat store, bit b meaning [values.(b)] is
    still live. [values] is the frozen initial domain — search only ever
-   removes values, so it is a universe for the whole search tree. *)
-type layout = { values : int array; off : int; nw : int }
+   removes values, so it is a universe for the whole search tree — and
+   [ix] maps a value to its position in it. *)
+type layout = { values : int array; ix : Bitdom.index; off : int; nw : int }
 
 type compiled = {
   names : string array;
@@ -193,7 +194,7 @@ let d_max e v =
 
 let d_mem e v x =
   let l = e.cp.layouts.(v) in
-  let i = Bitdom.index_of l.values x in
+  let i = Bitdom.position l.ix x in
   i >= 0 && Bitdom.mem_bit e.store ~off:l.off i
 
 let d_iter e v f =
@@ -234,7 +235,15 @@ exception Wipeout
    This reproduces the old [Domain.filter] + [set_dom] live-read
    sequencing exactly, which the aliasing regression tests (v = x * v)
    depend on. Raises [Wipeout] before writing anything if the result is
-   empty, like [set_dom] did. *)
+   empty, like [set_dom] did.
+
+   No revise ever sees an empty domain: a template with an empty universe
+   is refuted at compile time, and a commit never writes an empty set.
+
+   Every revise returns whether it is idempotent on the branch it took —
+   whether it reached its own fixpoint in one pass, so that running it
+   again at once would change nothing. [run_queue] then skips its own
+   re-queue. *)
 let commit_from_scratch e v buf =
   let l = e.cp.layouts.(v) in
   if Bitdom.is_empty_slice buf ~off:0 ~nw:l.nw then raise Wipeout;
@@ -261,35 +270,56 @@ let commit_filter e v p =
     done;
     e.scratch.(wi) <- !out
   done;
-  if l.nw = 0 then raise Wipeout;
+  commit_from_scratch e v e.scratch
+
+(* Keep v's live values in [lo, hi]. The universe is sorted, so they are
+   the live bits of one position range: one AND per word commits exactly
+   what a per-value filter would. *)
+let commit_range e v lo hi =
+  let l = e.cp.layouts.(v) in
+  Bitdom.mask_range e.store ~off:l.off ~nw:l.nw (Bitdom.count_lt l.values lo)
+    (Bitdom.count_le l.values hi) e.scratch;
   commit_from_scratch e v e.scratch
 
 (* v = x (unary PROD/SUM and CEq): intersect both with the other. The
    second filter reads the already-narrowed first, so both end at the
-   intersection, exactly like the old shared [Domain.inter]. *)
+   intersection, exactly like the old shared [Domain.inter]. Idempotent:
+   both sides already equal the intersection. *)
 let revise_eq e a b =
   commit_filter e a (fun x -> d_mem e b x);
-  commit_filter e b (fun x -> d_mem e a x)
+  commit_filter e b (fun x -> d_mem e a x);
+  true
 
+(* a <= b. A side whose bound already holds is left alone. Idempotent:
+   [max b] survives the second filter, because [b >= min a] keeps it once
+   the first has made [min a <= max b]. *)
 let revise_le e a b =
   let hi = d_max e b in
-  commit_filter e a (fun x -> x <= hi);
+  if d_max e a > hi then commit_range e a min_int hi;
   let lo = d_min e a in
-  commit_filter e b (fun x -> x >= lo)
+  if d_min e b < lo then commit_range e b lo max_int;
+  true
 
-let revise_in e v cs = commit_filter e v (fun x -> Domain.mem x cs)
+(* Idempotent: an intersection with a constant set. *)
+let revise_in e v cs =
+  commit_filter e v (fun x -> Domain.mem x cs);
+  true
 
+(* Not idempotent when [v] or [u] is also one of the sources: narrowing
+   one occurrence changes what another supports, so a second pass can
+   narrow [u] again. *)
 let revise_sel e v u vs =
   let n = Array.length vs in
   (* Index domain: valid positions whose source still intersects v. *)
   commit_filter e u (fun i -> i >= 0 && i < n && d_exists e v (fun x -> d_mem e vs.(i) x));
   (* v must lie in the union of the still-selectable sources. *)
   commit_filter e v (fun x -> d_exists e u (fun i -> d_mem e vs.(i) x));
-  match d_value e u with
+  (match d_value e u with
   | Some i ->
       commit_filter e v (fun x -> d_mem e vs.(i) x);
       commit_filter e vs.(i) (fun x -> d_mem e v x)
-  | None -> ()
+  | None -> ());
+  false
 
 (* Generic bounds propagation for v = fold op over vs, with op monotone
    and all domains non-negative. [inv_lo]/[inv_hi] compute the bounds of
@@ -301,7 +331,8 @@ let revise_sel e v u vs =
    revise; that only weakens individual prunings (still sound), and the
    constraint re-enters the queue whenever one of its variables changes,
    so the propagation fixpoint — where snapshot and live bounds agree —
-   is identical to the old engine's. *)
+   is identical to the old engine's. The same staleness makes it not
+   idempotent, so it keeps its own re-queue. *)
 let revise_nary e v vs ~identity ~op ~inv_lo ~inv_hi =
   let k = Array.length vs in
   for i = 0 to k - 1 do
@@ -313,8 +344,7 @@ let revise_nary e v vs ~identity ~op ~inv_lo ~inv_hi =
     lo_all := op !lo_all e.lo_buf.(i);
     hi_all := op !hi_all e.hi_buf.(i)
   done;
-  let lo_all = !lo_all and hi_all = !hi_all in
-  commit_filter e v (fun x -> x >= lo_all && x <= hi_all);
+  commit_range e v !lo_all !hi_all;
   let v_lo = d_min e v and v_hi = d_max e v in
   e.suf_lo.(k) <- identity;
   e.suf_hi.(k) <- identity;
@@ -326,86 +356,48 @@ let revise_nary e v vs ~identity ~op ~inv_lo ~inv_hi =
   for i = 0 to k - 1 do
     let others_lo = op !pre_lo e.suf_lo.(i + 1) in
     let others_hi = op !pre_hi e.suf_hi.(i + 1) in
-    let lo = inv_lo v_lo others_hi and hi = inv_hi v_hi others_lo in
-    commit_filter e vs.(i) (fun a -> a >= lo && a <= hi);
+    commit_range e vs.(i) (inv_lo v_lo others_hi) (inv_hi v_hi others_lo);
     pre_lo := op !pre_lo e.lo_buf.(i);
     pre_hi := op !pre_hi e.hi_buf.(i)
-  done
+  done;
+  false
 
 (* Exact binary support pruning for v = a op b, where op is [*] or [+].
-
    Domains are non-negative (an engine-wide assumption, see
-   [revise_nary]), so for a fixed [x] the targets [x op y] are
-   nondecreasing as [y] ascends. Every walk below therefore keeps a
-   galloping lower-bound cursor into a sorted universe instead of running
-   a full binary search per probe: [seek] advances the cursor to the
-   first index whose value is >= [t] (or [n] if none) in O(log gap). *)
-let seek (values : int array) n pos (t : int) =
-  if pos >= n || values.(pos) >= t then pos
-  else begin
-    let step = ref 1 in
-    while pos + !step < n && values.(pos + !step) < t do
-      step := !step lsl 1
-    done;
-    let lo = ref (pos + (!step lsr 1)) and hi = ref (Int.min (pos + !step) (n - 1)) in
-    if values.(!hi) < t then n
-    else begin
-      (* invariant: values.(!lo) < t <= values.(!hi) *)
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if values.(mid) < t then lo := mid else hi := mid
-      done;
-      !hi
-    end
-  end
+   [revise_nary]), so for a fixed [x] the results [x op y] ascend with
+   [y]. Each result is looked up in v's universe index, O(1), and then
+   tested against v's live bits. *)
+
+let bpw = Bitdom.bits_per_word
+
+let set_bit (m : int array) i = m.(i / bpw) <- m.(i / bpw) lor (1 lsl (i mod bpw))
 
 (* Aliased operands (v = x * x, v = x + v): mark which of v's universe
    values are a product (resp. sum) of live (a, b) pairs into scratch2,
    AND it into v, then keep only supported values of a and b. Every step
    reads the live store — filtering a stale snapshot can resurrect values
    pruned moments earlier, making the fixpoint oscillate forever (e.g.
-   v = x * v with 0 in both domains). *)
+   v = x * v with 0 in both domains). Not idempotent: committing one
+   occurrence of a variable changes what the other occurrence supports. *)
 let revise_exact_aliased e v a b combine =
   let lv = e.cp.layouts.(v) in
-  let n = Array.length lv.values in
-  for wi = 0 to lv.nw - 1 do
-    e.scratch2.(wi) <- 0
-  done;
+  Array.fill e.scratch2 0 lv.nw 0;
   d_iter e a (fun x ->
-      let pos = ref 0 in
       d_iter e b (fun y ->
           e.support_checks <- e.support_checks + 1;
-          let i = seek lv.values n !pos (combine x y) in
-          pos := i;
-          if i < n && lv.values.(i) = combine x y then
-            e.scratch2.(i / Bitdom.bits_per_word) <-
-              e.scratch2.(i / Bitdom.bits_per_word)
-              lor (1 lsl (i mod Bitdom.bits_per_word))));
+          let i = Bitdom.position lv.ix (combine x y) in
+          if i >= 0 then set_bit e.scratch2 i));
   for wi = 0 to lv.nw - 1 do
     e.scratch.(wi) <- e.store.(lv.off + wi) land e.scratch2.(wi)
   done;
-  if lv.nw = 0 then raise Wipeout;
   commit_from_scratch e v e.scratch;
-  commit_filter e a (fun x ->
-      let pos = ref 0 in
-      d_exists e b (fun y ->
-          e.support_checks <- e.support_checks + 1;
-          let t = combine x y in
-          let i = seek lv.values n !pos t in
-          pos := i;
-          i < n && lv.values.(i) = t && Bitdom.mem_bit e.store ~off:lv.off i));
-  commit_filter e b (fun y ->
-      let pos = ref 0 in
-      d_exists e a (fun x ->
-          e.support_checks <- e.support_checks + 1;
-          let t = combine x y in
-          let i = seek lv.values n !pos t in
-          pos := i;
-          i < n && lv.values.(i) = t && Bitdom.mem_bit e.store ~off:lv.off i))
-
-let bpw = Bitdom.bits_per_word
-
-let set_bit (m : int array) i = m.(i / bpw) <- m.(i / bpw) lor (1 lsl (i mod bpw))
+  let supported x y =
+    e.support_checks <- e.support_checks + 1;
+    d_mem e v (combine x y)
+  in
+  commit_filter e a (fun x -> d_exists e b (fun y -> supported x y));
+  commit_filter e b (fun y -> d_exists e a (fun x -> supported x y));
+  false
 
 (* Live values (ascending) and their universe indices, gathered by exact
    revises. A revise runs to completion on one domain, so one pair of
@@ -433,35 +425,34 @@ let gather e (l : layout) (vals : int array) (idx : int array) at =
     done
   done
 
-(* Partners of one [x], over the gathered [vals]/[idx]: walk b's live y
-   at positions [j0, bend) and look [x op y] up in v's sorted live values
-   at [0, nv). Results ascend with y, so the first result past v's
-   largest live value ends the walk. A hit marks y in [sup_b] and the
-   result in [sup_v]; returns whether any hit was found, i.e. whether [x]
-   has support. *)
-let walk e ~prod (vals : int array) (idx : int array) x j0 nv bend (sup_v : int array)
-    (sup_b : int array) =
-  let hit = ref false and pos = ref 0 and j = ref j0 and probes = ref 0 in
-  while !j < bend do
+(* Partners of one [x]: walk b's gathered live y at positions [j0, nb)
+   and look [x op y] up in v. Results ascend with y, so the first result
+   past [vmax], v's largest live value, ends the walk. A hit — a result
+   live in v — marks y in [sup_b] and the result in [sup_v]; returns
+   whether any hit was found, i.e. whether [x] has support. *)
+let walk e ~prod (lv : layout) vmax (vals : int array) (idx : int array) x j0 nb
+    (sup_v : int array) (sup_b : int array) =
+  let st = e.store in
+  let hit = ref false and j = ref j0 and probes = ref 0 in
+  while !j < nb do
     let y = vals.(!j) in
     incr probes;
     let t = if prod then x * y else x + y in
-    let k = seek vals nv !pos t in
-    if k >= nv then j := bend
+    if t > vmax then j := nb
     else begin
-      pos := k;
-      if vals.(k) = t then begin
+      let i = Bitdom.position lv.ix t in
+      if i >= 0 && Bitdom.mem_bit st ~off:lv.off i then begin
         hit := true;
         set_bit sup_b idx.(!j);
-        set_bit sup_v idx.(k)
-      end
-    end;
-    incr j
+        set_bit sup_v i
+      end;
+      incr j
+    end
   done;
   e.support_checks <- e.support_checks + !probes;
   !hit
 
-(* Three distinct variables: gather the live values of v, b and a once,
+(* Three distinct variables: gather the live values of b and a once,
    then one pass over the live x of a fills the support masks of v
    (scratch), a (scratch2) and b (scratch3) together, and v, a and b are
    committed in that order. This equals the aliased path's three
@@ -469,68 +460,72 @@ let walk e ~prod (vals : int array) (idx : int array) x j0 nv bend (sup_v : int 
    narrowed is still live after (the narrowing keeps exactly the
    supported results), and any x that supports some y is itself kept —
    so support against the pre-commit domains is what the live reads
-   would see. Same masks, same commit order, same wipeout points, same
-   trail writes.
+   would see. Same masks, same commit order, same wipeout points.
 
    For each x, the walk visits the live y of b from [ceil(vmin / x)]
-   (resp. [vmin - x]) up to the first y whose result passes v's largest
-   live value. A product with x = 0 needs no walk: 0 * y = 0 for every
-   y. *)
+   (resp. [vmin - x]) up to the first y whose result passes [vmax]. That
+   start only moves down as x ascends, so one cursor finds it. A product
+   with x = 0 needs no walk: 0 * y = 0 for every y.
+
+   Idempotent: every kept value keeps the witness pair that kept it. *)
 let revise_exact_distinct e v a b ~prod =
   let cp = e.cp in
   let lv = cp.layouts.(v) and la = cp.layouts.(a) and lb = cp.layouts.(b) in
-  if lv.nw = 0 then raise Wipeout;
   let st = e.store in
-  let nv = Bitdom.popcount st ~off:lv.off ~nw:lv.nw
-  and nb = Bitdom.popcount st ~off:lb.off ~nw:lb.nw
+  let nb = Bitdom.popcount st ~off:lb.off ~nw:lb.nw
   and na = Bitdom.popcount st ~off:la.off ~nw:la.nw in
-  let bend = nv + nb in
   let live = Stdlib.Domain.DLS.get live_key in
-  if bend + na > Array.length live.vals then begin
-    let cap = Int.max (bend + na) (2 * Array.length live.vals) in
+  if nb + na > Array.length live.vals then begin
+    let cap = Int.max (nb + na) (2 * Array.length live.vals) in
     live.vals <- Array.make cap 0;
     live.idx <- Array.make cap 0
   end;
   let vals = live.vals and idx = live.idx in
-  (* v at [0, nv), b at [nv, bend), a at [bend, bend + na) *)
-  gather e lv vals idx 0;
-  gather e lb vals idx nv;
-  gather e la vals idx bend;
+  (* b at [0, nb), a at [nb, nb + na) *)
+  gather e lb vals idx 0;
+  gather e la vals idx nb;
   let sup_v = e.scratch and sup_a = e.scratch2 and sup_b = e.scratch3 in
   Array.fill sup_v 0 lv.nw 0;
   Array.fill sup_a 0 la.nw 0;
   Array.fill sup_b 0 lb.nw 0;
-  if nv > 0 && nb > 0 then begin
-    let vmin = vals.(0) in
-    for j = bend to bend + na - 1 do
-      let x = vals.(j) in
-      let supported =
-        if prod && x = 0 then begin
-          (* 0 is live in v iff it is v's least live value. *)
-          e.support_checks <- e.support_checks + 1;
-          vmin = 0
-          && begin
-               set_bit sup_v idx.(0);
-               Array.blit st lb.off sup_b 0 lb.nw;
-               true
-             end
-        end
-        else
-          let y0 = if prod then (vmin + x - 1) / x else vmin - x in
-          walk e ~prod vals idx x (seek vals bend nv y0) nv bend sup_v sup_b
-      in
-      if supported then set_bit sup_a idx.(j)
-    done
-  end;
+  let imin = Bitdom.min_bit st ~off:lv.off ~nw:lv.nw in
+  let vmin = lv.values.(imin) and vmax = lv.values.(Bitdom.max_bit st ~off:lv.off ~nw:lv.nw) in
+  let j0 = ref nb in
+  for j = nb to nb + na - 1 do
+    let x = vals.(j) in
+    let supported =
+      if prod && x = 0 then begin
+        (* 0 is live in v iff it is v's least live value. *)
+        e.support_checks <- e.support_checks + 1;
+        vmin = 0
+        && begin
+             set_bit sup_v imin;
+             Array.blit st lb.off sup_b 0 lb.nw;
+             true
+           end
+      end
+      else begin
+        let y0 = if prod then (vmin + x - 1) / x else vmin - x in
+        while !j0 > 0 && vals.(!j0 - 1) >= y0 do
+          decr j0
+        done;
+        walk e ~prod lv vmax vals idx x !j0 nb sup_v sup_b
+      end
+    in
+    if supported then set_bit sup_a idx.(j)
+  done;
   commit_from_scratch e v sup_v;
   commit_from_scratch e a sup_a;
-  commit_from_scratch e b sup_b
+  commit_from_scratch e b sup_b;
+  true
 
 let revise_exact_binary e v a b ~prod =
-  if v <> a && v <> b && a <> b then
-    revise_exact_distinct e v a b ~prod
+  if v <> a && v <> b && a <> b then revise_exact_distinct e v a b ~prod
   else revise_exact_aliased e v a b (if prod then ( * ) else ( + ))
 
+(* The exact path is chosen per revise, on the live sizes, so a bounds
+   revise can be followed by an exact one on the narrowed domains: the
+   bounds branch never reports itself idempotent. *)
 let revise_prod e v vs =
   match vs with
   | [| x |] -> revise_eq e v x
@@ -579,24 +574,33 @@ let q_clear e =
     ignore (q_pop e)
   done
 
-let push_watchers e v =
+(* Queue the constraints watching [v], except [skip] (a constraint id,
+   or -1 for none). *)
+let push_watchers e v skip =
   let ws = e.cp.watchers.(v) in
   for j = 0 to Array.length ws - 1 do
-    q_push e ws.(j)
+    if ws.(j) <> skip then q_push e ws.(j)
   done
 
 (* Fixpoint propagation over whatever the caller queued. Returns [false]
    on wipeout, leaving the queue empty either way; partially committed
-   words are the caller's to undo (trail) or discard. *)
+   words are the caller's to undo (trail) or discard.
+
+   A revise that reports itself idempotent is not re-queued by its own
+   writes: running it again would change nothing. Every other watcher of
+   a changed variable is queued as before. Propagators are monotone, so
+   the fixpoint reached does not depend on the queue order, and neither
+   does anything search reads; only the intermediate writes, and so the
+   trail, can differ. *)
 let run_queue e =
   try
     while e.q_count > 0 do
       Obs.Counter.incr c_revise;
       let ci = q_pop e in
       e.n_changed <- 0;
-      revise e e.cp.ics.(ci);
+      let skip = if revise e e.cp.ics.(ci) then ci else -1 in
       for k = 0 to e.n_changed - 1 do
-        push_watchers e e.changed.(k)
+        push_watchers e e.changed.(k) skip
       done
     done;
     Obs.Counter.incr c_propagate;
@@ -639,13 +643,13 @@ let compile ?(exact_limit = default_exact_limit) problem =
         (fun vid -> watcher_lists.(vid) <- ci :: watcher_lists.(vid))
         (List.sort_uniq Int.compare vars))
     ics;
-  let layouts = Array.make n { values = [||]; off = 0; nw = 0 } in
+  let layouts = Array.make n { values = [||]; ix = Bitdom.index [||]; off = 0; nw = 0 } in
   let off = ref 0 and max_nw = ref 1 in
   Array.iteri
     (fun i name ->
       let values = Array.of_list (Domain.to_list (Problem.domain problem name)) in
       let nw = Bitdom.nwords (Array.length values) in
-      layouts.(i) <- { values; off = !off; nw };
+      layouts.(i) <- { values; ix = Bitdom.index values; off = !off; nw };
       off := !off + nw;
       if nw > !max_nw then max_nw := nw)
     names;
@@ -679,10 +683,15 @@ let compile ?(exact_limit = default_exact_limit) problem =
     (fun l -> Bitdom.fill start ~off:l.off ~n:(Array.length l.values))
     layouts;
   let e = make_engine cp start in
-  for ci = 0 to cp.nc - 1 do
-    q_push e ci
-  done;
-  cp.root_ok <- run_queue e;
+  (* An empty universe refutes the template before any revise: no revise
+     ever reads an empty domain. *)
+  if Array.exists (fun l -> Array.length l.values = 0) layouts then Obs.Counter.incr c_wipeouts
+  else begin
+    for ci = 0 to cp.nc - 1 do
+      q_push e ci
+    done;
+    cp.root_ok <- run_queue e
+  end;
   finish_engine e;
   cp.root_words <- e.store;
   cp
@@ -751,7 +760,7 @@ let prepare ?(exact_limit = default_exact_limit) problem =
               | _ -> assert false)
             extras;
           for k = 0 to e.n_changed - 1 do
-            push_watchers e e.changed.(k)
+            push_watchers e e.changed.(k) (-1)
           done;
           run_queue e
         with Wipeout ->
@@ -781,6 +790,14 @@ let extract e =
   Assignment.of_list !bindings
 
 exception Give_up
+
+(* Branching: make [x] the only live value of [vid], trailed. *)
+let assign e vid x =
+  let l = e.cp.layouts.(vid) in
+  let bit = Bitdom.position l.ix x in
+  for wi = 0 to l.nw - 1 do
+    write_word e (l.off + wi) (if wi = bit / bpw then 1 lsl (bit mod bpw) else 0)
+  done
 
 (* Stable move-to-front: same ordering as consing the bias value onto the
    shuffled list with the old engine. *)
@@ -819,16 +836,6 @@ let search ?(max_fails = 4000) ?bias ~stats rng e =
     done;
     if !best < 0 then None else Some !best
   in
-  let assign vid x =
-    let l = cp.layouts.(vid) in
-    let bit = Bitdom.index_of l.values x in
-    for wi = 0 to l.nw - 1 do
-      let w =
-        if wi = bit / Bitdom.bits_per_word then 1 lsl (bit mod Bitdom.bits_per_word) else 0
-      in
-      write_word e (l.off + wi) w
-    done
-  in
   let rec dfs () =
     stats.nodes <- stats.nodes + 1;
     Obs.Counter.incr c_nodes;
@@ -847,8 +854,8 @@ let search ?(max_fails = 4000) ?bias ~stats rng e =
           if i >= Array.length values then None
           else begin
             let mark = e.tr_len in
-            assign vid values.(i);
-            push_watchers e vid;
+            assign e vid values.(i);
+            push_watchers e vid (-1);
             let ok = run_queue e in
             let result = if ok then dfs () else None in
             match result with
@@ -988,20 +995,11 @@ let enumerate ?(limit = 10_000) problem =
           end
           else begin
             let vid = !open_var in
-            let l = cp.layouts.(vid) in
             Array.iter
               (fun v ->
                 let mark = e.tr_len in
-                let bit = Bitdom.index_of l.values v in
-                for wi = 0 to l.nw - 1 do
-                  let w =
-                    if wi = bit / Bitdom.bits_per_word then
-                      1 lsl (bit mod Bitdom.bits_per_word)
-                    else 0
-                  in
-                  write_word e (l.off + wi) w
-                done;
-                push_watchers e vid;
+                assign e vid v;
+                push_watchers e vid (-1);
                 if run_queue e then dfs ();
                 undo_to e mark)
               (live_values e vid)

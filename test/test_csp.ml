@@ -138,6 +138,43 @@ let test_propagation_wipeout () =
   Problem.add_cons b (Cons.Prod ("n", [ "x"; "y" ]));
   Alcotest.(check bool) "wipeout" true (Solver.propagate_domains (Problem.freeze b) = None)
 
+(* ---------- Empty domains ---------- *)
+
+(* A variable with an empty domain makes a problem unsatisfiable: every
+   entry point reports that instead of raising. *)
+let check_refuted p =
+  Alcotest.(check bool) "solve" true (Solver.solve (Rng.create 1) p = None);
+  Alcotest.(check bool) "solve_biased" true
+    (Solver.solve_biased (Rng.create 1) p Assignment.empty = None);
+  Alcotest.(check int) "rand_sat" 0 (List.length (Solver.rand_sat (Rng.create 1) p 4));
+  Alcotest.(check int) "enumerate" 0 (List.length (Solver.enumerate p));
+  Alcotest.(check bool) "propagate_domains" true (Solver.propagate_domains p = None)
+
+let test_empty_le_upper () =
+  check_refuted
+    (Problem.of_parts [ ("a", dl [ 1; 2 ]); ("b", dl []) ] [ Cons.Le ("a", "b") ])
+
+let test_empty_le_lower () =
+  check_refuted
+    (Problem.of_parts [ ("a", dl []); ("b", dl [ 1; 2 ]) ] [ Cons.Le ("a", "b") ])
+
+let test_empty_nary_operand () =
+  check_refuted
+    (Problem.of_parts
+       [ ("v", Domain.range 0 10); ("a", dl [ 1; 2 ]); ("b", dl [ 1; 2 ]); ("c", dl []) ]
+       [ Cons.Sum ("v", [ "a"; "b"; "c" ]) ])
+
+(* [declare_var] intersects domains, so a generated space can declare a
+   variable empty without any constraint mentioning it. *)
+let test_empty_unconstrained () =
+  let b = Problem.builder () in
+  Problem.declare_var b "x" (dl [ 1; 2 ]);
+  Problem.declare_var b "x" (dl [ 3 ]);
+  Problem.add_var b "y" (dl [ 1; 2 ]);
+  Problem.add_var b "z" (dl [ 2; 3 ]);
+  Problem.add_cons b (Cons.Eq ("y", "z"));
+  check_refuted (Problem.freeze b)
+
 let test_select_propagation () =
   let b = Problem.builder () in
   Problem.add_var b "v" (dl [ 10; 20; 30 ]);
@@ -154,6 +191,24 @@ let test_select_propagation () =
       Alcotest.(check (list int)) "u pruned" [ 0; 2 ] (Domain.to_list (List.assoc "u" doms)));
   let sols = Solver.enumerate p in
   Alcotest.(check int) "two solutions" 2 (List.length sols)
+
+(* The index of a Select can also be one of its sources. Here the first
+   pass keeps u = 1 because source 1 (u itself) still holds 3, then drops
+   3 from u as out of range; only a second pass sees that source 1 no
+   longer meets v. So a Select revise re-queues itself. *)
+let test_select_index_among_sources () =
+  let p =
+    Problem.of_parts
+      [ ("v", dl [ 3 ]); ("u", dl [ 0; 1; 3 ]); ("a", dl [ 3 ]) ]
+      [ Cons.Select ("v", "u", [ "a"; "u" ]) ]
+  in
+  let got = Solver.propagate_domains p in
+  let norm = Option.map (List.map (fun (v, d) -> (v, Domain.to_list d))) in
+  Alcotest.(check bool) "same fixpoint as the reference engine" true
+    (norm got = norm (Heron_csp.Solver_ref.propagate_domains p));
+  match got with
+  | None -> Alcotest.fail "satisfiable (u = 0)"
+  | Some doms -> Alcotest.(check (list int)) "u" [ 0 ] (Domain.to_list (List.assoc "u" doms))
 
 let test_sum_constraint () =
   let b = Problem.builder () in
@@ -306,15 +361,19 @@ let test_aliased_sum_terminates () =
 module Obs = Heron_obs.Obs
 
 let support_checks () = Obs.Counter.value (Obs.Counter.make "solver.support_checks")
+let revises () = Obs.Counter.value (Obs.Counter.make "solver.revise")
 
 (* Propagate [p] and check each variable's narrowed domain, agreement
-   with the reference engine, and the number of support probes — the
-   probe count is what shows which path ran, since the pair walk, the
-   zero product and the live-read path each probe differently. *)
-let check_exact_path ~probes p expected =
-  let c0 = support_checks () in
+   with the reference engine, the number of support probes and the
+   number of revises — the probe count is what shows which path ran,
+   since the pair walk, the zero product and the live-read path each
+   probe differently, and the revise count shows whether the revise
+   re-queued itself. *)
+let check_exact_path ~probes ~revise p expected =
+  let c0 = support_checks () and r0 = revises () in
   let got = Solver.propagate_domains p in
   Alcotest.(check int) "support probes" probes (support_checks () - c0);
+  Alcotest.(check int) "revises" revise (revises () - r0);
   let norm = Option.map (List.map (fun (v, d) -> (v, Domain.to_list d))) in
   Alcotest.(check bool) "same fixpoint as the reference engine" true
     (norm got = norm (Heron_csp.Solver_ref.propagate_domains p));
@@ -329,10 +388,10 @@ let check_exact_path ~probes p expected =
 
 (* v has at least as many live values as b: for each x of a, walk b and
    look x + y up in v. 40 and 100 have no partner. Probes: 3 + 3 + 3 + 1
-   on the first revise (each walk ends on the first sum past max v), then
-   2 + 2 + 2 on the narrowed re-revise. *)
+   (each walk ends on the first sum past max v). The revise is
+   idempotent, so its own narrowing does not run it again. *)
 let test_exact_pair_walk () =
-  check_exact_path ~probes:16
+  check_exact_path ~probes:10 ~revise:1
     (Problem.of_parts
        [
          ("v", dl [ 0; 5; 11; 12; 13; 20; 21; 30 ]);
@@ -344,15 +403,15 @@ let test_exact_pair_walk () =
 
 (* x = 0 in a product supports every y at once when 0 is live in v, and
    nothing otherwise. Probes in the first case: 1 for x = 0 and 3 for
-   x = 3 (the walk ends at 3 * 5 past max v), on the first revise and
-   again on the narrowed re-revise. *)
+   x = 3 (the walk ends at 3 * 5 past max v); in the second, 1 for x = 0
+   and 2 for x = 3. One revise each. *)
 let test_exact_zero_product () =
-  check_exact_path ~probes:8
+  check_exact_path ~probes:4 ~revise:1
     (Problem.of_parts
        [ ("v", dl [ 0; 7; 9 ]); ("a", dl [ 0; 3 ]); ("b", dl [ 2; 3; 5 ]) ]
        [ Cons.Prod ("v", [ "a"; "b" ]) ])
     [ ("v", [ 0; 9 ]); ("a", [ 0; 3 ]); ("b", [ 2; 3; 5 ]) ];
-  check_exact_path ~probes:4
+  check_exact_path ~probes:3 ~revise:1
     (Problem.of_parts
        [ ("v", dl [ 6; 7 ]); ("a", dl [ 0; 3 ]); ("b", dl [ 2; 5 ]) ]
        [ Cons.Prod ("v", [ "a"; "b" ]) ])
@@ -360,9 +419,10 @@ let test_exact_zero_product () =
 
 (* v = x * x keeps the live-read path: the a-filter sees x before the
    b-filter narrows it, so 1 falls but the squares 4 and 9 (and 10 =
-   2 * 5) stay. Probes: 16 + 11 + 4, then 9 + 4 + 4 on the re-revise. *)
+   2 * 5) stay. Probes: 16 + 11 + 4, then 9 + 4 + 4 on the re-revise —
+   the aliased path is not idempotent, so it re-queues itself. *)
 let test_exact_aliased_square () =
-  check_exact_path ~probes:48
+  check_exact_path ~probes:48 ~revise:2
     (Problem.of_parts
        [ ("v", dl [ 4; 9; 10; 11 ]); ("x", dl [ 1; 2; 3; 5 ]) ]
        [ Cons.Prod ("v", [ "x"; "x" ]) ])
@@ -431,9 +491,111 @@ let test_bitdom_matches_domain =
       && Bitdom.is_empty_slice b1.Bitdom.words ~off:0 ~nw = Bitdom.is_empty b1
       && (Bitdom.is_empty b1
          || Bitdom.min_bit b1.Bitdom.words ~off:0 ~nw
-            = Bitdom.index_of b.Bitdom.values (Bitdom.min_value b1)
+            = Bitdom.count_lt b.Bitdom.values (Bitdom.min_value b1)
             && Bitdom.max_bit b1.Bitdom.words ~off:0 ~nw
-               = Bitdom.index_of b.Bitdom.values (Bitdom.max_value b1)))
+               = Bitdom.count_lt b.Bitdom.values (Bitdom.max_value b1)))
+
+(* Sorted universes of the shapes the solver indexes: skewed (powers of
+   two, so buckets fill unevenly), single values, sets holding 0, dense
+   runs and wide sparse sets. *)
+let universe_gen =
+  let open QCheck.Gen in
+  let sorted xs = List.sort_uniq Int.compare xs in
+  oneof
+    [
+      map (fun k -> sorted (List.init k (fun i -> 1 lsl i))) (1 -- 45);
+      map (fun k -> sorted (0 :: List.init k (fun i -> 1 lsl i))) (0 -- 45);
+      map (fun x -> [ x ]) (0 -- 1_000_000);
+      map (fun xs -> sorted (0 :: xs)) (list_size (0 -- 60) (0 -- 300));
+      map2 (fun lo k -> List.init k (fun i -> lo + i)) (0 -- 1000) (1 -- 200);
+      map sorted (list_size (1 -- 300) (0 -- 100_000));
+    ]
+
+let universe_arb =
+  QCheck.make universe_gen ~print:(fun xs -> String.concat "," (List.map string_of_int xs))
+
+(* Every member maps to its position. Every non-member in
+   [min - 1, max + 1] maps to -1: all of them when the span is small
+   enough to scan, else each member's neighbours and the midpoints
+   between consecutive members. *)
+let test_universe_index =
+  QCheck.Test.make ~name:"universe index: members to positions, the rest to -1" ~count:300
+    universe_arb (fun xs ->
+      let values = Array.of_list xs in
+      let n = Array.length values in
+      let ix = Bitdom.index values in
+      let absent x = Bitdom.position ix x = -1 in
+      let lo = values.(0) and hi = values.(n - 1) in
+      let members_ok = List.for_all (fun i -> Bitdom.position ix values.(i) = i) (List.init n Fun.id) in
+      let is_member x = Bitdom.count_lt values x < n && values.(Bitdom.count_lt values x) = x in
+      let others_ok =
+        if hi - lo <= 200_000 then
+          List.for_all (fun x -> is_member x || absent x) (List.init (hi - lo + 3) (fun k -> lo - 1 + k))
+        else
+          List.for_all
+            (fun i ->
+              let v = values.(i) in
+              (is_member (v - 1) || absent (v - 1))
+              && (is_member (v + 1) || absent (v + 1))
+              && (i = n - 1 || is_member ((v + values.(i + 1)) / 2) || absent ((v + values.(i + 1)) / 2)))
+            (List.init n Fun.id)
+      in
+      members_ok && others_ok && absent (lo - 1) && absent (hi + 1))
+
+(* The range mask keeps exactly the live values in [lo, hi], like a
+   per-value filter: universes of up to 200 values put range ends on
+   the word boundaries (bit positions 61/62 and 123/124), and ranges
+   may be empty or inverted (lo > hi). *)
+let test_range_mask =
+  let open QCheck in
+  let boundary = Gen.oneofl [ 0; 1; 60; 61; 62; 63; 122; 123; 124; 125; 199; 200 ] in
+  let gen =
+    Gen.(
+      map2
+        (fun (n, step, seed) (plo, phi, off) -> (n, step, seed, plo, phi, off))
+        (triple (1 -- 200) (1 -- 3) (0 -- 1000))
+        (triple (oneof [ boundary; 0 -- 200 ]) (oneof [ boundary; 0 -- 200 ]) (0 -- 2)))
+  in
+  Test.make ~name:"range mask equals the per-value filter" ~count:500
+    (make gen ~print:(fun (n, step, seed, plo, phi, off) ->
+         Printf.sprintf "n=%d step=%d seed=%d lo=%d hi=%d off=%d" n step seed plo phi off))
+    (fun (n, step, seed, plo, phi, off) ->
+      let values = Array.init n (fun i -> i * step) in
+      let nw = Bitdom.nwords n in
+      (* A live set over the universe, at word offset [off] of the store. *)
+      let store = Array.make (off + nw) 0 in
+      for i = 0 to n - 1 do
+        if pred_of seed i then
+          store.(off + (i / Bitdom.bits_per_word)) <-
+            store.(off + (i / Bitdom.bits_per_word)) lor (1 lsl (i mod Bitdom.bits_per_word))
+      done;
+      (* Range ends as values: a position times the step, so lo > hi
+         happens whenever plo > phi. *)
+      let lo = plo * step and hi = phi * step in
+      let dst = Array.make nw (-1) in
+      Bitdom.mask_range store ~off ~nw (Bitdom.count_lt values lo) (Bitdom.count_le values hi) dst;
+      let expect = Array.make nw 0 in
+      for i = 0 to n - 1 do
+        if Bitdom.mem_bit store ~off i && values.(i) >= lo && values.(i) <= hi then
+          expect.(i / Bitdom.bits_per_word) <-
+            expect.(i / Bitdom.bits_per_word) lor (1 lsl (i mod Bitdom.bits_per_word))
+      done;
+      dst = expect && (plo <= phi || Bitdom.is_empty_slice dst ~off:0 ~nw))
+
+(* A range filter that keeps nothing is a wipeout, whether the range is
+   inverted or misses the domain: a <= b with every a above every b, and
+   an n-ary sum whose bounds cannot meet v. *)
+let test_range_wipeout () =
+  Alcotest.(check bool) "LE with a above b" true
+    (Solver.propagate_domains
+       (Problem.of_parts [ ("a", dl [ 70; 80 ]); ("b", dl [ 10; 20 ]) ] [ Cons.Le ("a", "b") ])
+    = None);
+  Alcotest.(check bool) "n-ary SUM out of reach" true
+    (Solver.propagate_domains
+       (Problem.of_parts
+          [ ("v", dl [ 1; 2 ]); ("a", dl [ 3; 4 ]); ("b", dl [ 3; 4 ]); ("c", dl [ 3; 4 ]) ]
+          [ Cons.Sum ("v", [ "a"; "b"; "c" ]) ])
+    = None)
 
 (* ---------- Compiled-template cache ---------- *)
 
@@ -477,7 +639,13 @@ let suite =
     Alcotest.test_case "rand_sat diversity" `Quick test_rand_sat_diversity;
     Alcotest.test_case "propagation prunes products" `Quick test_propagation_prunes;
     Alcotest.test_case "propagation wipeout" `Quick test_propagation_wipeout;
+    Alcotest.test_case "empty domain: LE upper side" `Quick test_empty_le_upper;
+    Alcotest.test_case "empty domain: LE lower side" `Quick test_empty_le_lower;
+    Alcotest.test_case "empty domain: n-ary SUM operand" `Quick test_empty_nary_operand;
+    Alcotest.test_case "empty domain: unconstrained variable" `Quick test_empty_unconstrained;
     Alcotest.test_case "select propagation" `Quick test_select_propagation;
+    Alcotest.test_case "select with its index among the sources" `Quick
+      test_select_index_among_sources;
     Alcotest.test_case "sum constraint" `Quick test_sum_constraint;
     Alcotest.test_case "with_extra" `Quick test_with_extra;
     Alcotest.test_case "solve_biased" `Quick test_solve_biased;
@@ -491,6 +659,9 @@ let suite =
     Alcotest.test_case "aliased SUM terminates (regression)" `Quick
       test_aliased_sum_terminates;
     qtest test_bitdom_matches_domain;
+    qtest test_universe_index;
+    qtest test_range_mask;
+    Alcotest.test_case "range filter wipeout" `Quick test_range_wipeout;
     Alcotest.test_case "compile cache reuse" `Quick test_compile_cache;
     Alcotest.test_case "exact support: pair walk" `Quick test_exact_pair_walk;
     Alcotest.test_case "exact support: zero product" `Quick test_exact_zero_product;

@@ -613,6 +613,10 @@ let deterministic_counters =
     "solver.compiles";
     "solver.compile_cache_hits";
     "solver.trail_pushes";
+    "solver.revise";
+    "solver.support_checks";
+    "solver.propagate_rounds";
+    "solver.wipeouts";
     "cga.iterations";
     "cga.generations";
     "cga.offspring_attempted";

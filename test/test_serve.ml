@@ -131,10 +131,10 @@ let test_concurrent_readers () =
   let key = Library.op_key (Op.gemm ~m:16 ~n:16 ~k:16 ()) ^ "@" ^ dname in
   let lib_at v = entry_lib (float_of_int v) (List.init (v mod 5) (fun i -> 64 + (16 * i))) in
   let idx = Index.create (Index.build ~version:1 (lib_at 1)) in
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and started = Atomic.make 0 in
   let reader () =
     let ok = ref true and last = ref 0 and observed = ref 0 in
-    while not (Atomic.get stop) do
+    let look () =
       let snap = Index.current idx in
       let v = Index.version snap in
       if v < !last then ok := false;
@@ -143,10 +143,23 @@ let test_concurrent_readers () =
       match Index.find snap key with
       | Some e -> if e.Library.latency_us <> float_of_int v then ok := false
       | None -> ok := false
+    in
+    (* The writer publishes only once every reader holds a first
+       snapshot, so no reader can start after the last publish. *)
+    look ();
+    Atomic.incr started;
+    while not (Atomic.get stop) do
+      look ()
     done;
-    (!ok, !observed)
+    (* The final publish happens before [stop] is set: this snapshot
+       carries the final version. *)
+    look ();
+    (!ok, !observed, !last)
   in
   let readers = List.init 4 (fun _ -> Domain.spawn reader) in
+  while Atomic.get started < 4 do
+    Domain.cpu_relax ()
+  done;
   for v = 2 to versions do
     Index.publish idx (Index.build ~version:v (lib_at v));
     for _ = 1 to 2000 do
@@ -156,9 +169,10 @@ let test_concurrent_readers () =
   Atomic.set stop true;
   let results = List.map Domain.join readers in
   List.iteri
-    (fun i (ok, observed) ->
+    (fun i (ok, observed, last) ->
       Alcotest.(check bool) (Printf.sprintf "reader %d: monotone, untorn" i) true ok;
-      Alcotest.(check bool) (Printf.sprintf "reader %d: saw progress" i) true (observed >= 1))
+      Alcotest.(check bool) (Printf.sprintf "reader %d: saw progress" i) true (observed >= 2);
+      Alcotest.(check int) (Printf.sprintf "reader %d: final snapshot" i) versions last)
     results;
   let final = Index.current idx in
   Alcotest.(check int) "final version" versions (Index.version final);
