@@ -31,7 +31,7 @@ let count_le (values : int array) (x : int) =
    universe, and compiled templates keep one per variable. *)
 type index = { values : int array; lo : int; hi : int; shift : int; starts : Bytes.t }
 
-let start ix k = Int32.to_int (Bytes.get_int32_le ix.starts (4 * k))
+let[@inline] start ix k = Int32.to_int (Bytes.get_int32_le ix.starts (4 * k))
 
 let index (values : int array) =
   let n = Array.length values in
@@ -56,7 +56,7 @@ let index (values : int array) =
     { values; lo; hi; shift = !shift; starts }
   end
 
-let position ix (x : int) =
+let[@inline] position ix (x : int) =
   if x < ix.lo || x > ix.hi then -1
   else begin
     let k = (x - ix.lo) lsr ix.shift in
@@ -70,6 +70,29 @@ let position ix (x : int) =
 
 let full_word = (1 lsl bits_per_word) - 1
 
+(* Word primitives. Every word is a non-negative 62-bit [int], so the
+   SWAR masks fit in an OCaml [int] and the byte sums of [popcount_word]
+   (at most 62) stay below the sign bit when the multiply gathers them
+   into the top byte. *)
+let[@inline] popcount_word w =
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (w * 0x0101_0101_0101_0101) lsr 56
+
+(* The bits below the lowest set bit, counted. *)
+let[@inline] lowest_bit_word w = popcount_word ((w land -w) - 1)
+
+(* Smear the highest set bit into every bit below it, then count. *)
+let[@inline] highest_bit_word w =
+  let w = w lor (w lsr 1) in
+  let w = w lor (w lsr 2) in
+  let w = w lor (w lsr 4) in
+  let w = w lor (w lsr 8) in
+  let w = w lor (w lsr 16) in
+  let w = w lor (w lsr 32) in
+  popcount_word w - 1
+
 let fill store ~off ~n =
   let nw = nwords n in
   for wi = 0 to nw - 1 do
@@ -80,11 +103,7 @@ let fill store ~off ~n =
 let popcount store ~off ~nw =
   let c = ref 0 in
   for wi = 0 to nw - 1 do
-    let w = ref store.(off + wi) in
-    while !w <> 0 do
-      w := !w land (!w - 1);
-      incr c
-    done
+    c := !c + popcount_word store.(off + wi)
   done;
   !c
 
@@ -92,23 +111,18 @@ let is_empty_slice store ~off ~nw =
   let rec go wi = wi >= nw || (store.(off + wi) = 0 && go (wi + 1)) in
   go 0
 
-let mem_bit store ~off i =
+let[@inline] mem_bit store ~off i =
   store.(off + (i / bits_per_word)) land (1 lsl (i mod bits_per_word)) <> 0
+
+let[@inline] set_bit (m : int array) i =
+  m.(i / bits_per_word) <- m.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
 let min_bit store ~off ~nw =
   let rec word wi =
     if wi >= nw then -1
     else
       let w = store.(off + wi) in
-      if w = 0 then word (wi + 1)
-      else begin
-        let b = ref 0 and x = ref w in
-        while !x land 1 = 0 do
-          x := !x lsr 1;
-          incr b
-        done;
-        (wi * bits_per_word) + !b
-      end
+      if w = 0 then word (wi + 1) else (wi * bits_per_word) + lowest_bit_word w
   in
   word 0
 
@@ -117,28 +131,69 @@ let max_bit store ~off ~nw =
     if wi < 0 then -1
     else
       let w = store.(off + wi) in
-      if w = 0 then word (wi - 1)
-      else begin
-        let b = ref (-1) and x = ref w in
-        while !x <> 0 do
-          x := !x lsr 1;
-          incr b
-        done;
-        (wi * bits_per_word) + !b
-      end
+      if w = 0 then word (wi - 1) else (wi * bits_per_word) + highest_bit_word w
   in
   word (nw - 1)
 
+(* Set-bit loops clear the lowest set bit ([w land (w - 1)]) each step,
+   so they cost one step per live value, not one per bit. *)
 let iter_bits f store ~off ~nw =
   for wi = 0 to nw - 1 do
-    let w = ref store.(off + wi) in
-    let b = ref (wi * bits_per_word) in
+    let w = ref store.(off + wi) and base = wi * bits_per_word in
     while !w <> 0 do
-      if !w land 1 = 1 then f !b;
-      w := !w lsr 1;
-      incr b
+      f (base + lowest_bit_word !w);
+      w := !w land (!w - 1)
     done
   done
+
+let gather store ~off ~nw (values : int array) (vals : int array) (idx : int array) at =
+  let n = ref at in
+  for wi = 0 to nw - 1 do
+    let w = ref store.(off + wi) and base = wi * bits_per_word in
+    while !w <> 0 do
+      let i = base + lowest_bit_word !w in
+      vals.(!n) <- values.(i);
+      idx.(!n) <- i;
+      incr n;
+      w := !w land (!w - 1)
+    done
+  done
+
+let filter p store ~off ~nw (values : int array) (dst : int array) =
+  for wi = 0 to nw - 1 do
+    let w = ref store.(off + wi) and out = ref 0 and base = wi * bits_per_word in
+    while !w <> 0 do
+      let low = !w land - !w in
+      if p values.(base + lowest_bit_word !w) then out := !out lor low;
+      w := !w lxor low
+    done;
+    dst.(wi) <- !out
+  done
+
+let singleton (dst : int array) ~nw i =
+  Array.fill dst 0 nw 0;
+  dst.(i / bits_per_word) <- 1 lsl (i mod bits_per_word)
+
+let walk ~prod ix store ~off ~vmax (vals : int array) (idx : int array) ~x ~xi ~from ~stop sup_v
+    sup_a sup_b =
+  let hit = ref false and j = ref from and probes = ref 0 in
+  while !j < stop do
+    let y = vals.(!j) in
+    incr probes;
+    let t = if prod then x * y else x + y in
+    if t > vmax then j := stop
+    else begin
+      let i = position ix t in
+      if i >= 0 && mem_bit store ~off i then begin
+        hit := true;
+        set_bit sup_b idx.(!j);
+        set_bit sup_v i
+      end;
+      incr j
+    end
+  done;
+  if !hit then set_bit sup_a xi;
+  !probes
 
 let equal_slices (a : int array) aoff (b : int array) boff ~nw =
   let rec go wi = wi >= nw || (a.(aoff + wi) = b.(boff + wi) && go (wi + 1)) in
@@ -190,13 +245,9 @@ let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
 let to_domain t = Domain.of_list (to_list t)
 
 let restrict p t =
-  let words = Array.copy t.words in
-  iter_bits
-    (fun b ->
-      if not (p t.values.(b)) then
-        words.(b / bits_per_word) <-
-          words.(b / bits_per_word) land lnot (1 lsl (b mod bits_per_word)))
-    t.words ~off:0 ~nw:(Array.length t.words);
+  let nw = Array.length t.words in
+  let words = Array.make nw 0 in
+  filter p t.words ~off:0 ~nw t.values words;
   { t with words }
 
 let inter a b =

@@ -15,6 +15,13 @@
     here: bits at positions >= the universe size are zero in the last
     word (so popcounts and equality never need masking).
 
+    Only this module knows the word layout. Loops over bits are kernels
+    here, which the solver calls once per slice (or, for {!walk}, once
+    per operand value) rather than once per bit: a caller compiled
+    against an opaque interface makes an indirect call for each call
+    into this module, and divides by a word size it cannot see as a
+    constant.
+
     Two layers:
     - Low-level slice primitives over a caller-owned flat [int array]
       ([store]) at a word offset — the solver packs every variable's
@@ -53,6 +60,20 @@ val position : index -> int -> int
 (** [position ix x] is the position of [x] in the indexed universe, or
     [-1] if absent. *)
 
+(** {1 Word primitives}
+
+    Branch-free and allocation-free, on one non-negative 62-bit word. *)
+
+val popcount_word : int -> int
+(** Number of set bits. *)
+
+val lowest_bit_word : int -> int
+(** Index of the lowest set bit (count of trailing zeros). The word must
+    be non-zero. *)
+
+val highest_bit_word : int -> int
+(** Index of the highest set bit, or [-1] for the zero word. *)
+
 (** {1 Slice primitives}
 
     All take the flat [store], a word offset [off], and either the
@@ -68,6 +89,9 @@ val is_empty_slice : int array -> off:int -> nw:int -> bool
 val mem_bit : int array -> off:int -> int -> bool
 (** [mem_bit store ~off i] tests bit [i] of the slice. *)
 
+val set_bit : int array -> int -> unit
+(** [set_bit mask i] sets bit [i] of a mask held at word offset 0. *)
+
 val min_bit : int array -> off:int -> nw:int -> int
 (** Lowest set bit index, or [-1] if the slice is empty. *)
 
@@ -76,6 +100,50 @@ val max_bit : int array -> off:int -> nw:int -> int
 
 val iter_bits : (int -> unit) -> int array -> off:int -> nw:int -> unit
 (** Ascending over set bit indices. *)
+
+val gather :
+  int array -> off:int -> nw:int -> int array -> int array -> int array -> int -> unit
+(** [gather store ~off ~nw values vals idx at] copies the slice's live
+    values ([values.(i)] for each set bit [i], ascending) into [vals]
+    and their bit indices into [idx], from position [at] on. Both
+    buffers need room for {!popcount} more entries. *)
+
+val filter : (int -> bool) -> int array -> off:int -> nw:int -> int array -> int array -> unit
+(** [filter p store ~off ~nw values dst] writes into [dst.(0 .. nw-1)]
+    the slice's words keeping only the set bits [i] with [p values.(i)].
+    [p] is called once per set bit, ascending. *)
+
+val singleton : int array -> nw:int -> int -> unit
+(** [singleton dst ~nw i] writes into [dst.(0 .. nw-1)] the mask whose
+    only set bit is [i]. *)
+
+val walk :
+  prod:bool ->
+  index ->
+  int array ->
+  off:int ->
+  vmax:int ->
+  int array ->
+  int array ->
+  x:int ->
+  xi:int ->
+  from:int ->
+  stop:int ->
+  int array ->
+  int array ->
+  int array ->
+  int
+(** The exact-support walk of one operand value [x] for [v = x * y]
+    ([prod]) or [v = x + y]:
+    [walk ~prod vix store ~off ~vmax vals idx ~x ~xi ~from ~stop sup_v sup_a sup_b].
+    [vals.(from .. stop-1)] are live values [y] of the other operand,
+    ascending and non-negative, with their bit indices in [idx]; [vix]
+    indexes [v]'s universe and [v]'s live slice is at [off] of [store].
+    Each [y] in turn is a probe: [x op y] past [vmax] ends the walk
+    (results ascend with [y]); otherwise a result that is live in [v] is
+    a hit, which marks the result's bit in [sup_v] and [y]'s in
+    [sup_b]. If any probe hits, bit [xi] of [sup_a] is set. Returns the
+    number of probes. *)
 
 val equal_slices : int array -> int -> int array -> int -> nw:int -> bool
 (** [equal_slices a aoff b boff ~nw] compares two [nw]-word slices. *)

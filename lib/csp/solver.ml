@@ -30,7 +30,7 @@ type ic =
   | CEq of int * int
   | CLe of int * int
   | CIn of int * Domain.t
-  | CSel of int * int * int array
+  | CSel of int * int * int array * bool  (* v, u, sources, idempotent *)
 
 (* Binary exact-support threshold: domains in our templates are small, so
    exact pruning of v = a*b / v = a+b is affordable and much stronger than
@@ -50,6 +50,8 @@ type compiled = {
   ids : (string, int) Hashtbl.t;
   ics : ic array;
   watchers : int array array;  (* var id -> constraint ids *)
+  cls : int array;  (* constraint id -> cost class, cheapest 0 *)
+  seg : int array;  (* class -> first queue slot; seg.(ncls) = nc *)
   exact_limit : int;  (* binary exact-support threshold for PROD/SUM *)
   layouts : layout array;
   total_words : int;
@@ -79,9 +81,10 @@ type engine = {
   mutable trailing : bool;  (* root/extras propagation runs untrailed *)
   mutable trail_pushed : int;  (* local tally, flushed to c_trail once *)
   in_queue : bool array;
-  queue : int array;  (* ring buffer; in_queue bounds occupancy by nc *)
-  mutable q_head : int;
-  mutable q_count : int;
+  queue : int array;  (* nc slots, one FIFO ring segment per class *)
+  q_head : int array;  (* class -> slot of its oldest entry *)
+  q_len : int array;  (* class -> entries queued *)
+  mutable q_mask : int;  (* bit r set iff class r is non-empty *)
   scratch : int array;  (* filter build area, committed after the scan *)
   scratch2 : int array;  (* exact-support masks: a's (distinct) or v's (aliased) *)
   scratch3 : int array;  (* exact-support mask over b's universe *)
@@ -106,17 +109,10 @@ let make_engine cp start =
     trailing = false;
     trail_pushed = 0;
     in_queue = Array.make (Int.max cp.nc 1) false;
-    (* Ring capacity is the next power of two >= nc so the wrap in
-       q_push/q_pop is a mask, not a division. [in_queue] bounds
-       occupancy by nc, so the ring never overflows. *)
-    queue =
-      (let cap = ref 1 in
-       while !cap < cp.nc do
-         cap := !cap lsl 1
-       done;
-       Array.make !cap 0);
-    q_head = 0;
-    q_count = 0;
+    queue = Array.make (Int.max cp.nc 1) 0;
+    q_head = Array.sub cp.seg 0 (Array.length cp.seg - 1);
+    q_len = Array.make (Array.length cp.seg - 1) 0;
+    q_mask = 0;
     scratch = Array.make (Int.max cp.max_nw 1) 0;
     scratch2 = Array.make (Int.max cp.max_nw 1) 0;
     scratch3 = Array.make (Int.max cp.max_nw 1) 0;
@@ -259,17 +255,7 @@ let commit_from_scratch e v buf =
 
 let commit_filter e v p =
   let l = e.cp.layouts.(v) in
-  for wi = 0 to l.nw - 1 do
-    let w = ref e.store.(l.off + wi) in
-    let base = wi * Bitdom.bits_per_word in
-    let out = ref 0 and b = ref 0 in
-    while !w <> 0 do
-      if !w land 1 = 1 && p l.values.(base + !b) then out := !out lor (1 lsl !b);
-      w := !w lsr 1;
-      incr b
-    done;
-    e.scratch.(wi) <- !out
-  done;
+  Bitdom.filter p e.store ~off:l.off ~nw:l.nw l.values e.scratch;
   commit_from_scratch e v e.scratch
 
 (* Keep v's live values in [lo, hi]. The universe is sorted, so they are
@@ -305,10 +291,12 @@ let revise_in e v cs =
   commit_filter e v (fun x -> Domain.mem x cs);
   true
 
-(* Not idempotent when [v] or [u] is also one of the sources: narrowing
+(* Idempotent when [v <> u] and neither is a source ([idem], decided at
+   compile time): every kept index still meets the narrowed [v], and the
+   singleton step leaves [v] and its source equal. Otherwise narrowing
    one occurrence changes what another supports, so a second pass can
    narrow [u] again. *)
-let revise_sel e v u vs =
+let revise_sel e v u vs idem =
   let n = Array.length vs in
   (* Index domain: valid positions whose source still intersects v. *)
   commit_filter e u (fun i -> i >= 0 && i < n && d_exists e v (fun x -> d_mem e vs.(i) x));
@@ -319,7 +307,7 @@ let revise_sel e v u vs =
       commit_filter e v (fun x -> d_mem e vs.(i) x);
       commit_filter e vs.(i) (fun x -> d_mem e v x)
   | None -> ());
-  false
+  idem
 
 (* Generic bounds propagation for v = fold op over vs, with op monotone
    and all domains non-negative. [inv_lo]/[inv_hi] compute the bounds of
@@ -368,10 +356,6 @@ let revise_nary e v vs ~identity ~op ~inv_lo ~inv_hi =
    [y]. Each result is looked up in v's universe index, O(1), and then
    tested against v's live bits. *)
 
-let bpw = Bitdom.bits_per_word
-
-let set_bit (m : int array) i = m.(i / bpw) <- m.(i / bpw) lor (1 lsl (i mod bpw))
-
 (* Aliased operands (v = x * x, v = x + v): mark which of v's universe
    values are a product (resp. sum) of live (a, b) pairs into scratch2,
    AND it into v, then keep only supported values of a and b. Every step
@@ -386,7 +370,7 @@ let revise_exact_aliased e v a b combine =
       d_iter e b (fun y ->
           e.support_checks <- e.support_checks + 1;
           let i = Bitdom.position lv.ix (combine x y) in
-          if i >= 0 then set_bit e.scratch2 i));
+          if i >= 0 then Bitdom.set_bit e.scratch2 i));
   for wi = 0 to lv.nw - 1 do
     e.scratch.(wi) <- e.store.(lv.off + wi) land e.scratch2.(wi)
   done;
@@ -407,51 +391,6 @@ type live = { mutable vals : int array; mutable idx : int array }
 
 let live_key = Stdlib.Domain.DLS.new_key (fun () -> { vals = [||]; idx = [||] })
 
-(* Copy variable [l]'s live values and indices into [vals]/[idx] from
-   position [at] on. *)
-let gather e (l : layout) (vals : int array) (idx : int array) at =
-  let st = e.store in
-  let n = ref at in
-  for wi = 0 to l.nw - 1 do
-    let w = ref st.(l.off + wi) and i = ref (wi * bpw) in
-    while !w <> 0 do
-      if !w land 1 = 1 then begin
-        vals.(!n) <- l.values.(!i);
-        idx.(!n) <- !i;
-        incr n
-      end;
-      w := !w lsr 1;
-      incr i
-    done
-  done
-
-(* Partners of one [x]: walk b's gathered live y at positions [j0, nb)
-   and look [x op y] up in v. Results ascend with y, so the first result
-   past [vmax], v's largest live value, ends the walk. A hit — a result
-   live in v — marks y in [sup_b] and the result in [sup_v]; returns
-   whether any hit was found, i.e. whether [x] has support. *)
-let walk e ~prod (lv : layout) vmax (vals : int array) (idx : int array) x j0 nb
-    (sup_v : int array) (sup_b : int array) =
-  let st = e.store in
-  let hit = ref false and j = ref j0 and probes = ref 0 in
-  while !j < nb do
-    let y = vals.(!j) in
-    incr probes;
-    let t = if prod then x * y else x + y in
-    if t > vmax then j := nb
-    else begin
-      let i = Bitdom.position lv.ix t in
-      if i >= 0 && Bitdom.mem_bit st ~off:lv.off i then begin
-        hit := true;
-        set_bit sup_b idx.(!j);
-        set_bit sup_v i
-      end;
-      incr j
-    end
-  done;
-  e.support_checks <- e.support_checks + !probes;
-  !hit
-
 (* Three distinct variables: gather the live values of b and a once,
    then one pass over the live x of a fills the support masks of v
    (scratch), a (scratch2) and b (scratch3) together, and v, a and b are
@@ -462,7 +401,7 @@ let walk e ~prod (lv : layout) vmax (vals : int array) (idx : int array) x j0 nb
    so support against the pre-commit domains is what the live reads
    would see. Same masks, same commit order, same wipeout points.
 
-   For each x, the walk visits the live y of b from [ceil(vmin / x)]
+   For each x, [Bitdom.walk] visits the live y of b from [ceil(vmin / x)]
    (resp. [vmin - x]) up to the first y whose result passes [vmax]. That
    start only moves down as x ascends, so one cursor finds it. A product
    with x = 0 needs no walk: 0 * y = 0 for every y.
@@ -482,8 +421,8 @@ let revise_exact_distinct e v a b ~prod =
   end;
   let vals = live.vals and idx = live.idx in
   (* b at [0, nb), a at [nb, nb + na) *)
-  gather e lb vals idx 0;
-  gather e la vals idx nb;
+  Bitdom.gather st ~off:lb.off ~nw:lb.nw lb.values vals idx 0;
+  Bitdom.gather st ~off:la.off ~nw:la.nw la.values vals idx nb;
   let sup_v = e.scratch and sup_a = e.scratch2 and sup_b = e.scratch3 in
   Array.fill sup_v 0 lv.nw 0;
   Array.fill sup_a 0 la.nw 0;
@@ -493,26 +432,25 @@ let revise_exact_distinct e v a b ~prod =
   let j0 = ref nb in
   for j = nb to nb + na - 1 do
     let x = vals.(j) in
-    let supported =
-      if prod && x = 0 then begin
-        (* 0 is live in v iff it is v's least live value. *)
-        e.support_checks <- e.support_checks + 1;
-        vmin = 0
-        && begin
-             set_bit sup_v imin;
-             Array.blit st lb.off sup_b 0 lb.nw;
-             true
-           end
+    if prod && x = 0 then begin
+      (* 0 is live in v iff it is v's least live value. *)
+      e.support_checks <- e.support_checks + 1;
+      if vmin = 0 then begin
+        Bitdom.set_bit sup_v imin;
+        Array.blit st lb.off sup_b 0 lb.nw;
+        Bitdom.set_bit sup_a idx.(j)
       end
-      else begin
-        let y0 = if prod then (vmin + x - 1) / x else vmin - x in
-        while !j0 > 0 && vals.(!j0 - 1) >= y0 do
-          decr j0
-        done;
-        walk e ~prod lv vmax vals idx x !j0 nb sup_v sup_b
-      end
-    in
-    if supported then set_bit sup_a idx.(j)
+    end
+    else begin
+      let y0 = if prod then (vmin + x - 1) / x else vmin - x in
+      while !j0 > 0 && vals.(!j0 - 1) >= y0 do
+        decr j0
+      done;
+      e.support_checks <-
+        e.support_checks
+        + Bitdom.walk ~prod lv.ix st ~off:lv.off ~vmax vals idx ~x ~xi:idx.(j) ~from:!j0 ~stop:nb
+            sup_v sup_a sup_b
+    end
   done;
   commit_from_scratch e v sup_v;
   commit_from_scratch e a sup_a;
@@ -552,25 +490,34 @@ let revise e = function
   | CEq (a, b) -> revise_eq e a b
   | CLe (a, b) -> revise_le e a b
   | CIn (v, cs) -> revise_in e v cs
-  | CSel (v, u, vs) -> revise_sel e v u vs
+  | CSel (v, u, vs, idem) -> revise_sel e v u vs idem
 
+(* The queue pops the cheapest non-empty cost class first, FIFO inside a
+   class. Class r's ring is the segment [seg.(r), seg.(r + 1)) of
+   [queue], one slot per constraint of the class, so [in_queue] keeps it
+   from overflowing. *)
 let q_push e ci =
   if not e.in_queue.(ci) then begin
     e.in_queue.(ci) <- true;
-    let cap = Array.length e.queue in
-    e.queue.((e.q_head + e.q_count) land (cap - 1)) <- ci;
-    e.q_count <- e.q_count + 1
+    let seg = e.cp.seg and r = e.cp.cls.(ci) in
+    let slot = e.q_head.(r) + e.q_len.(r) in
+    e.queue.(if slot >= seg.(r + 1) then slot - seg.(r + 1) + seg.(r) else slot) <- ci;
+    e.q_len.(r) <- e.q_len.(r) + 1;
+    e.q_mask <- e.q_mask lor (1 lsl r)
   end
 
 let q_pop e =
-  let ci = e.queue.(e.q_head) in
-  e.q_head <- (e.q_head + 1) land (Array.length e.queue - 1);
-  e.q_count <- e.q_count - 1;
+  let seg = e.cp.seg and r = Bitdom.lowest_bit_word e.q_mask in
+  let h = e.q_head.(r) in
+  let ci = e.queue.(h) in
+  e.q_head.(r) <- (if h + 1 = seg.(r + 1) then seg.(r) else h + 1);
+  e.q_len.(r) <- e.q_len.(r) - 1;
+  if e.q_len.(r) = 0 then e.q_mask <- e.q_mask lxor (1 lsl r);
   e.in_queue.(ci) <- false;
   ci
 
 let q_clear e =
-  while e.q_count > 0 do
+  while e.q_mask <> 0 do
     ignore (q_pop e)
   done
 
@@ -594,7 +541,7 @@ let push_watchers e v skip =
    trail, can differ. *)
 let run_queue e =
   try
-    while e.q_count > 0 do
+    while e.q_mask <> 0 do
       Obs.Counter.incr c_revise;
       let ci = q_pop e in
       e.n_changed <- 0;
@@ -626,23 +573,26 @@ let compile ?(exact_limit = default_exact_limit) problem =
            | Cons.Eq (a, b) -> CEq (id a, id b)
            | Cons.Le (a, b) -> CLe (id a, id b)
            | Cons.In (v, cs) -> CIn (id v, Domain.of_list cs)
-           | Cons.Select (v, u, vs) -> CSel (id v, id u, Array.of_list (List.map id vs)))
+           | Cons.Select (v, u, vs) ->
+               let v = id v and u = id u and vs = Array.of_list (List.map id vs) in
+               CSel (v, u, vs, v <> u && not (Array.mem v vs || Array.mem u vs)))
     |> Array.of_list
+  in
+  let cvars =
+    Array.map
+      (fun ic ->
+        List.sort_uniq Int.compare
+          (match ic with
+          | CProd (v, vs) | CSum (v, vs) -> v :: Array.to_list vs
+          | CEq (a, b) | CLe (a, b) -> [ a; b ]
+          | CIn (v, _) -> [ v ]
+          | CSel (v, u, vs, _) -> v :: u :: Array.to_list vs))
+      ics
   in
   let watcher_lists = Array.make n [] in
   Array.iteri
-    (fun ci ic ->
-      let vars =
-        match ic with
-        | CProd (v, vs) | CSum (v, vs) -> v :: Array.to_list vs
-        | CEq (a, b) | CLe (a, b) -> [ a; b ]
-        | CIn (v, _) -> [ v ]
-        | CSel (v, u, vs) -> v :: u :: Array.to_list vs
-      in
-      List.iter
-        (fun vid -> watcher_lists.(vid) <- ci :: watcher_lists.(vid))
-        (List.sort_uniq Int.compare vars))
-    ics;
+    (fun ci vars -> List.iter (fun vid -> watcher_lists.(vid) <- ci :: watcher_lists.(vid)) vars)
+    cvars;
   let layouts = Array.make n { values = [||]; ix = Bitdom.index [||]; off = 0; nw = 0 } in
   let off = ref 0 and max_nw = ref 1 in
   Array.iteri
@@ -657,16 +607,40 @@ let compile ?(exact_limit = default_exact_limit) problem =
     Array.fold_left
       (fun acc ic ->
         match ic with
-        | CProd (_, vs) | CSum (_, vs) | CSel (_, _, vs) -> Int.max acc (Array.length vs)
+        | CProd (_, vs) | CSum (_, vs) | CSel (_, _, vs, _) -> Int.max acc (Array.length vs)
         | _ -> acc)
       1 ics
   in
+  (* Cost class: ceil(log2) of the total universe size of a constraint's
+     variables, ranked densely so the cheapest class present is 0. The
+     totals are far below 2^61, so every rank is a bit of one 62-bit
+     queue mask. *)
+  let cost =
+    Array.map
+      (fun vars ->
+        let total = List.fold_left (fun acc v -> acc + Array.length layouts.(v).values) 0 vars in
+        let k = ref 0 in
+        while 1 lsl !k < total do
+          incr k
+        done;
+        !k)
+      cvars
+  in
+  let ranks = List.sort_uniq Int.compare (Array.to_list cost) in
+  let cls = Array.map (fun c -> List.length (List.filter (fun r -> r < c) ranks)) cost in
+  let seg = Array.make (List.length ranks + 1) 0 in
+  Array.iter (fun r -> seg.(r + 1) <- seg.(r + 1) + 1) cls;
+  for r = 1 to List.length ranks do
+    seg.(r) <- seg.(r) + seg.(r - 1)
+  done;
   let cp =
     {
       names;
       ids;
       ics;
       watchers = Array.map (fun l -> Array.of_list l) watcher_lists;
+      cls;
+      seg;
       exact_limit;
       layouts;
       total_words = !off;
@@ -794,9 +768,9 @@ exception Give_up
 (* Branching: make [x] the only live value of [vid], trailed. *)
 let assign e vid x =
   let l = e.cp.layouts.(vid) in
-  let bit = Bitdom.position l.ix x in
+  Bitdom.singleton e.scratch ~nw:l.nw (Bitdom.position l.ix x);
   for wi = 0 to l.nw - 1 do
-    write_word e (l.off + wi) (if wi = bit / bpw then 1 lsl (bit mod bpw) else 0)
+    write_word e (l.off + wi) e.scratch.(wi)
   done
 
 (* Stable move-to-front: same ordering as consing the bias value onto the

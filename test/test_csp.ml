@@ -428,6 +428,43 @@ let test_exact_aliased_square () =
        [ Cons.Prod ("v", [ "x"; "x" ]) ])
     [ ("v", [ 4; 9; 10 ]); ("x", [ 2; 3; 5 ]) ]
 
+(* ---------- Scheduling ---------- *)
+
+(* A SELECT whose target and index are not among its sources reaches its
+   fixpoint in one pass (u loses index 1, v loses 20), so its own writes
+   do not queue it again. No exact revise runs: zero probes. *)
+let test_select_unaliased_idempotent () =
+  check_exact_path ~probes:0 ~revise:1
+    (Problem.of_parts
+       [
+         ("v", dl [ 10; 20; 30 ]);
+         ("u", dl [ 0; 1; 2 ]);
+         ("a", dl [ 10 ]);
+         ("b", dl [ 99 ]);
+         ("c", dl [ 30 ]);
+       ]
+       [ Cons.Select ("v", "u", [ "a"; "b"; "c" ]) ])
+    [ ("u", [ 0; 2 ]); ("v", [ 10; 30 ]) ]
+
+(* The wide binary SUM (5,123 universe values in all) comes first in the
+   problem but sits downstream of a chain of cheap constraints: IN
+   narrows c, then a <= c and b <= c narrow a and b. The queue runs the
+   cheap classes first, so the SUM is revised once, on a and b already
+   cut to 0..5: 6 * 6 probes and 4 revises in all. A FIFO queue would
+   run it on the full 61 * 61 pairs first and then again. *)
+let test_cheap_classes_first () =
+  let r k = List.init k Fun.id in
+  check_exact_path ~probes:36 ~revise:4
+    (Problem.of_parts
+       [ ("v", dl (r 5001)); ("a", dl (r 61)); ("b", dl (r 61)); ("c", dl (r 61)) ]
+       [
+         Cons.Sum ("v", [ "a"; "b" ]);
+         Cons.Le ("a", "c");
+         Cons.Le ("b", "c");
+         Cons.In ("c", [ 3; 4; 5 ]);
+       ])
+    [ ("v", r 11); ("a", r 6); ("b", r 6); ("c", [ 3; 4; 5 ]) ]
+
 (* solver.support_checks is tallied per engine and flushed once, so its
    total does not depend on how draws are spread over domains. *)
 let test_support_checks_jobs_independent () =
@@ -582,6 +619,141 @@ let test_range_mask =
       done;
       dst = expect && (plo <= phi || Bitdom.is_empty_slice dst ~off:0 ~nw))
 
+(* ---------- Word kernels vs per-bit references ---------- *)
+
+let bpw = Bitdom.bits_per_word
+
+(* The words of a slice of [nw] words whose set bits are [bits]. *)
+let words_of_bits nw bits =
+  let w = Array.make nw 0 in
+  List.iter (fun i -> w.(i / bpw) <- w.(i / bpw) lor (1 lsl (i mod bpw))) bits;
+  w
+
+let bits_of_word w = List.filter (fun b -> w land (1 lsl b) <> 0) (List.init bpw Fun.id)
+
+(* Random 62-bit words: dense ones, ones with bit 0 or bit 61 forced
+   (the ends of the word), and sparse ones (one or two bits set), where
+   a dropped smear step or an off-by-one count shows. *)
+let word_arb =
+  let open QCheck.Gen in
+  let full = (1 lsl bpw) - 1 in
+  let dense = map2 (fun hi lo -> ((hi lsl 31) lxor lo) land full) (0 -- max_int) (0 -- max_int) in
+  let bit = 0 -- (bpw - 1) in
+  QCheck.make ~print:(Printf.sprintf "0x%x")
+    (oneof
+       [
+         dense;
+         map (fun w -> w lor 1) dense;
+         map (fun w -> w lor (1 lsl (bpw - 1))) dense;
+         map (fun w -> w lor 1 lor (1 lsl (bpw - 1))) dense;
+         map (fun b -> 1 lsl b) bit;
+         map2 (fun a b -> (1 lsl a) lor (1 lsl b)) bit bit;
+       ])
+
+let test_word_primitives =
+  QCheck.Test.make ~name:"word primitives equal per-bit counts" ~count:1000 word_arb (fun w ->
+      let bits = bits_of_word w in
+      Bitdom.popcount_word w = List.length bits
+      && (w = 0 || Bitdom.lowest_bit_word w = List.hd bits)
+      && Bitdom.highest_bit_word w = List.fold_left Int.max (-1) bits)
+
+(* Live sets over universes of up to 200 values, at word offset [off]:
+   bits at the word boundaries (61/62 and 123/124) are forced in when
+   the universe reaches them. The slice kernels must agree with the
+   list of set bits they were built from. *)
+let test_slice_kernels =
+  let open QCheck in
+  let gen =
+    Gen.(
+      map2
+        (fun (n, seed, off) at -> (n, seed, off, at))
+        (triple (1 -- 200) (0 -- 1000) (0 -- 2))
+        (0 -- 3))
+  in
+  Test.make ~name:"slice kernels equal per-bit references" ~count:500
+    (make gen ~print:(fun (n, seed, off, at) ->
+         Printf.sprintf "n=%d seed=%d off=%d at=%d" n seed off at))
+    (fun (n, seed, off, at) ->
+      let nw = Bitdom.nwords n in
+      let bits =
+        List.filter
+          (fun i -> pred_of seed i || List.mem i [ 61; 62; 123; 124 ])
+          (List.init n Fun.id)
+      in
+      let store = Array.append (Array.make off 0) (words_of_bits nw bits) in
+      let values = Array.init n (fun i -> (3 * i) + 1) in
+      let live = List.map (fun i -> values.(i)) bits in
+      let k = List.length bits in
+      let seen = ref [] in
+      Bitdom.iter_bits (fun i -> seen := i :: !seen) store ~off ~nw;
+      let vals = Array.make (at + k) (-1) and idx = Array.make (at + k) (-1) in
+      Bitdom.gather store ~off ~nw values vals idx at;
+      let p x = pred_of (seed + 1) x in
+      let calls = ref [] and dst = Array.make nw (-1) in
+      Bitdom.filter (fun x -> calls := x :: !calls; p x) store ~off ~nw values dst;
+      Bitdom.popcount store ~off ~nw = k
+      && Bitdom.min_bit store ~off ~nw = (match bits with [] -> -1 | b :: _ -> b)
+      && Bitdom.max_bit store ~off ~nw = List.fold_left Int.max (-1) bits
+      && List.rev !seen = bits
+      && Array.to_list (Array.sub vals at k) = live
+      && Array.to_list (Array.sub idx at k) = bits
+      && List.rev !calls = live
+      && dst = words_of_bits nw (List.filter (fun i -> p values.(i)) bits)
+      && List.for_all
+           (fun i ->
+             let m = Array.make nw (-1) in
+             Bitdom.singleton m ~nw i;
+             m = words_of_bits nw [ i ])
+           [ 0; n - 1; (7 * seed) mod n ])
+
+(* One walk of [x] over the live y of b against every pair at once: the
+   hits are the y with [x op y] live in v, whatever the walk's order and
+   stopping point, and the probes are the y whose result is at most
+   [vmax] plus the one that stops the walk. v's live values are a narrow
+   window of its universe, and x = 0 comes up often. *)
+let test_walk_kernel =
+  let open QCheck in
+  let gen =
+    Gen.(
+      map2
+        (fun (prod, x, seed) (vu, lo, width) -> (prod, x, seed, vu, lo, width))
+        (triple bool (oneof [ pure 0; 0 -- 20 ]) (0 -- 1000))
+        (triple (list_size (1 -- 150) (0 -- 600)) (0 -- 150) (1 -- 40)))
+  in
+  Test.make ~name:"walk kernel equals brute-force pairs" ~count:500
+    (make gen ~print:(fun (prod, x, seed, vu, lo, width) ->
+         Printf.sprintf "prod=%b x=%d seed=%d lo=%d width=%d v=[%s]" prod x seed lo width
+           (String.concat ";" (List.map string_of_int vu))))
+    (fun (prod, x, seed, vu, lo, width) ->
+      let vu = Array.of_list (List.sort_uniq Int.compare vu) in
+      let nv = Array.length vu in
+      let lo = lo mod nv in
+      let vlive = List.init (Int.min width (nv - lo)) (fun k -> lo + k) in
+      let nwv = Bitdom.nwords nv in
+      let vstore = Array.append [| -1 |] (words_of_bits nwv vlive) in
+      let vmax = vu.(List.fold_left Int.max 0 vlive) in
+      (* b's universe 0, 2, .., 158; its live values and their indices *)
+      let bu = Array.init 80 (fun i -> 2 * i) in
+      let bidx = List.filter (fun i -> pred_of seed i) (List.init 80 Fun.id) in
+      let vals = Array.of_list (List.map (fun i -> bu.(i)) bidx) and idx = Array.of_list bidx in
+      let nb = Array.length vals in
+      let from = if nb = 0 then 0 else seed mod (nb + 1) in
+      let op y = if prod then x * y else x + y in
+      let js = List.init (nb - from) (fun k -> from + k) in
+      let hits = List.filter (fun j -> List.exists (fun i -> vu.(i) = op vals.(j)) vlive) js in
+      let reach = List.length (List.filter (fun j -> op vals.(j) <= vmax) js) in
+      let probes = reach + if reach < List.length js then 1 else 0 in
+      let sup_v = Array.make nwv 0 and sup_a = Array.make 1 0 and sup_b = Array.make 2 0 in
+      let got =
+        Bitdom.walk ~prod (Bitdom.index vu) vstore ~off:1 ~vmax vals idx ~x ~xi:5 ~from ~stop:nb
+          sup_v sup_a sup_b
+      in
+      let pos t = Bitdom.count_lt vu t in
+      got = probes
+      && sup_v = words_of_bits nwv (List.map (fun j -> pos (op vals.(j))) hits)
+      && sup_b = words_of_bits 2 (List.map (fun j -> idx.(j)) hits)
+      && sup_a = words_of_bits 1 (if hits = [] then [] else [ 5 ]))
+
 (* A range filter that keeps nothing is a wipeout, whether the range is
    inverted or misses the domain: a <= b with every a above every b, and
    an n-ary sum whose bounds cannot meet v. *)
@@ -661,11 +833,16 @@ let suite =
     qtest test_bitdom_matches_domain;
     qtest test_universe_index;
     qtest test_range_mask;
+    qtest test_word_primitives;
+    qtest test_slice_kernels;
+    qtest test_walk_kernel;
     Alcotest.test_case "range filter wipeout" `Quick test_range_wipeout;
     Alcotest.test_case "compile cache reuse" `Quick test_compile_cache;
     Alcotest.test_case "exact support: pair walk" `Quick test_exact_pair_walk;
     Alcotest.test_case "exact support: zero product" `Quick test_exact_zero_product;
     Alcotest.test_case "exact support: aliased square" `Quick test_exact_aliased_square;
+    Alcotest.test_case "unaliased select is idempotent" `Quick test_select_unaliased_idempotent;
+    Alcotest.test_case "cheap constraint classes run first" `Quick test_cheap_classes_first;
     Alcotest.test_case "support_checks jobs-independent" `Quick
       test_support_checks_jobs_independent;
   ]
