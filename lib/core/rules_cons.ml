@@ -1,22 +1,8 @@
 module Problem = Heron_csp.Problem
 module Domain = Heron_csp.Domain
 module Cons = Heron_csp.Cons
+module Bitdom = Heron_csp.Bitdom
 module Descriptor = Heron_dla.Descriptor
-
-(* Pairwise value combination of two domains, deduplicated and optionally
-   capped; used to give auxiliary product/sum variables exact domains. *)
-let combine ?cap op d1 d2 =
-  let seen = Hashtbl.create 97 in
-  Domain.iter
-    (fun a ->
-      Domain.iter
-        (fun b ->
-          let v = op a b in
-          let keep = match cap with None -> true | Some c -> v <= c in
-          if keep then Hashtbl.replace seen v ())
-        d2)
-    d1;
-  Domain.of_list (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
 
 (* C1/C2: splits (and fuses, which record the same product shape). *)
 let apply_c1 (ctx : Gen_ctx.t) =
@@ -55,7 +41,10 @@ let apply_c5 (ctx : Gen_ctx.t) =
   in
   let cap_of scope = Descriptor.scope_capacity ctx.desc scope in
   let scopes =
-    List.sort_uniq compare (List.map (fun c -> c.Gen_ctx.cf_scope) ctx.caches)
+    List.fold_left
+      (fun acc c -> if List.mem c.Gen_ctx.cf_scope acc then acc else c.Gen_ctx.cf_scope :: acc)
+      [] ctx.caches
+    |> List.sort String.compare
   in
   List.iter
     (fun scope ->
@@ -80,7 +69,7 @@ let apply_c5 (ctx : Gen_ctx.t) =
                   | None -> inner
                   | Some pad ->
                       let dom =
-                        combine ( + ) (Problem.domain_of ctx.b inner)
+                        Bitdom.combine ~prod:false (Problem.domain_of ctx.b inner)
                           (Problem.domain_of ctx.b pad)
                       in
                       let v = fresh_aux (Printf.sprintf "aux_%s_padded" c.cf_stage) in
@@ -93,7 +82,7 @@ let apply_c5 (ctx : Gen_ctx.t) =
                   List.fold_left
                     (fun acc l ->
                       let dom =
-                        combine ( * ) ~cap:(cap * 4)
+                        Bitdom.combine ~prod:true ~cap:(cap * 4)
                           (Problem.domain_of ctx.b acc) (Problem.domain_of ctx.b l)
                       in
                       let v = fresh_aux (Printf.sprintf "mem_%s_elems" c.cf_stage) in
@@ -107,7 +96,7 @@ let apply_c5 (ctx : Gen_ctx.t) =
                 Problem.add_var ctx.b ~category:Problem.Auxiliary dtv
                   (Domain.singleton c.cf_dtype_bytes);
                 Problem.add_var ctx.b ~category:Problem.Auxiliary bytes
-                  (combine ( * ) ~cap:(cap * 4)
+                  (Bitdom.combine ~prod:true ~cap:(cap * 4)
                      (Problem.domain_of ctx.b elems)
                      (Domain.singleton c.cf_dtype_bytes));
                 Problem.add_cons ctx.b (Cons.Prod (bytes, [ elems; dtv ]));
@@ -124,7 +113,7 @@ let apply_c5 (ctx : Gen_ctx.t) =
                   (List.fold_left
                      (fun acc v ->
                        let dom =
-                         combine ( + ) ~cap
+                         Bitdom.combine ~prod:false ~cap
                            (Problem.domain_of ctx.b acc) (Problem.domain_of ctx.b v)
                        in
                        let s = fresh_aux (Printf.sprintf "mem_%s_total" scope) in

@@ -14,7 +14,7 @@ let of_problem ?(max_bins = 32) problem =
   let boundaries =
     Array.map
       (fun name ->
-        let values = Array.of_list (Domain.to_list (Problem.domain problem name)) in
+        let values = Domain.to_array (Problem.domain problem name) in
         let n = Array.length values in
         if n <= max_bins then values
         else

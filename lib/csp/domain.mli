@@ -11,6 +11,16 @@ val of_list : int list -> t
 
 val to_list : t -> int list
 
+val to_array : t -> int array
+(** The values in ascending order, as a fresh array: mutating it does not
+    change the domain. *)
+
+val of_sorted_array : int array -> t
+(** [of_sorted_array a] is the domain of the strictly ascending array [a],
+    which it takes over without copying: the caller must not mutate [a]
+    afterwards. O(n), no sort.
+    @raise Invalid_argument if [a] is not strictly ascending. *)
+
 val singleton : int -> t
 
 val range : int -> int -> t

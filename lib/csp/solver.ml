@@ -597,7 +597,7 @@ let compile ?(exact_limit = default_exact_limit) problem =
   let off = ref 0 and max_nw = ref 1 in
   Array.iteri
     (fun i name ->
-      let values = Array.of_list (Domain.to_list (Problem.domain problem name)) in
+      let values = Domain.to_array (Problem.domain problem name) in
       let nw = Bitdom.nwords (Array.length values) in
       layouts.(i) <- { values; ix = Bitdom.index values; off = !off; nw };
       off := !off + nw;
