@@ -754,6 +754,103 @@ let test_walk_kernel =
       && sup_b = words_of_bits 2 (List.map (fun j -> idx.(j)) hits)
       && sup_a = words_of_bits 1 (if hits = [] then [] else [ 5 ]))
 
+(* ---------- Pairwise-domain kernel ---------- *)
+
+(* The reference: every pair, capped, through a list sort. *)
+let brute_pairs ?cap ~prod a b =
+  let op x y = if prod then x * y else x + y in
+  List.concat_map (fun x -> List.map (op x) b) a
+  |> List.filter (fun v -> match cap with None -> true | Some c -> v <= c)
+  |> List.sort_uniq Int.compare
+
+(* Non-negative domains of 0-300 values, half of them holding 0: small
+   values, whose results a bitset covers in fewer words than there are
+   pairs (the dense path), values up to 2^20, whose results spread too
+   far for that (the sorted path), and powers of two. *)
+let combine_domain_gen =
+  let open QCheck.Gen in
+  map2
+    (fun zero xs -> if zero then 0 :: xs else xs)
+    bool
+    (oneof
+       [
+         list_size (0 -- 300) (0 -- 200);
+         list_size (0 -- 300) (0 -- 5000);
+         list_size (0 -- 300) (0 -- (1 lsl 20));
+         map (fun k -> List.init k (fun i -> 1 lsl i)) (0 -- 20);
+       ])
+
+(* Both operations, with no cap or a cap below every result, between the
+   smallest and the largest, equal to a result, or above every result. *)
+let test_combine_kernel =
+  let open QCheck in
+  let ints xs = String.concat ";" (List.map string_of_int xs) in
+  Test.make ~name:"combine kernel equals brute-force pairs" ~count:300
+    (make
+       Gen.(quad bool combine_domain_gen combine_domain_gen (pair (0 -- 4) (0 -- 1_000_000)))
+       ~print:(fun (prod, a, b, (kind, r)) ->
+         Printf.sprintf "prod=%b kind=%d r=%d a=[%s] b=[%s]" prod kind r (ints a) (ints b)))
+    (fun (prod, a, b, (kind, r)) ->
+      let all = brute_pairs ~prod a b in
+      let cap =
+        match all with
+        | [] -> None
+        | lo :: _ -> (
+            let n = List.length all in
+            let top = List.nth all (n - 1) in
+            match kind with
+            | 0 -> None
+            | 1 -> Some (lo - 1 - (r mod 10))
+            | 2 -> Some (lo + (r mod (top - lo + 1)))
+            | 3 -> Some (List.nth all (r mod n))
+            | _ -> Some (top + (r mod 1000)))
+      in
+      Domain.to_list (Bitdom.combine ?cap ~prod (dl a) (dl b)) = brute_pairs ?cap ~prod a b)
+
+let test_combine_edges () =
+  let check name ?cap ~prod a b =
+    Alcotest.(check (list int)) name (brute_pairs ?cap ~prod a b)
+      (Domain.to_list (Bitdom.combine ?cap ~prod (dl a) (dl b)))
+  in
+  List.iter
+    (fun prod ->
+      check "empty left" ~prod [] [ 1; 2 ];
+      check "empty right" ~prod ~cap:10 [ 1; 2 ] [];
+      check "both empty" ~prod [] [];
+      check "cap below every result" ~prod ~cap:5 [ 2; 3 ] [ 4; 5 ];
+      check "cap at the smallest result" ~prod ~cap:(if prod then 8 else 6) [ 2; 3 ] [ 4; 5 ])
+    [ true; false ];
+  (* Results on both sides of the word boundaries at bits 61/62 and
+     123/124 of a bitset that starts at the smallest result, with it at
+     0 and at 1000, and a cap on a boundary; each covers its results in
+     fewer words than it has pairs. *)
+  check "sum across words" ~prod:false [ 0; 61; 62; 123; 124 ] [ 0; 1; 62; 63; 124 ];
+  check "sum across words from 1000" ~prod:false [ 1000; 1061; 1062 ] [ 0; 1; 61; 62; 123; 124 ];
+  check "product across words" ~prod:true [ 1; 2 ] [ 0; 1; 30; 31; 61; 62; 63 ];
+  check "cap on a word boundary" ~prod:false ~cap:62 [ 0; 1 ] [ 0; 60; 61; 62; 63 ];
+  (* A zero row of a product, on the sorted path. *)
+  check "zero row" ~prod:true [ 0; 1 lsl 10; 1 lsl 19 ] [ 0; 3; 1 lsl 12 ];
+  let negative = Invalid_argument "Bitdom.combine: negative value" in
+  Alcotest.check_raises "negative left operand" negative (fun () ->
+      ignore (Bitdom.combine ~prod:true (dl [ -1; 2 ]) (dl [ 3 ])));
+  Alcotest.check_raises "negative right operand" negative (fun () ->
+      ignore (Bitdom.combine ~prod:false ~cap:9 (dl [ 1; 2 ]) (dl [ -3; 4 ])))
+
+(* [to_array] hands out a copy; [of_sorted_array] checks its input. *)
+let test_domain_arrays () =
+  let d = dl [ 1; 5; 9 ] in
+  let a = Domain.to_array d in
+  a.(0) <- 100;
+  Alcotest.(check (list int)) "mutating to_array's result" [ 1; 5; 9 ] (Domain.to_list d);
+  Alcotest.(check (list int)) "of_sorted_array" [ 2; 3 ]
+    (Domain.to_list (Domain.of_sorted_array [| 2; 3 |]));
+  List.iter
+    (fun a ->
+      Alcotest.check_raises "not strictly ascending"
+        (Invalid_argument "Domain.of_sorted_array: not strictly ascending") (fun () ->
+          ignore (Domain.of_sorted_array a)))
+    [ [| 3; 2 |]; [| 1; 1 |] ]
+
 (* A range filter that keeps nothing is a wipeout, whether the range is
    inverted or misses the domain: a <= b with every a above every b, and
    an n-ary sum whose bounds cannot meet v. *)
@@ -836,6 +933,9 @@ let suite =
     qtest test_word_primitives;
     qtest test_slice_kernels;
     qtest test_walk_kernel;
+    qtest test_combine_kernel;
+    Alcotest.test_case "combine kernel: edges" `Quick test_combine_edges;
+    Alcotest.test_case "domain arrays" `Quick test_domain_arrays;
     Alcotest.test_case "range filter wipeout" `Quick test_range_wipeout;
     Alcotest.test_case "compile cache reuse" `Quick test_compile_cache;
     Alcotest.test_case "exact support: pair walk" `Quick test_exact_pair_walk;
