@@ -5,6 +5,7 @@ module Solver = Heron_csp.Solver
 module Template = Heron_sched.Template
 module Descriptor = Heron_dla.Descriptor
 module Rng = Heron_util.Rng
+module Obs = Heron_obs.Obs
 
 type t = {
   template : Template.t;
@@ -96,21 +97,22 @@ let satisfiable ?(seed = 17) problem =
   | None -> false
 
 let generate ?(seed = 17) desc op =
-  match Gemm_view.infer op with
-  | None -> build desc op ~tensorize:false
-  | Some view -> (
-      let derived = Gemm_view.derived_op op view in
-      let with_original g = { g with original_op = op } in
-      if Descriptor.has_intrinsic desc then begin
-        let g = build ~orig:(op, view) desc derived ~tensorize:true in
-        if satisfiable ~seed g.problem then with_original g
-        else
-          match desc.Descriptor.family with
-          | Descriptor.Vta ->
-              (* VTA has no scalar path; an unsatisfiable space means the
-                 shape cannot run — surfaced as-is. *)
-              with_original g
-          | Descriptor.Tensorcore | Descriptor.Dlboost ->
-              with_original (build ~orig:(op, view) desc derived ~tensorize:false)
-      end
-      else with_original (build ~orig:(op, view) desc derived ~tensorize:false))
+  Obs.with_span "generator.generate" (fun () ->
+      match Gemm_view.infer op with
+      | None -> build desc op ~tensorize:false
+      | Some view -> (
+          let derived = Gemm_view.derived_op op view in
+          let with_original g = { g with original_op = op } in
+          if Descriptor.has_intrinsic desc then begin
+            let g = build ~orig:(op, view) desc derived ~tensorize:true in
+            if satisfiable ~seed g.problem then with_original g
+            else
+              match desc.Descriptor.family with
+              | Descriptor.Vta ->
+                  (* VTA has no scalar path; an unsatisfiable space means the
+                     shape cannot run — surfaced as-is. *)
+                  with_original g
+              | Descriptor.Tensorcore | Descriptor.Dlboost ->
+                  with_original (build ~orig:(op, view) desc derived ~tensorize:false)
+          end
+          else with_original (build ~orig:(op, view) desc derived ~tensorize:false)))

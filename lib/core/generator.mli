@@ -20,7 +20,8 @@ val generate : ?seed:int -> Descriptor.t -> Op.t -> t
 (** Applies the schedule generation rules (picking the tensorized path when
     the intrinsic fits, falling back to the scalar/SIMT path otherwise),
     then the constraint generation rules. [seed] only affects the internal
-    satisfiability probe. *)
+    satisfiability probe. Traced as one [generator.generate] span, which
+    covers the rules and that probe. *)
 
 val build :
   ?orig:Op.t * Heron_tensor.Gemm_view.t -> Descriptor.t -> Op.t -> tensorize:bool -> t

@@ -598,6 +598,69 @@ let test_nets_checkpoint_span_per_round () =
         (Some spans);
       Alcotest.(check string) "traced checkpoint identical" (read plain) (read traced))
 
+(* Each span's name and the names of all its ancestors. *)
+let span_ancestry events =
+  let begins = List.filter (fun (e : Trace.event) -> e.ev = "span_begin") events in
+  let by_id =
+    List.filter_map
+      (fun e ->
+        match (Trace.int_field "id" e, Trace.string_field "span" e) with
+        | Some id, Some name -> Some (id, (name, Trace.int_field "parent" e))
+        | _ -> None)
+      begins
+  in
+  let rec ancestors = function
+    | None -> []
+    | Some id -> (
+        match List.assoc_opt id by_id with
+        | Some (name, parent) -> name :: ancestors parent
+        | None -> [])
+  in
+  List.map (fun (_, (name, parent)) -> (name, ancestors parent)) by_id
+
+let is_cga name = String.starts_with ~prefix:"cga." name
+
+(* Space generation is one [generator.generate] span per tuned op, outside
+   the search: a single-op tuning run has exactly one, on no CGA phase's
+   path and with no CGA phase under it; the network tuner has one per
+   task, under [nets.tune]. Tracing leaves the results unchanged. *)
+let test_generate_span () =
+  let op = Heron_tensor.Op.gemm ~m:128 ~n:128 ~k:128 () in
+  let tune () =
+    let r = Heron.Pipeline.tune ~budget:16 ~seed:5 Heron_dla.Descriptor.v100 op in
+    (Heron.Pipeline.best_latency_us r, r.Heron.Pipeline.outcome.Cga.result.Env.trace)
+  in
+  let plain = tune () in
+  let traced, events = with_journal tune in
+  check_valid events;
+  Alcotest.(check bool) "traced tuning identical" true (traced = plain);
+  let spans = span_ancestry events in
+  let gens = List.filter (fun (name, _) -> name = "generator.generate") spans in
+  Alcotest.(check int) "one generate span" 1 (List.length gens);
+  Alcotest.(check bool) "generate is outside every cga span" true
+    (List.for_all (fun (_, path) -> not (List.exists is_cga path)) gens
+    && List.for_all
+         (fun (name, path) -> not (is_cga name && List.mem "generator.generate" path))
+         spans);
+  let net = Heron_nets.Models.tiny in
+  let tune_net () =
+    let r = Heron_nets.Tuner.tune ~budget:16 ~seed:3 ~slice:8 Heron_dla.Descriptor.v100 net in
+    ( r.Heron_nets.Tuner.r_latency_us,
+      List.map (fun t -> t.Heron_nets.Tuner.tr_trace) r.Heron_nets.Tuner.r_reports )
+  in
+  let plain = tune_net () in
+  let traced, events = with_journal tune_net in
+  check_valid events;
+  Alcotest.(check bool) "traced network tuning identical" true (traced = plain);
+  let gens =
+    List.filter (fun (name, _) -> name = "generator.generate") (span_ancestry events)
+  in
+  Alcotest.(check int) "one generate span per task"
+    (List.length (Heron_nets.Tasks.extract net))
+    (List.length gens);
+  Alcotest.(check bool) "inside nets.tune" true
+    (List.for_all (fun (_, path) -> List.mem "nets.tune" path) gens)
+
 (* The deterministic counters advance by exactly the same amount for any
    pool size (atomic increments over identical work). *)
 let deterministic_counters =
@@ -767,6 +830,7 @@ let suite =
     Alcotest.test_case "checkpoint span per iteration" `Quick test_checkpoint_span_per_iteration;
     Alcotest.test_case "nets checkpoint span per round" `Quick
       test_nets_checkpoint_span_per_round;
+    Alcotest.test_case "generate span per tuned op" `Quick test_generate_span;
     Alcotest.test_case "counters jobs-independent" `Quick test_counters_jobs_independent;
     Alcotest.test_case "pool tasks are solver tasks" `Quick test_pool_tasks_are_solver_tasks;
     Alcotest.test_case "cache cap holds with evictions" `Quick test_cache_cap_holds;
