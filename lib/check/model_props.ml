@@ -10,6 +10,7 @@ module Fmat = Heron_cost.Fmat
 module Features = Heron_cost.Features
 module Gbt = Heron_cost.Gbt
 module Gbt_ref = Heron_cost.Gbt_ref
+module Tree = Heron_cost.Tree
 module Model = Heron_cost.Model
 module Generator = Heron.Generator
 module Pipeline = Heron.Pipeline
@@ -49,6 +50,76 @@ let gbt_matches_reference ~count =
       Gbt.dump gbt = Gbt_ref.dump ref_gbt
       && Array.for_all (fun x -> Gbt.predict gbt x = Gbt_ref.predict ref_gbt x) xs
       && Gbt.feature_gains gbt = Gbt_ref.feature_gains ref_gbt)
+
+(* Random pre-binned dataset whose columns are mostly constant: at bin 0,
+   at a middle bin or at the top bin (a one-bin feature is all three),
+   or constant on every row but one after the first two. A third of the
+   datasets make every column constant, a third leave one column
+   varying. *)
+let constant_columns_dataset rng =
+  let nf = 1 + Rng.int rng 6 in
+  let bins = Array.init nf (fun _ -> 1 + Rng.int rng 12) in
+  let n = 1 + Rng.int rng 120 in
+  let layout = Rng.int rng 3 and varying = Rng.int rng nf in
+  let xs = Array.make_matrix n nf 0 in
+  for j = 0 to nf - 1 do
+    let top = bins.(j) - 1 in
+    (* 0: varying; 1, 2, 3: constant at bin 0, middle, top; 4: one late row differs *)
+    let kind =
+      match layout with
+      | 0 -> 1 + Rng.int rng 3
+      | 1 -> if j = varying then 0 else 1 + Rng.int rng 3
+      | _ -> Rng.int rng 5
+    in
+    let c = match kind with 1 -> 0 | 2 -> top / 2 | _ -> top in
+    let odd = 2 + Rng.int rng (max 1 (n - 2)) in
+    for i = 0 to n - 1 do
+      xs.(i).(j) <-
+        (if kind = 0 then Rng.int rng bins.(j) else if kind = 4 && i = odd then 0 else c)
+    done
+  done;
+  let w = Array.init nf (fun _ -> Rng.float rng -. 0.5) in
+  let ys =
+    Array.map
+      (fun x ->
+        let acc = ref (Rng.float rng *. 0.1) in
+        Array.iteri (fun j v -> acc := !acc +. (w.(j) *. float_of_int v)) x;
+        !acc)
+      xs
+  in
+  (bins, xs, ys)
+
+(* Leaving constant columns out of the fit is exact: on datasets built to
+   have them, the flat engine still matches the reference, which scans
+   every column, at several [min_samples] and depths; and the columns it
+   keeps are exactly those with two distinct values. *)
+let gbt_constant_columns_match_reference ~count =
+  QCheck.Test.make ~name:"model: Gbt with constant columns byte-identical to Gbt_ref" ~count
+    seed_arb (fun seed ->
+      let rng = Rng.create ((seed * 17) + 4) in
+      List.for_all
+        (fun _ ->
+          let bins, xs, ys = constant_columns_dataset rng in
+          let min_samples = 1 + Rng.int rng 4 and max_depth = 1 + Rng.int rng 5 in
+          let tree = { Tree.default_params with min_samples; max_depth } in
+          let params = { Gbt.default_params with n_trees = 8; tree } in
+          let ref_params =
+            {
+              Gbt_ref.default_params with
+              n_trees = 8;
+              tree = { Gbt_ref.Tree.default_params with min_samples; max_depth };
+            }
+          in
+          let m = Fmat.of_rows xs in
+          let gbt = Gbt.fit ~params ~n_bins:bins m ys in
+          let ref_gbt = Gbt_ref.fit ~params:ref_params ~n_bins:bins xs ys in
+          let varies j = Array.exists (fun x -> x.(j) <> xs.(0).(j)) xs in
+          Tree.active_columns ~params:tree m
+          = Array.of_list (List.filter varies (List.init (Array.length bins) Fun.id))
+          && Gbt.dump gbt = Gbt_ref.dump ref_gbt
+          && Array.for_all (fun x -> Gbt.predict gbt x = Gbt_ref.predict ref_gbt x) xs
+          && Gbt.feature_gains gbt = Gbt_ref.feature_gains ref_gbt)
+        (List.init 8 Fun.id))
 
 (* A small random CSP to drive the Model API end to end. *)
 let random_problem rng =
@@ -142,6 +213,7 @@ let perf_ctx_matches_scalar ~count =
 let tests ?(count = 40) () =
   [
     gbt_matches_reference ~count;
+    gbt_constant_columns_match_reference ~count;
     ring_window_semantics ~count;
     predict_batch_matches_scalar ~count;
     perf_ctx_matches_scalar ~count;

@@ -67,12 +67,16 @@ let fit ?(params = default_params) ~n_bins (m : Fmat.t) ys =
   let residuals = Array.make n 0.0 in
   let trees = Array.make params.n_trees None in
   let scratch = Tree.scratch () in
+  (* Every round fits the same rows, so a column that is constant on them
+     is constant for every tree: find those once. Leaving them out is
+     exact (see {!Tree.active_columns}). *)
+  let active = Tree.active_columns ~params:params.tree m in
   for round = 0 to params.n_trees - 1 do
     (* Squared loss: the negative gradient is the residual. *)
     for i = 0 to n - 1 do
       residuals.(i) <- ys.(i) -. preds.(i)
     done;
-    let tree = Tree.fit ~params:params.tree ~scratch ~n_bins m residuals in
+    let tree = Tree.fit ~params:params.tree ~scratch ~active ~n_bins m residuals in
     trees.(round) <- Some tree;
     for i = 0 to n - 1 do
       preds.(i) <- preds.(i) +. (params.learning_rate *. Tree.predict_row tree m i)

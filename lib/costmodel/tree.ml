@@ -17,7 +17,19 @@
    trick is deliberately NOT applied to the float sums — subtraction
    changes rounding and would break the differential oracle; children
    rebuild their histograms directly, which the flat single-pass layout
-   makes cheap. *)
+   makes cheap.
+
+   Constant columns are left out of every histogram. A column whose
+   cells all hold one bin [c] on the training rows holds [c] on every
+   node's rows too, so each candidate split of it leaves all the node's
+   rows on one side: below [c] the left side is empty, from [c] on the
+   right side is. With [min_samples >= 1] no such candidate is ever
+   admitted, the column never sets a best split, and leaving it out
+   changes no split, gain or leaf. With [min_samples <= 0] an empty side
+   is admissible, so every column stays. The columns that remain are
+   scanned in ascending order, so the earlier feature still wins ties.
+   Constant columns are also the slowest to fill: every add of a node
+   goes to the same accumulator and waits on the one before it. *)
 
 type params = { max_depth : int; min_samples : int; min_gain : float }
 
@@ -49,23 +61,62 @@ type scratch = {
 
 let scratch () = { s_offs = [||]; s_hist_n = [||]; s_hist_s = [||]; s_idx = [||]; s_tmp = [||] }
 
-let fit ?(params = default_params) ?scratch:sc ~n_bins (m : Fmat.t) ys =
+let active_columns ?(params = default_params) (m : Fmat.t) =
+  let nf = Fmat.n_features m in
+  if params.min_samples < 1 then Array.init nf Fun.id
+  else begin
+    let rows = Fmat.data m in
+    let varies = Array.make nf false in
+    for i = 1 to Fmat.n_rows m - 1 do
+      let base = i * nf in
+      for f = 0 to nf - 1 do
+        if Bytes.unsafe_get rows (base + f) <> Bytes.unsafe_get rows f then
+          Array.unsafe_set varies f true
+      done
+    done;
+    Array.of_list (List.filter (Array.get varies) (List.init nf Fun.id))
+  end
+
+(* One streaming pass over the samples [idx.(lo .. hi-1)]: every (active
+   column, bin) accumulator receives its ys addends in sample order, as
+   the per-feature reference scans do. Rows are read as raw consecutive
+   bytes. A top-level function, so the loop holds its arrays in registers
+   instead of reloading them from [grow]'s closure at every add. *)
+let fill rows nf (active : int array) (offs : int array) (hist_n : int array)
+    (hist_s : float array) (idx : int array) (ys : float array) lo hi =
+  let na = Array.length active in
+  for k = lo to hi - 1 do
+    let i = Array.unsafe_get idx k in
+    let y = Array.unsafe_get ys i in
+    let base = i * nf in
+    for a = 0 to na - 1 do
+      let b = Char.code (Bytes.unsafe_get rows (base + Array.unsafe_get active a)) in
+      let off = Array.unsafe_get offs a + b in
+      Array.unsafe_set hist_n off (Array.unsafe_get hist_n off + 1);
+      Array.unsafe_set hist_s off (Array.unsafe_get hist_s off +. y)
+    done
+  done
+
+let fit ?(params = default_params) ?scratch:sc ?active ~n_bins (m : Fmat.t) ys =
   let n = Fmat.n_rows m in
   if n = 0 then invalid_arg "Tree.fit: empty data";
   if Array.length ys < n then invalid_arg "Tree.fit: ys shorter than the matrix";
   let nf = Fmat.n_features m in
   if Array.length n_bins <> nf then invalid_arg "Tree.fit: n_bins/width mismatch";
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  (* Per-feature histogram offsets, prefix-summed: feature [f]'s bins live
-     at [offs.(f) .. offs.(f) + n_bins.(f) - 1]. Denser than a uniform
-     max-bins stride, so clears are shorter and the randomly-addressed
-     accumulators stay cache-resident. *)
-  if Array.length sc.s_offs < nf then sc.s_offs <- Array.make nf 0;
+  let active = match active with Some a -> a | None -> active_columns ~params m in
+  let na = Array.length active in
+  (* Per-column histogram offsets over the active columns, prefix-summed:
+     active column [a] (feature [active.(a)]) has its bins at
+     [offs.(a) .. offs.(a) + n_bins.(active.(a)) - 1]. Denser than a
+     uniform max-bins stride, so clears are shorter and the
+     randomly-addressed accumulators stay cache-resident. *)
+  if Array.length sc.s_offs < na then sc.s_offs <- Array.make na 0;
   let offs = sc.s_offs in
   let hist_len = ref 0 in
-  for f = 0 to nf - 1 do
-    offs.(f) <- !hist_len;
-    hist_len := !hist_len + max 1 n_bins.(f)
+  for a = 0 to na - 1 do
+    offs.(a) <- !hist_len;
+    hist_len := !hist_len + max 1 n_bins.(active.(a))
   done;
   let hist_len = !hist_len in
   (* A tree has at most 2n-1 nodes (every leaf holds >= 1 sample) and at
@@ -125,26 +176,14 @@ let fit ?(params = default_params) ?scratch:sc ~n_bins (m : Fmat.t) ys =
     else begin
       Array.fill hist_n 0 hist_len 0;
       Array.fill hist_s 0 hist_len 0.0;
-      (* One streaming pass: every (feature, bin) accumulator receives its
-         ys addends in sample order, as the per-feature reference scans
-         do. Rows are read as raw consecutive bytes. *)
-      for k = lo to hi - 1 do
-        let i = Array.unsafe_get idx k in
-        let y = Array.unsafe_get ys i in
-        let base = i * nf in
-        for f = 0 to nf - 1 do
-          let b = Char.code (Bytes.unsafe_get rows (base + f)) in
-          let off = Array.unsafe_get offs f + b in
-          Array.unsafe_set hist_n off (Array.unsafe_get hist_n off + 1);
-          Array.unsafe_set hist_s off (Array.unsafe_get hist_s off +. y)
-        done
-      done;
+      fill rows nf active offs hist_n hist_s idx ys lo hi;
       (* Best split per feature, then argmax in feature order (earlier
          feature wins ties, matching the reference's reduction). *)
       let best_feat = ref (-1) and best_bin = ref 0 and best_gain = ref 0.0 in
       let have_best = ref false in
-      for f = 0 to nf - 1 do
-        let bins = n_bins.(f) and base_off = offs.(f) in
+      for a = 0 to na - 1 do
+        let f = active.(a) in
+        let bins = n_bins.(f) and base_off = offs.(a) in
         let total_sum = ref 0.0 in
         for b = 0 to bins - 1 do
           total_sum := !total_sum +. Array.unsafe_get hist_s (base_off + b)

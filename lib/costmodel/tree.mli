@@ -4,8 +4,8 @@
     variance reduction. Fitting is byte-identical to the frozen
     {!Gbt_ref.Tree} oracle — same splits, gains and leaf means — the flat
     engine only changes the constants (single streaming histogram pass per
-    node over all features, count+fill partitioning, monomorphic
-    comparisons). *)
+    node over the non-constant features, count+fill partitioning,
+    monomorphic comparisons). *)
 
 type params = {
   max_depth : int;
@@ -35,9 +35,16 @@ type scratch
 
 val scratch : unit -> scratch
 
+val active_columns : ?params:params -> Fmat.t -> int array
+(** The features, in ascending order, that a split of [m]'s rows could
+    use: with [params.min_samples >= 1], those whose cells are not all
+    equal; otherwise every feature. A constant column cannot split any
+    node, because each of its candidate splits leaves one side empty. *)
+
 val fit :
   ?params:params ->
   ?scratch:scratch ->
+  ?active:int array ->
   n_bins:int array ->
   Fmat.t ->
   float array ->
@@ -45,7 +52,9 @@ val fit :
 (** [fit ~n_bins m ys] trains on the first [Fmat.n_rows m] rows of [m]
     against targets [ys] (which may be longer; extra entries are ignored).
     [?scratch] amortizes workspace allocation across repeated fits (e.g.
-    boosting rounds) and never changes the result.
+    boosting rounds) and never changes the result. [?active] must be
+    [active_columns ~params m], which boosting rounds over one matrix
+    share; it defaults to computing that.
     @raise Invalid_argument on empty or mismatched data. *)
 
 val predict : t -> int array -> float
