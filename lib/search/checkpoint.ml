@@ -16,7 +16,9 @@ let json_of_point (p : Env.point) =
   Json.List
     [ Json.Int p.Env.step; json_of_opt json_of_float p.Env.latency; json_of_opt json_of_float p.Env.best ]
 
-let json_of_recorder (x : Env.Recorder.export) =
+let json_of_cache_entry (k, l) = Json.List [ Json.String k; json_of_opt json_of_float l ]
+
+let json_of_recorder ~trace ~cache (x : Env.Recorder.export) =
   Json.Obj
     [
       ("steps", Json.Int x.Env.Recorder.x_steps);
@@ -24,17 +26,16 @@ let json_of_recorder (x : Env.Recorder.export) =
       ("invalid", Json.Int x.Env.Recorder.x_invalid);
       ("best", json_of_opt json_of_float x.Env.Recorder.x_best);
       ("best_a", json_of_opt json_of_assignment x.Env.Recorder.x_best_a);
-      ("trace", Json.List (List.map json_of_point x.Env.Recorder.x_trace));
-      ( "cache",
-        Json.List
-          (List.map
-             (fun (k, l) -> Json.List [ Json.String k; json_of_opt json_of_float l ])
-             x.Env.Recorder.x_cache) );
+      ("trace", trace);
+      ("cache", cache);
       ("quarantined", Json.List (List.map (fun k -> Json.String k) x.Env.Recorder.x_quarantined));
       ("degraded", Json.List (List.map (fun k -> Json.String k) x.Env.Recorder.x_degraded));
     ]
 
-let to_json ~label (s : Cga.snapshot) =
+(* The checkpoint document, with the recorder's trace and cache lists
+   given by the caller: rendered ones for [to_json], placeholders for the
+   writer, which prints their entries from its memo. *)
+let document ~label ~trace ~cache (s : Cga.snapshot) =
   Json.Obj
     [
       ("heron_checkpoint", Json.Int version);
@@ -43,7 +44,7 @@ let to_json ~label (s : Cga.snapshot) =
       ("dry", Json.Int s.Cga.s_dry);
       ("stopped", Json.Bool s.Cga.s_stopped);
       ("rng", Json.String s.Cga.s_rng_hex);
-      ("recorder", json_of_recorder s.Cga.s_recorder);
+      ("recorder", json_of_recorder ~trace ~cache s.Cga.s_recorder);
       ( "survivors",
         Json.List
           (List.map
@@ -58,6 +59,12 @@ let to_json ~label (s : Cga.snapshot) =
              s.Cga.s_model) );
     ]
 
+let to_json ~label (s : Cga.snapshot) =
+  let x = s.Cga.s_recorder in
+  document ~label s
+    ~trace:(Json.List (List.map json_of_point x.Env.Recorder.x_trace))
+    ~cache:(Json.List (List.map json_of_cache_entry x.Env.Recorder.x_cache))
+
 (* One file per run: successive checkpoints of a run repeat nearly every
    float of the previous one, so the printer's memo formats each once, and
    the one buffer is rewritten in place instead of reallocated. *)
@@ -65,17 +72,122 @@ type file = { path : string; what : string; printer : Json.printer; buf : Buffer
 
 let file ~path ~what = { path; what; printer = Json.printer (); buf = Buffer.create 4096 }
 
+let output f write =
+  Heron_util.Atomic_io.with_retry ~what:f.what (fun () ->
+      Heron_util.Atomic_io.with_file_out ~path:f.path write)
+
 let write_json f v =
   Buffer.clear f.buf;
   Json.print f.printer f.buf v;
   Buffer.add_char f.buf '\n';
-  Heron_util.Atomic_io.with_retry ~what:f.what (fun () ->
-      Heron_util.Atomic_io.with_file_out ~path:f.path (fun oc -> Buffer.output_buffer oc f.buf))
+  output f (fun oc -> Buffer.output_buffer oc f.buf)
 
-type writer = { file : file; label : string }
+(* The entries of one recorder list that a writer has written, in list
+   order, with their rendered text joined by commas in one buffer.
+   Successive snapshots of a run share their lists' leading entries: the
+   recorder exports the same point records, and the same memoized key
+   strings and latency options, every time. So an entry is recognized by
+   physical equality, and since the values are immutable, an entry that
+   is physically the same renders to the same text. *)
+type 'a entries = {
+  same : 'a -> 'a -> bool;
+  json : 'a -> Json.t;
+  mutable items : 'a array;
+  mutable n : int;
+  text : Buffer.t;
+}
 
-let writer ~path ~label = { file = file ~path ~what:"search.checkpoint"; label }
-let write w s = write_json w.file (to_json ~label:w.label s)
+let entries ~same ~json = { same; json; items = [||]; n = 0; text = Buffer.create 4096 }
+
+(* Make [e] hold exactly the entries of [xs]: when [xs] starts with the
+   held entries, render only its tail; otherwise (another run's snapshot,
+   a FIFO eviction, a shorter list) render every entry again. *)
+let sync e printer xs =
+  let rec held i xs =
+    if i = e.n then Some xs
+    else
+      match xs with
+      | x :: rest when e.same x e.items.(i) -> held (i + 1) rest
+      | _ -> None
+  in
+  let tail =
+    match held 0 xs with
+    | Some tail -> tail
+    | None ->
+        e.n <- 0;
+        Buffer.clear e.text;
+        xs
+  in
+  List.iter
+    (fun x ->
+      if e.n > 0 then Buffer.add_char e.text ',';
+      Json.print printer e.text (e.json x);
+      if e.n = Array.length e.items then
+        e.items <- Array.append e.items (Array.make (max 64 e.n) x);
+      e.items.(e.n) <- x;
+      e.n <- e.n + 1)
+    tail
+
+(* A writer prints the document in three parts, split at the trace and
+   cache lists, and sends the parts and the held entries' text straight
+   to the file, never joining them into one string. *)
+type writer = {
+  file : file;  (* its buffer holds the part before the trace entries *)
+  label : string;
+  trace : Env.point entries;
+  cache : (string * float option) entries;
+  mid : Buffer.t;  (* between the trace and the cache entries *)
+  tail : Buffer.t;  (* after the cache entries *)
+}
+
+let writer ~path ~label =
+  {
+    file = file ~path ~what:"search.checkpoint";
+    label;
+    trace = entries ~same:( == ) ~json:json_of_point;
+    cache = entries ~same:(fun (k, l) (k', l') -> k == k' && l == l') ~json:json_of_cache_entry;
+    mid = Buffer.create 256;
+    tail = Buffer.create 4096;
+  }
+
+(* The writer's placeholders for the two lists: blocks allocated here, so
+   no value of a document is physically equal to either. *)
+let trace_hole = Json.String (String.make 1 't')
+let cache_hole = Json.String (String.make 1 'c')
+
+(* Print [v] as [Json.print] does, except that a placeholder ends the
+   current part with its opening bracket and starts the next with its
+   closing one. Only objects are descended: the placeholders are fields
+   of the recorder object. *)
+let rec print_parts w part v =
+  if v == trace_hole || v == cache_hole then begin
+    Buffer.add_char !part '[';
+    part := if v == trace_hole then w.mid else w.tail;
+    Buffer.add_char !part ']'
+  end
+  else
+    match v with
+    | Json.Obj fields ->
+        Buffer.add_char !part '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char !part ',';
+            Json.print w.file.printer !part (Json.String k);
+            Buffer.add_char !part ':';
+            print_parts w part v)
+          fields;
+        Buffer.add_char !part '}'
+    | v -> Json.print w.file.printer !part v
+
+let write w s =
+  let x = s.Cga.s_recorder in
+  sync w.trace w.file.printer x.Env.Recorder.x_trace;
+  sync w.cache w.file.printer x.Env.Recorder.x_cache;
+  List.iter Buffer.clear [ w.file.buf; w.mid; w.tail ];
+  print_parts w (ref w.file.buf) (document ~label:w.label ~trace:trace_hole ~cache:cache_hole s);
+  Buffer.add_char w.tail '\n';
+  output w.file (fun oc ->
+      List.iter (Buffer.output_buffer oc) [ w.file.buf; w.trace.text; w.mid; w.cache.text; w.tail ])
 
 let save ~path ~label s = write (writer ~path ~label) s
 

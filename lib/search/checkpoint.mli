@@ -25,7 +25,13 @@ val write_json : file -> Heron_obs.Json.t -> unit
 
 type writer
 (** The checkpoint {!file} of one run: every {!write} replaces it with
-    the given snapshot, byte-for-byte what {!save} would write. *)
+    the given snapshot, byte-for-byte what {!save} would write. The
+    writer keeps the text of the recorder's [trace] and [cache] entries
+    it has written, about one checkpoint's worth, and renders only the
+    entries a snapshot adds after them. Entries are matched by physical
+    equality, which holds for successive snapshots of one run; any other
+    snapshot (another run's, one after a cache eviction, one read back
+    by {!load}) is rendered in full. *)
 
 val writer : path:string -> label:string -> writer
 

@@ -357,7 +357,12 @@ let test_checkpoint_roundtrip () =
 (* A writer prints every snapshot exactly as a cold render would: through
    one writer for a whole fixed-seed run, through a fresh writer after a
    resume, and through one writer fed unrelated snapshots whose latencies
-   include -0.0 (equal to the 0.0 it may already have printed) and NaN. *)
+   include -0.0 (equal to the 0.0 it may already have printed) and NaN.
+   The writer re-uses the text of trace and cache entries it has written,
+   so it is also fed what that memo must not be fooled by: two runs
+   interleaved, a cache that evicts its oldest entries, and snapshots read
+   back from the file, whose lists are equal to the written ones but
+   physically fresh. *)
 let test_checkpoint_writer_identity () =
   let params = Cga.{ default_params with pop_size = 8; generations = 2; batch = 4 } in
   let label = "writer-test" in
@@ -410,7 +415,42 @@ let test_checkpoint_writer_identity () =
         }
       in
       let odd = [ 0.0; -0.0; nan; Float.neg nan; infinity; 1e16; Float.succ 1e16; 0.1 +. 0.2 ] in
-      List.iteri (fun i l -> write_and_check "unrelated" w (with_latency i l)) (odd @ List.rev odd))
+      List.iteri (fun i l -> write_and_check "unrelated" w (with_latency i l)) (odd @ List.rev odd);
+      let other = ref [] in
+      let _ =
+        Cga.run ~params
+          ~on_snapshot:(fun s -> other := s :: !other)
+          (fig5_env 12) ~budget:24
+      in
+      let w = Checkpoint.writer ~path ~label in
+      List.iteri
+        (fun i s ->
+          write_and_check "interleaved" w s;
+          match List.nth_opt (List.rev !other) i with
+          | Some o -> write_and_check "interleaved" w o
+          | None -> ())
+        snapshots;
+      let reread s =
+        match Checkpoint.load ~path with
+        | Ok (_, back) -> back
+        | Error e -> Alcotest.fail (e ^ " (after writing iteration " ^ string_of_int s.Cga.s_iter ^ ")")
+      in
+      let w = Checkpoint.writer ~path ~label in
+      List.iter
+        (fun s ->
+          write_and_check "run" w s;
+          write_and_check "read back" w (reread s))
+        snapshots;
+      let env = fig5_env 13 in
+      let r = Env.Recorder.create ~cache_cap:4 env ~budget:64 in
+      let w = Checkpoint.writer ~path ~label in
+      let distinct = List.filteri (fun i _ -> i < 12) (Solver.enumerate env.Env.problem) in
+      List.iter
+        (fun a ->
+          ignore (Env.Recorder.eval r a);
+          write_and_check "evicting" w { base with Cga.s_recorder = Env.Recorder.export r })
+        distinct;
+      Alcotest.(check int) "8 evictions" 8 (List.length distinct - Env.Recorder.cache_size r))
 
 (* A snapshot from a different task must be rejected before anything is
    restored: its model rows would corrupt the feature ring and its carried
