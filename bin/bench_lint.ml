@@ -1,19 +1,17 @@
 (* Lint the promoted benchmark reports (the root BENCH_*.json files).
 
-   Every report racing an engine against its frozen reference embeds the
-   verdicts it was gated on — identity booleans, "gates" objects,
-   speedups. This linter re-reads the promoted artifacts and fails @ci
-   unless each one parses, carries its required sections, and asserts
-   only green verdicts: a stale or hand-edited report with a false gate
-   cannot sit at the repository root claiming the race was won.
+   Each report embeds the verdicts it was gated on — identity booleans,
+   "gates" objects, speedups. This linter re-reads the promoted artifacts
+   and fails @ci unless each one parses, carries its required sections,
+   and asserts only green verdicts: a stale or hand-edited report with a
+   false gate cannot sit at the repository root claiming it passed.
 
    Checks per file:
    - parses as a JSON object with a "workload" object;
    - file-specific required top-level sections are present;
    - every field anywhere whose name contains "identical", and every
      field of a "gates" object, is literally [true];
-   - every numeric field named "speedup" (or inside a "speedup" object)
-     is finite and strictly positive. *)
+   - every field named "speedup" is a finite, strictly positive number. *)
 
 module Json = Heron_obs.Json
 
@@ -23,9 +21,6 @@ let err file fmt = Printf.ksprintf (fun s -> errors := (file ^ ": " ^ s) :: !err
 (* Required top-level sections by basename; unknown BENCH files get the
    generic checks only. *)
 let required = function
-  | "BENCH_model.json" -> [ "workload"; "reference"; "engine_jobs1"; "speedup" ]
-  | "BENCH_search.json" ->
-      [ "workload"; "reference"; "engine_jobs1"; "engine_jobs4"; "speedup"; "gates" ]
   | "BENCH_serve.json" -> [ "workload"; "lookup"; "traffic" ]
   | "BENCH_nets.json" -> [ "workload"; "gradient"; "round_robin"; "transfer"; "gates" ]
   | _ -> [ "workload" ]
@@ -54,25 +49,12 @@ let rec walk file path (j : Json.t) =
                    gs
              | _ -> err file "%s: \"gates\" is not an object" p);
           (if k = "speedup" then
-             let check_num q = function
-               | Json.Int i -> if i <= 0 then err file "%s: speedup %d not positive" q i
-               | Json.Float f ->
-                   if not (Float.is_finite f) || f <= 0.0 then
-                     err file "%s: speedup %g not finite-positive" q f
-               | Json.Obj gs ->
-                   List.iter
-                     (fun (gk, gv) ->
-                       match gv with
-                       | Json.Int i ->
-                           if i <= 0 then err file "%s.%s: speedup %d not positive" q gk i
-                       | Json.Float f ->
-                           if not (Float.is_finite f) || f <= 0.0 then
-                             err file "%s.%s: speedup %g not finite-positive" q gk f
-                       | _ -> err file "%s.%s: speedup is not a number" q gk)
-                     gs
-               | _ -> err file "%s: speedup is neither number nor object" q
-             in
-             check_num p v);
+             match v with
+             | Json.Int i -> if i <= 0 then err file "%s: speedup %d not positive" p i
+             | Json.Float f ->
+                 if not (Float.is_finite f) || f <= 0.0 then
+                   err file "%s: speedup %g not finite-positive" p f
+             | _ -> err file "%s: speedup is not a number" p);
           walk file p v)
         fields
   | Json.List l -> List.iteri (fun i v -> walk file (Printf.sprintf "%s[%d]" path i) v) l

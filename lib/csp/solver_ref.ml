@@ -5,17 +5,11 @@ module Rng = Heron_util.Rng
    full [compile] per problem, [Array.copy] of the whole domain array at
    every DFS node, O(k^2) n-ary revision. It exists as the executable
    specification the rebuilt engine in [Solver] is differentially tested
-   against (lib/check/engine_diff.ml) and benchmarked against
-   (bench/bench_solver.ml). Do not optimize this module. *)
+   against (lib/check/engine_diff.ml). Do not optimize this module. *)
 
 type stats = { mutable nodes : int; mutable fails : int; mutable restarts : int }
 
 let fresh_stats () = { nodes = 0; fails = 0; restarts = 0 }
-
-(* Sequential counter of fixpoint propagations, for bench_solver's
-   rounds/sec baseline. Not thread-safe; the reference engine is
-   sequential by design. *)
-let propagate_rounds = ref 0
 
 type ic =
   | CProd of int * int array
@@ -199,7 +193,6 @@ let propagate compiled doms seed =
       revise ~exact_limit:compiled.exact_limit doms changed compiled.ics.(ci);
       List.iter (fun vid -> List.iter push compiled.watchers.(vid)) !changed
     done;
-    incr propagate_rounds;
     true
   with Wipeout -> false
 

@@ -5,19 +5,14 @@
     domains, trail-based backtracking); this module is the sorted-array,
     copy-per-node engine it replaced. The check layer
     (lib/check/engine_diff.ml) asserts the two are observationally
-    identical — same solutions, same RNG consumption — on random CSPs,
-    and bench/bench_solver.ml measures the speedup against it.
+    identical — same solutions, same RNG consumption — on random CSPs.
 
     Sequential only: no pool plumbing, no observability counters. Do not
-    use outside tests and benchmarks, and do not optimize it. *)
+    use outside tests, and do not optimize it. *)
 
 type stats = { mutable nodes : int; mutable fails : int; mutable restarts : int }
 
 val fresh_stats : unit -> stats
-
-val propagate_rounds : int ref
-(** Total fixpoint propagations completed since start, for bench
-    accounting. Not thread-safe (the engine is sequential). *)
 
 val solve :
   ?max_fails:int ->

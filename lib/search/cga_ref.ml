@@ -4,17 +4,17 @@
    re-stringifies assignments through the string-keyed {!Env_ref.Recorder},
    and ranking pays full list sorts with polymorphic compare — the cost
    profile the overhaul removes. Do not modify except to keep it
-   compiling: the [search_engine] property group and [@bench-search] both
-   diff the live engine against this one.
+   compiling: the [search_engine] property group diffs the live engine
+   against this one.
 
    Shares {!Cga}'s [params], [outcome] and [snapshot] types, so results
    and checkpoints from either engine compare byte for byte. Two
    deliberate deltas from the historical loop, both shared with the live
-   engine so the bench ratio compares like with like, and neither
-   affecting results: step-3 ranking is charged to [time_search_s] (it
-   previously fell between the timing buckets), and the phase buckets
-   read the monotonic wall clock [Obs.Clock.now_ns] instead of
-   [Sys.time], which is process CPU time summed over all domains. *)
+   engine and neither affecting results: step-3 ranking is charged to
+   [time_search_s] (it previously fell between the timing buckets), and
+   the phase buckets read the monotonic wall clock [Obs.Clock.now_ns]
+   instead of [Sys.time], which is process CPU time summed over all
+   domains. *)
 
 module Problem = Heron_csp.Problem
 module Assignment = Heron_csp.Assignment

@@ -4,8 +4,7 @@
    here re-derives the string key with [Assignment.key] and stores it in
    string-keyed hash tables — exactly the cost profile the overhaul
    removes. Do not modify except to keep it compiling: the [search_engine]
-   property group and [@bench-search] both diff the live engine against
-   this one.
+   property group diffs the live engine against this one.
 
    The recorder shares {!Env}'s [t], [point], [result] and
    [Recorder.export] types, so exports, snapshots and checkpoints built

@@ -1,8 +1,8 @@
 (** Frozen pre-overhaul recorder — the differential oracle for the
     interned flat-array engine in {!Env.Recorder}. String-keyed hash
     tables, [Assignment.key] on every touch: the cost profile the
-    overhaul removes, kept so the [search_engine] property group and
-    [@bench-search] can demand byte-identical results.
+    overhaul removes, kept so the [search_engine] property group can
+    demand byte-identical results.
 
     Shares {!Env}'s [t], [point], [result] and [Recorder.export] types;
     only the runtime representation is frozen. *)

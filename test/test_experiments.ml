@@ -1,6 +1,6 @@
 (* Tests for the experiment harness: table rendering and the fast
-   experiments end-to-end (the heavyweight figure runs are exercised by the
-   benchmark harness). *)
+   experiments end-to-end (the heavyweight figure runs are left to
+   bin/experiments). *)
 
 module E = Heron_experiments
 

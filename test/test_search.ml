@@ -193,19 +193,37 @@ let test_cga_deterministic_given_seed () =
 
 (* The multicore determinism contract: a fixed seed yields byte-identical
    results — best latency, full trace and invalid count — whatever the
-   domain-pool size, including no pool at all. *)
+   domain-pool size, including no pool at all. Checked on the Fig. 5 toy
+   and on a 64-trial tune of Table 9's G1 on V100, whose library entry
+   must match byte for byte as well. *)
 let test_cga_trace_identical_across_jobs () =
-  let run pool =
-    let o = Cga.run ?pool (fig5_env 21) ~budget:40 in
-    ( o.Cga.result.Env.best_latency,
-      o.Cga.result.Env.trace,
-      o.Cga.result.Env.invalid )
+  let fig5 pool = ((Cga.run ?pool (fig5_env 21) ~budget:40).Cga.result, "") in
+  let g1 pool =
+    let op = List.assoc "G1" Heron_nets.Suites.table9_gemm in
+    let v100 = Heron_dla.Descriptor.v100 in
+    let tuned = Heron.Pipeline.tune ~budget:64 ~seed:42 ?pool v100 op in
+    let r = tuned.Heron.Pipeline.outcome.Cga.result in
+    let library =
+      match (r.Env.best_assignment, r.Env.best_latency) with
+      | Some a, Some l ->
+          Heron.Library.(to_string (add empty v100 op ~latency_us:l a))
+      | _ -> Alcotest.fail "G1 found no program"
+    in
+    (r, library)
   in
-  let sequential = run None in
-  Heron_util.Pool.with_pool ~domains:1 (fun p ->
-      Alcotest.(check bool) "jobs=1 identical" true (run (Some p) = sequential));
-  Heron_util.Pool.with_pool ~domains:4 (fun p ->
-      Alcotest.(check bool) "jobs=4 identical" true (run (Some p) = sequential))
+  List.iter
+    (fun (name, run, pool_sizes) ->
+      let key (r, library) = (r.Env.best_latency, r.Env.trace, r.Env.invalid, library) in
+      let sequential = key (run None) in
+      List.iter
+        (fun domains ->
+          Heron_util.Pool.with_pool ~domains (fun p ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s jobs=%d identical" name domains)
+                true
+                (key (run (Some p)) = sequential)))
+        pool_sizes)
+    [ ("fig5", fig5, [ 1; 4 ]); ("G1", g1, [ 2 ]) ]
 
 (* The recorder's two entry points, assignment-keyed [eval] and interned
    [eval_id], interleaved over one budget-5 run: explicit returns,
