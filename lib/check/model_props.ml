@@ -114,7 +114,7 @@ let gbt_constant_columns_match_reference ~count =
           let gbt = Gbt.fit ~params ~n_bins:bins m ys in
           let ref_gbt = Gbt_ref.fit ~params:ref_params ~n_bins:bins xs ys in
           let varies j = Array.exists (fun x -> x.(j) <> xs.(0).(j)) xs in
-          Tree.active_columns ~params:tree m
+          Tree.active_columns m
           = Array.of_list (List.filter varies (List.init (Array.length bins) Fun.id))
           && Gbt.dump gbt = Gbt_ref.dump ref_gbt
           && Array.for_all (fun x -> Gbt.predict gbt x = Gbt_ref.predict ref_gbt x) xs

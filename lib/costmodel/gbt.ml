@@ -70,7 +70,7 @@ let fit ?(params = default_params) ~n_bins (m : Fmat.t) ys =
   (* Every round fits the same rows, so a column that is constant on them
      is constant for every tree: find those once. Leaving them out is
      exact (see {!Tree.active_columns}). *)
-  let active = Tree.active_columns ~params:params.tree m in
+  let active = Tree.active_columns m in
   for round = 0 to params.n_trees - 1 do
     (* Squared loss: the negative gradient is the residual. *)
     for i = 0 to n - 1 do

@@ -3,8 +3,8 @@
     is compiled into one flat struct-of-arrays (all trees' pre-order nodes
     concatenated into shared [feat]/[bin]/[left]/[right]/[value] arrays),
     so prediction walks a few contiguous kilobytes instead of
-    pointer-linked nodes. Fit and predict are byte-identical to the frozen
-    {!Gbt_ref} oracle. *)
+    pointer-linked nodes. Every fit [fit] accepts, and its predictions,
+    are byte-identical to the frozen {!Gbt_ref} oracle. *)
 
 type params = {
   n_trees : int;
@@ -18,7 +18,9 @@ type t
 
 val fit : ?params:params -> n_bins:int array -> Fmat.t -> float array -> t
 (** [fit ~n_bins m ys] boosts on the first [Fmat.n_rows m] rows against
-    [ys] (extra entries ignored). @raise Invalid_argument on empty data. *)
+    [ys] (extra entries ignored).
+    @raise Invalid_argument on empty data, or (from {!Tree.fit}) when
+    [params.tree.min_samples < 1]. *)
 
 val predict : t -> int array -> float
 val predict_row : t -> Fmat.t -> int -> float

@@ -23,11 +23,11 @@
    cells all hold one bin [c] on the training rows holds [c] on every
    node's rows too, so each candidate split of it leaves all the node's
    rows on one side: below [c] the left side is empty, from [c] on the
-   right side is. With [min_samples >= 1] no such candidate is ever
-   admitted, the column never sets a best split, and leaving it out
-   changes no split, gain or leaf. With [min_samples <= 0] an empty side
-   is admissible, so every column stays. The columns that remain are
-   scanned in ascending order, so the earlier feature still wins ties.
+   right side is. [fit] demands [min_samples >= 1], so no such
+   candidate is ever admitted, the column never sets a best split, and
+   leaving it out changes no split, gain or leaf. The columns that remain
+   are scanned in ascending order, so the earlier feature still wins
+   ties.
    Constant columns are also the slowest to fill: every add of a node
    goes to the same accumulator and waits on the one before it. *)
 
@@ -61,21 +61,18 @@ type scratch = {
 
 let scratch () = { s_offs = [||]; s_hist_n = [||]; s_hist_s = [||]; s_idx = [||]; s_tmp = [||] }
 
-let active_columns ?(params = default_params) (m : Fmat.t) =
+let active_columns (m : Fmat.t) =
   let nf = Fmat.n_features m in
-  if params.min_samples < 1 then Array.init nf Fun.id
-  else begin
-    let rows = Fmat.data m in
-    let varies = Array.make nf false in
-    for i = 1 to Fmat.n_rows m - 1 do
-      let base = i * nf in
-      for f = 0 to nf - 1 do
-        if Bytes.unsafe_get rows (base + f) <> Bytes.unsafe_get rows f then
-          Array.unsafe_set varies f true
-      done
-    done;
-    Array.of_list (List.filter (Array.get varies) (List.init nf Fun.id))
-  end
+  let rows = Fmat.data m in
+  let varies = Array.make nf false in
+  for i = 1 to Fmat.n_rows m - 1 do
+    let base = i * nf in
+    for f = 0 to nf - 1 do
+      if Bytes.unsafe_get rows (base + f) <> Bytes.unsafe_get rows f then
+        Array.unsafe_set varies f true
+    done
+  done;
+  Array.of_list (List.filter (Array.get varies) (List.init nf Fun.id))
 
 (* One streaming pass over the samples [idx.(lo .. hi-1)]: every (active
    column, bin) accumulator receives its ys addends in sample order, as
@@ -103,8 +100,9 @@ let fit ?(params = default_params) ?scratch:sc ?active ~n_bins (m : Fmat.t) ys =
   if Array.length ys < n then invalid_arg "Tree.fit: ys shorter than the matrix";
   let nf = Fmat.n_features m in
   if Array.length n_bins <> nf then invalid_arg "Tree.fit: n_bins/width mismatch";
+  if params.min_samples < 1 then invalid_arg "Tree.fit: min_samples below 1";
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  let active = match active with Some a -> a | None -> active_columns ~params m in
+  let active = match active with Some a -> a | None -> active_columns m in
   let na = Array.length active in
   (* Per-column histogram offsets over the active columns, prefix-summed:
      active column [a] (feature [active.(a)]) has its bins at

@@ -1,15 +1,15 @@
 (** Histogram-based regression trees (the weak learners of the boosted
     ensemble), trained on a flat byte matrix ({!Fmat}) of pre-binned
     features and stored as a pre-order struct-of-arrays. Splits maximize
-    variance reduction. Fitting is byte-identical to the frozen
-    {!Gbt_ref.Tree} oracle — same splits, gains and leaf means — the flat
-    engine only changes the constants (single streaming histogram pass per
-    node over the non-constant features, count+fill partitioning,
-    monomorphic comparisons). *)
+    variance reduction. Every fit [fit] accepts is byte-identical to the
+    frozen {!Gbt_ref.Tree} oracle — same splits, gains and leaf means —
+    the flat engine only changes the constants (single streaming
+    histogram pass per node over the non-constant features, count+fill
+    partitioning, monomorphic comparisons). *)
 
 type params = {
   max_depth : int;
-  min_samples : int;  (** do not split nodes smaller than this *)
+  min_samples : int;  (** do not split nodes smaller than this; at least 1 *)
   min_gain : float;  (** minimum variance reduction to accept a split *)
 }
 
@@ -35,11 +35,11 @@ type scratch
 
 val scratch : unit -> scratch
 
-val active_columns : ?params:params -> Fmat.t -> int array
+val active_columns : Fmat.t -> int array
 (** The features, in ascending order, that a split of [m]'s rows could
-    use: with [params.min_samples >= 1], those whose cells are not all
-    equal; otherwise every feature. A constant column cannot split any
-    node, because each of its candidate splits leaves one side empty. *)
+    use: those whose cells are not all equal. A constant column cannot
+    split any node, because each of its candidate splits leaves one side
+    empty. *)
 
 val fit :
   ?params:params ->
@@ -53,9 +53,10 @@ val fit :
     against targets [ys] (which may be longer; extra entries are ignored).
     [?scratch] amortizes workspace allocation across repeated fits (e.g.
     boosting rounds) and never changes the result. [?active] must be
-    [active_columns ~params m], which boosting rounds over one matrix
-    share; it defaults to computing that.
-    @raise Invalid_argument on empty or mismatched data. *)
+    [active_columns m], which boosting rounds over one matrix share; it
+    defaults to computing that.
+    @raise Invalid_argument on empty or mismatched data, or when
+    [params.min_samples < 1]. *)
 
 val predict : t -> int array -> float
 val predict_row : t -> Fmat.t -> int -> float
