@@ -684,6 +684,13 @@ let simple_spatial (ctx : Gen_ctx.t) =
       (max 1 (desc.Descriptor.max_threads_per_block / 32))
   in
   Gen_ctx.le ctx thr max_thr;
+  (* VTA has no scalar path: it runs only tensorized GEMM tiles, so no
+     program of this template is valid there. With zero scalar lanes the
+     innermost loop (extent >= 1) has no admissible value, and
+     propagation empties the space at the root. *)
+  if desc.Descriptor.family = Descriptor.Vta then
+    Gen_ctx.le ctx aux2
+      (Gen_ctx.const_var ctx ~category:Problem.Architectural "arch_scalar_lanes" 0);
   let unroll_y = tunable_candidates ctx "unroll_y" unroll_candidates in
   Gen_ctx.prim ctx (Prim.Unroll { stage = "Y"; loop = "inner"; length = unroll_y });
   let bind_blk, bind_thr =

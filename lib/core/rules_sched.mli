@@ -25,4 +25,5 @@ val vta_contraction : Gen_ctx.t -> unit
 
 val simple_spatial : Gen_ctx.t -> unit
 (** Fallback for non-contraction operators (scan): block/thread tiling of
-    the first spatial iterator, remaining loops kept whole. *)
+    the first spatial iterator, remaining loops kept whole. On VTA, which
+    has no scalar path, the space it describes is empty. *)

@@ -46,9 +46,16 @@ let check_vectors (desc : Descriptor.t) prog =
   in
   match bad with Some v -> Error v | None -> Ok ()
 
+(* On the TensorCore family every [threadIdx.y] iteration is a whole warp
+   of at least 32 lanes, as codegen launches [dim3(32, warps)]. *)
 let check_threads (desc : Descriptor.t) prog =
   let warps = Concrete.axis_extent prog Prim.Thread_y in
   let lanes = Concrete.axis_extent prog Prim.Thread_x in
+  let lanes =
+    match desc.family with
+    | Descriptor.Tensorcore -> max 32 lanes
+    | Descriptor.Dlboost | Descriptor.Vta -> lanes
+  in
   let threads = warps * lanes in
   if threads > desc.max_threads_per_block then Error (Violation.Too_many_threads threads)
   else Ok ()

@@ -9,7 +9,8 @@ val check : Descriptor.t -> Heron_sched.Concrete.t -> (unit, Violation.t) result
 (** First violation found, scanning in a fixed order: iteration-space
     coverage, staging-tile data coverage (a cache stage must load at least
     what its consumer reads), intrinsic shape, scratchpad capacities,
-    vector widths, thread limits, and family-specific loop-order rules. *)
+    vector widths, thread limits (a TensorCore warp counts as at least 32
+    threads), and family-specific loop-order rules. *)
 
 val is_valid : Descriptor.t -> Heron_sched.Concrete.t -> bool
 

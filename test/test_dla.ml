@@ -113,11 +113,18 @@ let test_vta_loop_order () =
       end
 
 let test_missing_tensorize_vta () =
-  (* A scan cannot be tensorized; VTA must reject it. *)
-  let op = Op.scan ~b:16 ~l:64 () in
-  let gen = Heron.Generator.generate D.vta op in
+  (* A scan cannot be tensorized and VTA has no scalar path: its VTA space
+     must be provably empty, and the validator must reject a scalar scan
+     program. DL Boost's space for the scan has the same template, so it
+     supplies one. *)
+  let op = Op.scan ~b:4 ~l:32 () in
+  let vta = (Heron.Generator.generate D.vta op).Heron.Generator.problem in
+  Alcotest.(check bool) "VTA space unsatisfiable" false (Heron.Generator.satisfiable vta);
+  Alcotest.(check int) "rand_sat draws nothing" 0
+    (List.length (Solver.rand_sat (Rng.create 2) vta 20));
+  let gen = Heron.Generator.generate D.dlboost op in
   match Solver.solve (Rng.create 2) gen.Heron.Generator.problem with
-  | None -> Alcotest.fail "scan space is satisfiable"
+  | None -> Alcotest.fail "DL Boost scan space is satisfiable"
   | Some a -> (
       match Validate.check D.vta (instantiate gen a) with
       | Error Violation.Missing_tensorize -> ()
@@ -253,12 +260,17 @@ let check_violation name desc prog expect =
   | Ok (), want -> Alcotest.failf "%s: expected %s, got Ok" name (Violation.to_string want)
 
 let test_violation_too_many_threads () =
-  let op = Op.gemm ~m:2048 ~n:16 ~k:16 () in
-  let prog =
-    mk_prog op
-      [ compute_stage_of (gemm_loops ~i:2048 ~anni:(Concrete.Bound Heron_sched.Prim.Thread_x) ()) ]
+  let bound axis m =
+    mk_prog (Op.gemm ~m ~n:16 ~k:16 ())
+      [ compute_stage_of (gemm_loops ~i:m ~anni:(Concrete.Bound axis) ()) ]
   in
-  check_violation "threads" D.v100 prog (Violation.Too_many_threads 2048)
+  check_violation "threads" D.v100 (bound Heron_sched.Prim.Thread_x 2048)
+    (Violation.Too_many_threads 2048);
+  (* No threadIdx.x loop, but each TensorCore warp is 32 threads. *)
+  check_violation "warps" D.v100 (bound Heron_sched.Prim.Thread_y 64)
+    (Violation.Too_many_threads 2048);
+  Alcotest.(check bool) "32 warps fit" true
+    (Validate.is_valid D.v100 (bound Heron_sched.Prim.Thread_y 32))
 
 let test_violation_bad_vector () =
   let op = Op.gemm ~m:16 ~n:16 ~k:16 () in
