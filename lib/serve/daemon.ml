@@ -114,23 +114,31 @@ let sync t =
 type served = { s_outcome : Index.outcome; s_version : int; s_enqueued : bool }
 
 (* A miss (or a near-hit: the exact shape is still worth tuning) becomes a
-   task unless its key is already pending. The queue checkpoint makes the
+   task unless its key is already pending. The probe's key is the task
+   key, so a repeated miss is answered by [Tuning_queue.mem] before the
+   key is split, and allocates nothing. The queue checkpoint makes an
    accepted task durable before we return. *)
 let enqueue_for t (p : Index.probe) =
-  match String.rindex_opt p.Index.p_key '@' with
-  | None -> false
-  | Some i ->
-      let op_key = String.sub p.Index.p_key 0 i in
-      let dla = String.sub p.Index.p_key (i + 1) (String.length p.Index.p_key - i - 1) in
-      if Tuning_queue.enqueue t.queue { Tuning_queue.t_dla = dla; t_op_key = op_key } then begin
-        Obs.Counter.incr c_enqueued;
-        sync t;
-        true
-      end
-      else begin
-        Obs.Counter.incr c_deduped;
-        false
-      end
+  let key = p.Index.p_key in
+  if Tuning_queue.mem t.queue key then begin
+    Obs.Counter.incr c_deduped;
+    false
+  end
+  else
+    match String.rindex_opt key '@' with
+    | None -> false
+    | Some i ->
+        let op_key = String.sub key 0 i in
+        let dla = String.sub key (i + 1) (String.length key - i - 1) in
+        if Tuning_queue.enqueue t.queue { Tuning_queue.t_dla = dla; t_op_key = op_key } then begin
+          Obs.Counter.incr c_enqueued;
+          sync t;
+          true
+        end
+        else begin
+          Obs.Counter.incr c_deduped;
+          false
+        end
 
 let lookup t probe =
   Obs.Counter.incr c_lookups;

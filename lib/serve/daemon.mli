@@ -81,7 +81,9 @@ val lookup : t -> Index.probe -> served
 (** The hot path: one atomic snapshot read plus an exact (and possibly
     bucket) table probe. A miss — and a near-hit, whose exact shape is
     still worth tuning — enqueues a task unless its key is already
-    pending (deduplicated). New tasks are checkpointed immediately. *)
+    pending (deduplicated). New tasks are checkpointed immediately.
+    A hit, and a miss or near-hit whose key is already pending,
+    allocate only the returned record. *)
 
 val lookup_op : t -> Op.t -> served
 (** [lookup] after building the probe; for one-off callers. *)

@@ -55,40 +55,55 @@ let bucket_of_entry (e : Library.entry) =
 
 (* ---------- immutable snapshots ---------- *)
 
+type outcome = Hit of Library.entry | Near of Library.entry | Miss
+
 (* One flat sorted table: keys ordered by (hash, key), looked up with a
    binary search on the hash followed by a string-compare walk over the
-   (almost always singleton) equal-hash range. *)
-type table = { hashes : int array; keys : string array; values : Library.entry array }
+   (almost always singleton) equal-hash range. [answers.(i)] is the
+   outcome slot [i] serves, built once per snapshot so a query returns
+   it without allocating. *)
+type table = {
+  hashes : int array;
+  keys : string array;
+  values : Library.entry array;
+  answers : outcome array;
+}
 
 let hash_of s = Int64.to_int (Hashing.fnv1a s)
 
-let table_of_pairs pairs =
+let table_of_pairs answer pairs =
   let a = Array.of_list (List.map (fun (k, v) -> (hash_of k, k, v)) pairs) in
   Array.sort
     (fun (h1, k1, _) (h2, k2, _) ->
       if (h1 : int) <> h2 then compare (h1 : int) h2 else compare (k1 : string) k2)
     a;
+  let values = Array.map (fun (_, _, v) -> v) a in
   {
     hashes = Array.map (fun (h, _, _) -> h) a;
     keys = Array.map (fun (_, k, _) -> k) a;
-    values = Array.map (fun (_, _, v) -> v) a;
+    values;
+    answers = Array.map answer values;
   }
 
-let table_find t key =
-  let h = hash_of key in
-  let n = Array.length t.hashes in
-  let rec bsearch lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.hashes.(mid) < h then bsearch (mid + 1) hi else bsearch lo mid
-  in
-  let rec walk i =
-    if i >= n || t.hashes.(i) <> h then None
-    else if String.equal t.keys.(i) key then Some t.values.(i)
-    else walk (i + 1)
-  in
-  walk (bsearch 0 n)
+(* The search loops are top-level functions over explicit arguments, so a
+   query builds no closure, and their comparisons are typed [int] so they
+   compile to machine compares rather than [caml_lessthan]. *)
+
+(* First slot in [lo, hi) whose hash is not below [h]. *)
+let rec lower_bound (hashes : int array) (h : int) lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if (hashes.(mid) : int) < h then lower_bound hashes h (mid + 1) hi
+    else lower_bound hashes h lo mid
+
+(* From slot [i] on, the slot of [key] within the run of hash [h], or -1. *)
+let rec walk t (h : int) key i =
+  if i >= Array.length t.hashes || (t.hashes.(i) : int) <> h then -1
+  else if String.equal t.keys.(i) key then i
+  else walk t h key (i + 1)
+
+let slot t h key = walk t h key (lower_bound t.hashes h 0 (Array.length t.hashes))
 
 type snapshot = { version : int; size : int; exact : table; buckets : table }
 
@@ -99,7 +114,7 @@ let full_key (e : Library.entry) = e.Library.op_key ^ "@" ^ e.Library.dla
 
 let build ~version lib =
   let entries = Library.entries lib in
-  let exact = table_of_pairs (List.map (fun e -> (full_key e, e)) entries) in
+  let exact = table_of_pairs (fun e -> Hit e) (List.map (fun e -> (full_key e, e)) entries) in
   (* Bucket representative: lowest latency, ties to the smallest op_key, so
      rebuilding from an identical library yields an identical snapshot. *)
   let best = Hashtbl.create 64 in
@@ -116,26 +131,38 @@ let build ~version lib =
               ()
           | _ -> Hashtbl.replace best b e))
     entries;
-  let buckets = table_of_pairs (Hashtbl.fold (fun b e acc -> (b, e) :: acc) best []) in
+  let buckets =
+    table_of_pairs (fun e -> Near e) (Hashtbl.fold (fun b e acc -> (b, e) :: acc) best [])
+  in
   { version; size = List.length entries; exact; buckets }
 
 (* ---------- probes and queries ---------- *)
 
-type probe = { p_key : string; p_bucket : string option }
+type probe = { p_key : string; p_hash : int; p_bucket : string option; p_bucket_hash : int }
 
-let probe ~dla op = { p_key = Library.op_key op ^ "@" ^ dla; p_bucket = bucket_key ~dla op }
+let probe ~dla op =
+  let key = Library.op_key op ^ "@" ^ dla in
+  let bucket = bucket_key ~dla op in
+  {
+    p_key = key;
+    p_hash = hash_of key;
+    p_bucket = bucket;
+    p_bucket_hash = (match bucket with Some b -> hash_of b | None -> 0);
+  }
 
-type outcome = Hit of Library.entry | Near of Library.entry | Miss
-
-let find s key = table_find s.exact key
+let find s key =
+  let i = slot s.exact (hash_of key) key in
+  if i < 0 then None else Some s.exact.values.(i)
 
 let query s p =
-  match table_find s.exact p.p_key with
-  | Some e -> Hit e
-  | None -> (
-      match p.p_bucket with
-      | None -> Miss
-      | Some b -> ( match table_find s.buckets b with Some e -> Near e | None -> Miss))
+  let i = slot s.exact p.p_hash p.p_key in
+  if i >= 0 then s.exact.answers.(i)
+  else
+    match p.p_bucket with
+    | None -> Miss
+    | Some b ->
+        let j = slot s.buckets p.p_bucket_hash b in
+        if j >= 0 then s.buckets.answers.(j) else Miss
 
 let query_op s ~dla op = query s (probe ~dla op)
 

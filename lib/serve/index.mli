@@ -1,8 +1,14 @@
 (** The in-memory lookup index of the serve daemon: an immutable snapshot
-    of a published library compiled into flat sorted arrays, so the hit
-    path is one hash, one binary search and one string compare —
-    microseconds, allocation-free, and safe for any number of concurrent
-    reader domains because a snapshot is never mutated after {!build}.
+    of a published library compiled into flat arrays sorted by (FNV-1a
+    hash, full key). A {!probe} carries the hashes of its full key and of
+    its shape bucket, computed once, so a hit is one binary search over
+    the hashes and one string compare. The query hashes nothing and
+    allocates nothing: it returns a [Hit]/[Near] value that {!build}
+    made once per snapshot. Allocation matters beyond its own cost: in
+    OCaml 5 a minor collection stops every domain, so reader domains
+    that allocated would keep stalling each other. A snapshot is never
+    mutated after {!build}, so any number of reader domains may query it
+    concurrently.
 
     The index cell itself is a single [Atomic.t] holding the current
     snapshot: readers [Atomic.get] (lock-free, wait-free), the single
@@ -22,10 +28,16 @@ val version : snapshot -> int
 val size : snapshot -> int
 
 (** A pre-resolved lookup key: the exact full key plus the shape bucket
-    used for near-miss fallback. Computing it costs a few [sprintf]s, so
-    traffic generators resolve each distinct operator once up front and
-    the hot path pays only the probe. *)
-type probe = { p_key : string; p_bucket : string option }
+    used for near-miss fallback, each with its hash. Computing it costs a
+    few [sprintf]s and two hashes, so traffic generators resolve each
+    distinct operator once up front and the hot path pays only the
+    search. *)
+type probe = private {
+  p_key : string;  (** [op_key ^ "@" ^ dla], the same key a tuning task carries *)
+  p_hash : int;  (** hash of [p_key] *)
+  p_bucket : string option;
+  p_bucket_hash : int;  (** hash of the bucket key; 0 without a bucket *)
+}
 
 val probe : dla:string -> Op.t -> probe
 
@@ -40,6 +52,9 @@ type outcome =
   | Miss
 
 val query : snapshot -> probe -> outcome
+(** Exact entry, else the bucket's best entry, else [Miss]. Allocates
+    nothing and calls no hash function. *)
+
 val query_op : snapshot -> dla:string -> Op.t -> outcome
 (** [query_op] is [query snap (probe ~dla op)]. *)
 

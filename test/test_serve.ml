@@ -121,6 +121,52 @@ let test_index_near_fallback () =
   | Index.Miss -> ()
   | _ -> Alcotest.fail "expected Miss"
 
+(* Minor-heap words per call of [f] over [n] calls, net of the cost of
+   reading the counter. *)
+let words_per_call n f =
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let w2 = Gc.minor_words () in
+  (w2 -. w1 -. (w1 -. w0)) /. float_of_int n
+
+(* The serving hot path allocates nothing but the daemon's result record:
+   probes carry their hashes, the query's loops build no closure and
+   return outcomes the snapshot made once, and a repeated miss is deduped
+   by the probe's key before anything is split. *)
+let test_lookup_path_allocation () =
+  let lib = entry_lib 10.0 [ 64; 128; 256 ] in
+  let probe m n k = Index.probe ~dla:dname (Op.gemm ~m ~n ~k ()) in
+  let hit = probe 16 16 16 and near = probe 48 32 32 and miss = probe 512 512 512 in
+  let reps = 100_000 in
+  let snap = Index.build ~version:1 lib in
+  List.iter
+    (fun (name, p, expect) ->
+      let kind =
+        match Index.query snap p with Index.Hit _ -> 'h' | Index.Near _ -> 'n' | Index.Miss -> 'm'
+      in
+      Alcotest.(check char) (name ^ " outcome") expect kind;
+      let w = words_per_call reps (fun () -> ignore (Sys.opaque_identity (Index.query snap p))) in
+      Alcotest.(check bool)
+        (Printf.sprintf "Index.query %s: %.3f words per call (< 1)" name w)
+        true (w < 1.0))
+    [ ("hit", hit, 'h'); ("near-hit", near, 'n'); ("miss", miss, 'm') ];
+  in_dir "alloc" @@ fun dir ->
+  ignore (Heron_serving.Store.publish (Heron_serving.Store.open_ ~dir) lib);
+  let daemon = Daemon.start (Daemon.default_config ~dir desc) in
+  List.iter
+    (fun (name, p) ->
+      (* The first miss or near-hit enqueues; every later one is deduped. *)
+      ignore (Daemon.lookup daemon p);
+      let w = words_per_call reps (fun () -> ignore (Sys.opaque_identity (Daemon.lookup daemon p))) in
+      Alcotest.(check bool)
+        (Printf.sprintf "Daemon.lookup %s: %.3f words per call (the 4-word result)" name w)
+        true (w <= 4.0))
+    [ ("hit", hit); ("repeated near-hit", near); ("repeated miss", miss) ];
+  Alcotest.(check int) "one task per missed key" 2 (Daemon.queue_length daemon)
+
 (* Reader domains hammer the index while the main domain publishes new
    versions. Each reader checks, per observed snapshot, that (a) versions
    never go backwards and (b) the probe entry's latency matches the
@@ -400,6 +446,8 @@ let suite =
     Alcotest.test_case "library: strict load round-trips clean files" `Quick
       test_load_clean_roundtrip;
     Alcotest.test_case "index: exact hit, bucket near-miss, miss" `Quick test_index_near_fallback;
+    Alcotest.test_case "index + daemon: the lookup path allocates only its result" `Quick
+      test_lookup_path_allocation;
     Alcotest.test_case "index: concurrent readers see monotone untorn snapshots" `Quick
       test_concurrent_readers;
     Alcotest.test_case "traffic: seeded zipf streams are reproducible" `Quick
