@@ -21,7 +21,7 @@ let err file fmt = Printf.ksprintf (fun s -> errors := (file ^ ": " ^ s) :: !err
 (* Required top-level sections by basename; unknown BENCH files get the
    generic checks only. *)
 let required = function
-  | "BENCH_serve.json" -> [ "workload"; "lookup"; "traffic" ]
+  | "BENCH_serve.json" -> [ "workload"; "traffic"; "gates" ]
   | "BENCH_nets.json" -> [ "workload"; "gradient"; "round_robin"; "transfer"; "gates" ]
   | _ -> [ "workload" ]
 
