@@ -5,7 +5,8 @@
 let fnv1a s =
   let h = ref 0xCBF29CE484222325L in
   for i = 0 to String.length s - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) 0x100000001B3L
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001B3L
   done;
   !h
 

@@ -160,7 +160,9 @@ let test_lookup_path_allocation () =
     (fun (name, p) ->
       (* The first miss or near-hit enqueues; every later one is deduped. *)
       ignore (Daemon.lookup daemon p);
-      let w = words_per_call reps (fun () -> ignore (Sys.opaque_identity (Daemon.lookup daemon p))) in
+      let w =
+        words_per_call reps (fun () -> ignore (Sys.opaque_identity (Daemon.lookup daemon p)))
+      in
       Alcotest.(check bool)
         (Printf.sprintf "Daemon.lookup %s: %.3f words per call (the 4-word result)" name w)
         true (w <= 4.0))
