@@ -91,13 +91,6 @@ let fig11_cmd =
       $ samples_arg $ seed_arg $ trace_arg $ metrics_arg)
 
 let nets_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"Also write the machine-readable benchmark JSON to $(docv) (atomically).")
-  in
   let gate_arg =
     Arg.(
       value & flag
@@ -121,10 +114,10 @@ let nets_cmd =
             "Relax the scheduling gate to gradient-no-worse-than-round-robin (for tiny workloads \
              where both policies saturate).")
   in
-  let run budget seed jobs net lenient trace metrics out gate =
+  let run budget seed jobs net lenient trace metrics gate =
     Heron_util.Pool.with_jobs jobs @@ fun _ ->
     with_obs ~seed ~budget:(Some budget) ~jobs trace metrics @@ fun () ->
-    match E.Exp_nets.run ~budget ~seed ~net ~strict:(not lenient) ?out () with
+    match E.Exp_nets.run ~budget ~seed ~net ~strict:(not lenient) () with
     | exception Invalid_argument e ->
         prerr_endline e;
         exit 2
@@ -139,7 +132,7 @@ let nets_cmd =
           the cross-task transfer ablation.")
     Term.(
       const run $ budget_arg 80 $ seed_arg $ jobs_arg $ net_arg $ lenient_arg $ trace_arg
-      $ metrics_arg $ out_arg $ gate_arg)
+      $ metrics_arg $ gate_arg)
 
 let all_cmd =
   let run budget seed jobs trace metrics faults =

@@ -69,14 +69,14 @@ let run budget seed filter list_only trace metrics faults io_faults =
     let failures = ref 0 in
     List.iter
       (fun (group, name, t) ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.Clock.now_ns () in
+        let elapsed () = float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9 in
         match Obs.with_span ("fuzz." ^ name) (fun () -> Replay.run_test ~seed t) with
-        | () ->
-            Printf.printf "PASS %-8s %s (%.1fs)\n%!" group name (Unix.gettimeofday () -. t0)
+        | () -> Printf.printf "PASS %-8s %s (%.1fs)\n%!" group name (elapsed ())
         | exception e ->
             incr failures;
-            Printf.printf "FAIL %-8s %s (%.1fs)\n%s\n" group name
-              (Unix.gettimeofday () -. t0) (Printexc.to_string e);
+            Printf.printf "FAIL %-8s %s (%.1fs)\n%s\n" group name (elapsed ())
+              (Printexc.to_string e);
             Printf.printf
               "     replay: dune exec bin/fuzz.exe -- --budget %d --seed %d --filter %S\n%!"
               budget seed name)

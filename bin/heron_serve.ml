@@ -3,8 +3,8 @@
    an operator universe in waves (lookups enqueue misses; the queue drains
    between waves), and report lookup throughput, hit/miss/degraded counts
    and p50/p99 latency plus a race of the indexed hit path against the
-   naive cold Library.load-and-scan. --bench-out writes the deterministic
-   part (workload, traffic counters, the race's gate verdict) as JSON.
+   naive cold Library.load-and-scan. --gate-speedup turns the race into a
+   gate: the process exits 1 when the hit path is not that much faster.
 
    All daemon state (versioned snapshots, manifest, queue checkpoint)
    lives in --dir, so killing this process at any instant (--kill-after
@@ -69,8 +69,8 @@ let crash_to_exit3 f =
     Printf.eprintf "io-faults: %s\n%!" (Printexc.to_string e);
     3
 
-let run dla universe dir requests zipf waves budget family_max seed jobs kill_after dump
-    bench gate trace metrics io_faults =
+let run dla universe dir requests zipf waves budget family_max seed jobs kill_after dump gate
+    trace metrics io_faults =
   match desc_of_string dla with
   | Error e ->
       prerr_endline e;
@@ -203,52 +203,8 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
           (match dump with
           | None -> ()
           | Some path -> Heron_util.Atomic_io.write_string ~path (Library.to_string final));
-          (* The report holds only what a rerun reproduces: the workload,
-             the traffic counters and the gate verdict. Timings vary from
-             run to run and go to stdout above. *)
-          let gate_ok = speedup >= gate in
-          (match bench with
-          | None -> ()
-          | Some path ->
-              let json =
-                Printf.sprintf
-                  {|{
-  "workload": {
-    "universe": "%s",
-    "dla": "%s",
-    "requests": %d,
-    "zipf_s": %.2f,
-    "waves": %d,
-    "budget": %d,
-    "seed": %d,
-    "jobs": %d,
-    "gate_speedup": %.0f
-  },
-  "traffic": {
-    "lookups": %d,
-    "hits": %d,
-    "misses": %d,
-    "degraded": %d,
-    "enqueued": %d,
-    "deduped": %d,
-    "publishes": %d,
-    "tasks": %d,
-    "final_version": %d,
-    "entries": %d
-  },
-  "gates": {
-    "hit_path_vs_cold_load_scan": %b
-  }
-}
-|}
-                  universe desc.D.dname requests zipf waves budget seed jobs gate lookups hits
-                  misses degraded (c "serve.enqueued") (c "serve.deduped") (c "serve.publishes")
-                  (c "serve.tasks") (Serve.version daemon) (Library.size final) gate_ok
-              in
-              Heron_util.Atomic_io.write_string ~path json;
-              Printf.printf "wrote %s\n%!" path);
           if metrics then print_string (Obs.metrics_report ());
-          if not gate_ok then begin
+          if speedup < gate then begin
             Printf.eprintf "FATAL: hit path only %.0fx faster than cold load-and-scan (gate %.0fx)\n"
               speedup gate;
             1
@@ -329,17 +285,6 @@ let () =
       & info [ "dump-library" ] ~docv:"FILE"
           ~doc:"Write the final library's canonical text rendering to $(docv).")
   in
-  let bench =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the serve report to $(docv) as JSON: the workload, the \
-             traffic counters and the hit-path gate verdict, all \
-             reproducible. Throughput and latency timings are printed \
-             only.")
-  in
   let gate =
     Arg.(
       value & opt float 0.0
@@ -376,7 +321,7 @@ let () =
   let term =
     Term.(
       const run $ dla $ universe $ dir $ requests $ zipf $ waves $ budget $ family_max $ seed
-      $ jobs $ kill_after $ dump $ bench $ gate $ trace $ metrics $ io_faults)
+      $ jobs $ kill_after $ dump $ gate $ trace $ metrics $ io_faults)
   in
   let info =
     Cmd.info "heron_serve"

@@ -173,8 +173,6 @@ let vendor library =
         { method_name = name; latency_us = latency; trace = []; invalid = 0; steps = 1 });
   }
 
-let all_exploration = [ heron; autotvm; ansor; amos ]
-
 let by_name n =
   let all =
     [ heron; autotvm; ansor; amos; akg;

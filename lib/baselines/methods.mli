@@ -44,7 +44,4 @@ val vendor : Heron.Hand_tuned.library -> t
 (** cuDNN / cuBLAS / PyTorch / oneDNN proxies (no search; [budget]
     ignored). *)
 
-val all_exploration : t list
-(** Heron, AutoTVM, Ansor, AMOS. *)
-
 val by_name : string -> t option

@@ -41,9 +41,3 @@ let fix_vars pins p =
       | Some v ->
           if Domain.mem v d then Domain.singleton v
           else Domain.singleton (Domain.min_value d))
-
-let fix_by_prefix prefix v p =
-  rebuild p ~domain_map:(fun name d ->
-      if starts_with prefix name then
-        if Domain.mem v d then Domain.singleton v else Domain.singleton (Domain.min_value d)
-      else d)

@@ -17,6 +17,3 @@ val fix_vars : (string * int) list -> Problem.t -> Problem.t
 (** Pins each listed variable (when present) to a single value by domain
     restriction; values absent from the domain fall back to the domain
     minimum. *)
-
-val fix_by_prefix : string -> int -> Problem.t -> Problem.t
-(** Pins every variable whose name starts with the prefix. *)

@@ -72,8 +72,6 @@ let prod t v vs = t.prods <- (v, vs) :: t.prods
 
 let stage t s = t.stages <- s :: t.stages
 
-let stage_names t = List.rev_map (fun (s : Template.stage) -> s.sname) t.stages
-
 let finish t ~intrin =
   {
     Template.op = t.op;

@@ -64,9 +64,6 @@ val prod : t -> string -> string list -> unit
 val prim : t -> Prim.t -> unit
 val stage : t -> Template.stage -> unit
 
-val stage_names : t -> string list
-(** Names of the stages recorded so far, in declaration order. *)
-
 val finish : t -> intrin:string option -> Template.t
 (** Assembles the template (stages in declaration order). The CSP is frozen
     separately by {!Rules_cons.apply_all} followed by [Problem.freeze]. *)

@@ -101,11 +101,6 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
 
 let best_latency_us t = t.outcome.Cga.result.Env.best_latency
 
-let best_tflops t =
-  match best_latency_us t with
-  | None -> None
-  | Some l -> Some (Perf_model.achieved_tflops t.op l)
-
 let best_program t =
   match t.outcome.Cga.result.Env.best_assignment with
   | None -> None

@@ -78,5 +78,4 @@ val tune :
     or mismatched checkpoint. *)
 
 val best_latency_us : tuned -> float option
-val best_tflops : tuned -> float option
 val best_program : tuned -> Concrete.t option

@@ -519,7 +519,8 @@ let vta_contraction (ctx : Gen_ctx.t) =
   let desc = ctx.desc in
   let m = intrin_var ctx "intrin_m" [ 1 ] in
   let n = intrin_var ctx "intrin_n" [ 16 ] in
-  let k = intrin_var ctx "intrin_k" [ 16 ] in
+  let intrin_k = 16 in
+  let k = intrin_var ctx "intrin_k" [ intrin_k ] in
   Gen_ctx.prim ctx
     (Prim.Tensorize { stage = "C"; intrin = desc.Descriptor.intrin_name; m; n; k });
   let aux_i_1 = chain2 ctx ~dim:"i" ~names:("tile_i_out", "tile_i_tile") ~leaf:m in
@@ -531,10 +532,15 @@ let vta_contraction (ctx : Gen_ctx.t) =
   Gen_ctx.prim ctx (Prim.Vectorize { stage = "A.inp"; loop = "ai.col"; length = vec_a });
   Gen_ctx.prim ctx (Prim.Vectorize { stage = "B.wgt"; loop = "bw.col"; length = vec_b });
   Gen_ctx.prim ctx (Prim.Unroll { stage = "C"; loop = "r.i"; length = unroll_c });
-  (* C6: write-timing — the spatial loop right above the gemm tile must
-     iterate at least twice. *)
-  let two = Gen_ctx.const_var ctx ~category:Problem.Architectural "arch_min_access" 2 in
-  Gen_ctx.le ctx two "tile_j_tile";
+  (* C6: write timing. VTA cannot write one accumulator address on
+     consecutive cycles, which can only happen while a reduction loop
+     remains above the gemm tile, i.e. when r's extent exceeds the
+     intrinsic's k. Then the spatial loop right above the tile must iterate
+     at least twice. *)
+  if iter_extent ctx "r" > intrin_k then begin
+    let two = Gen_ctx.const_var ctx ~category:Problem.Architectural "arch_min_access" 2 in
+    Gen_ctx.le ctx two "tile_j_tile"
+  end;
   Gen_ctx.prim ctx (Prim.Reorder { stage = "C"; order = [ "r.o"; "i.t"; "r.i"; "j.t" ] });
   let base = if has_batch ctx then 1 else 0 in
   let store_loops =

@@ -43,8 +43,3 @@ let run t prog =
         total := !total +. (base *. (1.0 +. (0.01 *. eps)))
       done;
       Ok (!total /. float_of_int t.reps)
-
-let latency_exn t prog =
-  match run t prog with
-  | Ok l -> l
-  | Error v -> failwith ("Measure.latency_exn: invalid program: " ^ Violation.to_string v)

@@ -26,6 +26,3 @@ val count : t -> int
 val run : t -> Heron_sched.Concrete.t -> (float, Violation.t) result
 (** Average latency in microseconds, or the violation that makes the
     program fail to compile/run. *)
-
-val latency_exn : t -> Heron_sched.Concrete.t -> float
-(** @raise Failure on an invalid program. *)

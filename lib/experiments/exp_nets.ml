@@ -5,7 +5,6 @@ module Tasks = Heron_nets.Tasks
 module Scheduler = Heron_nets.Scheduler
 module Tuner = Heron_nets.Tuner
 module Pool = Heron_util.Pool
-module Json = Heron_obs.Json
 
 (* First step at which a run's incumbent best reaches [threshold] —
    the measurements-to-first-improvement metric of the transfer gate. *)
@@ -29,7 +28,7 @@ let fingerprint (r : Tuner.result) =
     r.Tuner.r_latency_us,
     List.map (fun tr -> (tr.Tuner.tr_best, tr.Tuner.tr_trace)) r.Tuner.r_reports )
 
-let run ?(budget = 80) ?(seed = 42) ?(slice = 8) ?(net = "mini") ?(strict = true) ?out () =
+let run ?(budget = 80) ?(seed = 42) ?(slice = 8) ?(net = "mini") ?(strict = true) () =
   let desc = D.v100 in
   let net =
     match Models.find net with
@@ -123,73 +122,4 @@ let run ?(budget = 80) ?(seed = 42) ?(slice = 8) ?(net = "mini") ?(strict = true
     (Printf.sprintf "gates: gradient%sround-robin %b, transfer-helps %b, jobs-identical %b\n"
        (if strict then "<" else "<=")
        gate_gradient gate_transfer jobs_identical);
-  (match out with
-  | None -> ()
-  | Some path ->
-      let jopt = function None -> Json.Null | Some f -> Json.Float f in
-      let run_json (r : Tuner.result) =
-        Json.Obj
-          [
-            ("latency_us", jopt r.Tuner.r_latency_us);
-            ( "allocations",
-              Json.List
-                (List.map
-                   (fun (i, a) -> Json.List [ Json.Int i; Json.Int a ])
-                   r.Tuner.r_allocations) );
-            ( "tasks",
-              Json.List
-                (List.map
-                   (fun tr ->
-                     Json.Obj
-                       [
-                         ("key", Json.String tr.Tuner.tr_task.Tasks.t_key);
-                         ("weight", Json.Int tr.Tuner.tr_task.Tasks.t_weight);
-                         ("rounds", Json.Int tr.Tuner.tr_rounds);
-                         ("alloc", Json.Int tr.Tuner.tr_alloc);
-                         ("steps", Json.Int tr.Tuner.tr_steps);
-                         ("best_us", jopt tr.Tuner.tr_best);
-                         ("transferred", Json.Bool tr.Tuner.tr_transferred);
-                       ])
-                   r.Tuner.r_reports) );
-          ]
-      in
-      let json =
-        Json.Obj
-          [
-            ( "workload",
-              Json.Obj
-                [
-                  ("network", Json.String net.Models.net_name);
-                  ("dla", Json.String desc.D.dname);
-                  ("budget", Json.Int budget);
-                  ("slice", Json.Int slice);
-                  ("seed", Json.Int seed);
-                ] );
-            ("gradient", run_json grad);
-            ("round_robin", run_json rr);
-            ("gradient_cold", run_json cold);
-            ( "transfer",
-              Json.List
-                (List.map
-                   (fun (t, st, sc) ->
-                     Json.Obj
-                       [
-                         ("key", Json.String t.Tasks.t_key);
-                         ( "steps_to_threshold_warm",
-                           match st with None -> Json.Null | Some n -> Json.Int n );
-                         ( "steps_to_threshold_cold",
-                           match sc with None -> Json.Null | Some n -> Json.Int n );
-                       ])
-                   transfer_rows) );
-            ( "gates",
-              Json.Obj
-                [
-                  ("gradient_beats_round_robin", Json.Bool gate_gradient);
-                  ("transfer_helps", Json.Bool gate_transfer);
-                  ("jobs_identical", Json.Bool jobs_identical);
-                ] );
-          ]
-      in
-      Heron_util.Atomic_io.write_string ~path (Json.to_string json ^ "\n");
-      Buffer.add_string buf (Printf.sprintf "wrote %s\n" path));
   (Buffer.contents buf, ok)

@@ -20,13 +20,11 @@ val run :
   ?slice:int ->
   ?net:string ->
   ?strict:bool ->
-  ?out:string ->
   unit ->
   string * bool
 (** [run ()] tunes the named network (default ["mini"]) on V100 (default
     budget 80, slice 8). Returns the report and whether every gate
     passed; [~strict:false] relaxes the scheduling gate to
     gradient-no-worse-than-round-robin (the quick-gate setting for tiny
-    workloads where both policies may saturate). [?out] additionally
-    writes the machine-readable BENCH JSON there (atomically).
+    workloads where both policies may saturate).
     @raise Invalid_argument on an unknown network name. *)

@@ -26,8 +26,6 @@ let geomean = function
 
 let fmt_opt = function None -> "-" | Some x -> Printf.sprintf "%.1f" x
 
-let fmt_ratio = function None -> "-" | Some x -> Printf.sprintf "%.2fx" x
-
 let csv ~header rows =
   let line cells = String.concat "," cells in
   String.concat "\n" (line header :: List.map line rows) ^ "\n"

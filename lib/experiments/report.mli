@@ -9,6 +9,4 @@ val geomean : float list -> float
 val fmt_opt : float option -> string
 (** Formats a latency/ratio, "-" for [None]. *)
 
-val fmt_ratio : float option -> string
-
 val csv : header:string list -> string list list -> string

@@ -20,8 +20,8 @@ val tiny : network
     [@nets-quick] gate. *)
 
 val mini : network
-(** Three-task, weight-skewed miniature for the [@bench-nets]
-    comparison. *)
+(** Three-task, weight-skewed miniature: the default of [experiments nets],
+    which [@bench-nets] runs with [--gate]. *)
 
 val all : network list
 (** The four evaluated networks ({!tiny}/{!mini} are test fixtures, not

@@ -118,31 +118,6 @@ let pick_donor states ~target =
     states;
   Option.map fst !best
 
-(* Warm snapshot: a zeroed loop carrying only the transferred training
-   window and the task's initial RNG state, so resuming from it is
-   exactly a cold run with a pre-trained cost model. *)
-let warm_snapshot rt rows =
-  {
-    Cga.s_iter = 0;
-    s_dry = 0;
-    s_stopped = false;
-    s_rng_hex = Rng.state_hex rt.env.Env.rng;
-    s_recorder =
-      {
-        Env.Recorder.x_steps = 0;
-        x_evals = 0;
-        x_invalid = 0;
-        x_best = None;
-        x_best_a = None;
-        x_trace = [];
-        x_cache = [];
-        x_quarantined = [];
-        x_degraded = [];
-      };
-    s_survivors = [];
-    s_model = rows;
-  }
-
 let attempt_transfer desc states target =
   let st = states.(target) in
   st.transfer_tried <- true;
@@ -160,7 +135,7 @@ let attempt_transfer desc states target =
           Obs.Counter.incr c_transfer_applied;
           Obs.Counter.add c_transfer_samples (List.length rows);
           st.transferred <- true;
-          st.snapshot <- Some (warm_snapshot trt rows))
+          st.snapshot <- Some (Cga.warm_snapshot trt.env rows))
 
 (* ---------- composite checkpoint ---------- *)
 

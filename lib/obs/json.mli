@@ -38,4 +38,3 @@ val to_float_opt : t -> float option
 (** [Int] values widen to float. *)
 
 val to_string_opt : t -> string option
-val to_bool_opt : t -> bool option

@@ -39,16 +39,3 @@ let to_string = function
       Printf.sprintf "%s.tensorize(%s; m=%s n=%s k=%s)" t.stage t.intrin t.m t.n t.k
   | Storage_align s -> Printf.sprintf "%s.storage_align(pad=%s)" s.stage s.pad
   | Parallel p -> Printf.sprintf "%s.parallel(%s)" p.stage p.loop
-
-let stage_of = function
-  | Split { stage; _ }
-  | Fuse { stage; _ }
-  | Reorder { stage; _ }
-  | Compute_at { stage; _ }
-  | Bind { stage; _ }
-  | Unroll { stage; _ }
-  | Vectorize { stage; _ }
-  | Tensorize { stage; _ }
-  | Storage_align { stage; _ }
-  | Parallel { stage; _ } -> stage
-  | Cache_read { new_stage; _ } | Cache_write { new_stage; _ } -> new_stage

@@ -30,6 +30,3 @@ type t =
   | Parallel of { stage : string; loop : string }
 
 val to_string : t -> string
-
-val stage_of : t -> string
-(** The stage a primitive transforms (the reader stage for cache_read). *)

@@ -45,8 +45,6 @@ let compute_stage t =
   | Some s -> s
   | None -> invalid_arg "Template.compute_stage: template has no compute stage"
 
-let loop_vars s = List.map (fun l -> l.extent_var) s.loops
-
 let annotation_to_string = function
   | Plain -> ""
   | Unrolled v -> Printf.sprintf " [unroll %s]" v

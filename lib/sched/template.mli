@@ -54,5 +54,4 @@ val find_stage : t -> string -> stage
 val compute_stage : t -> stage
 (** The unique stage with role [Compute]. @raise Invalid_argument if absent. *)
 
-val loop_vars : stage -> string list
 val to_string : t -> string

@@ -72,6 +72,28 @@ type snapshot = {
   s_model : (int array * float) list;
 }
 
+let warm_snapshot (env : Env.t) rows =
+  {
+    s_iter = 0;
+    s_dry = 0;
+    s_stopped = false;
+    s_rng_hex = Rng.state_hex env.Env.rng;
+    s_recorder =
+      {
+        Env.Recorder.x_steps = 0;
+        x_evals = 0;
+        x_invalid = 0;
+        x_best = None;
+        x_best_a = None;
+        x_trace = [];
+        x_cache = [];
+        x_quarantined = [];
+        x_degraded = [];
+      };
+    s_survivors = [];
+    s_model = rows;
+  }
+
 let crossover_csps ?(mutation = true) rng problem ~keys ~parents ~n =
   if Array.length parents < 2 then []
   else

@@ -49,6 +49,12 @@ type snapshot = {
   s_model : (int array * float) list;  (** cost-model training window *)
 }
 
+val warm_snapshot : Env.t -> (int array * float) list -> snapshot
+(** [warm_snapshot env rows] is a zeroed loop carrying only the training
+    window [rows] and [env]'s current RNG state, so resuming from it is
+    exactly a cold run whose cost model starts trained on [rows]. The rows
+    must fit [env]'s feature layout ({!Heron_cost.Model.layout_ok}). *)
+
 val run :
   ?params:params ->
   ?pool:Heron_util.Pool.t ->

@@ -3,7 +3,7 @@ module Descriptor = Heron_dla.Descriptor
 module Library = Heron.Library
 module Generator = Heron.Generator
 module Pipeline = Heron.Pipeline
-module Features = Heron_cost.Features
+module Model = Heron_cost.Model
 module Env = Heron_search.Env
 module Cga = Heron_search.Cga
 module Rng = Heron_util.Rng
@@ -169,51 +169,17 @@ let task_seed t task =
   let h = Int64.to_int (Hashing.fnv1a (Tuning_queue.task_key task)) land 0x3FFFFFFF in
   t.config.seed lxor h
 
-let empty_export =
-  {
-    Env.Recorder.x_steps = 0;
-    x_evals = 0;
-    x_invalid = 0;
-    x_best = None;
-    x_best_a = None;
-    x_trace = [];
-    x_cache = [];
-    x_quarantined = [];
-    x_degraded = [];
-  }
-
 (* Warm start: seed the new task's cost model with the previous family
-   member's training window. Only samples whose binned feature vectors fit
-   the new problem's feature layout are kept; an incompatible donor simply
-   degrades to a cold start. The snapshot carries the *current* RNG state
-   and a zeroed loop, so resuming from it is exactly a cold run with a
-   pre-trained model. *)
-let warm_snapshot env donor =
-  match donor with
+   member's training window. Only samples that fit the new problem's
+   feature layout are kept; an incompatible donor simply degrades to a
+   cold start. *)
+let warm_snapshot env = function
   | [] -> None
-  | samples ->
-      let features = Features.of_problem env.Env.problem in
-      let nf = Features.n_features features in
-      let nb = Features.n_bins features in
-      let ok (bins, _) =
-        Array.length bins = nf
-        && (let fits = ref true in
-            Array.iteri (fun i b -> if b < 0 || b >= nb.(i) then fits := false) bins;
-            !fits)
-      in
-      let usable = List.filter ok samples in
-      if usable = [] then None
-      else
-        Some
-          {
-            Cga.s_iter = 0;
-            s_dry = 0;
-            s_stopped = false;
-            s_rng_hex = Rng.state_hex env.Env.rng;
-            s_recorder = empty_export;
-            s_survivors = [];
-            s_model = usable;
-          }
+  | donor -> (
+      let model = Model.create env.Env.problem in
+      match List.filter (fun (bins, _) -> Model.layout_ok model bins) donor with
+      | [] -> None
+      | usable -> Some (Cga.warm_snapshot env usable))
 
 (* Tune one task. Returns the updates for the library plus this task's
    model window, the next family member's warm-start donor. *)
@@ -231,7 +197,7 @@ let tune_task ?pool ?params ~donor t task op =
         | Some latency_us, Some a -> Some (latency_us, a)
         | _ -> None
       in
-      (result, Heron_cost.Model.samples outcome.Cga.model))
+      (result, Model.samples outcome.Cga.model))
 
 (* A durable publish succeeded: flip out of read-only if we were in it,
    settle every task the new snapshot covers, and swap the index. *)

@@ -6,6 +6,8 @@ module Op = Heron_tensor.Op
 module Concrete = Heron_sched.Concrete
 module Assignment = Heron_csp.Assignment
 module Solver = Heron_csp.Solver
+module Problem = Heron_csp.Problem
+module Cons = Heron_csp.Cons
 module D = Heron_dla.Descriptor
 module Validate = Heron_dla.Validate
 module Violation = Heron_dla.Violation
@@ -111,6 +113,47 @@ let test_vta_loop_order () =
             in
             Alcotest.(check bool) "only valid without reductions" false has_red
       end
+
+(* C6 is exact on VTA: with the write-timing rule dropped, a program of
+   the relaxed space is valid exactly when the generated space admits it.
+   When r fits in one intrinsic no reduction loop remains above the tile
+   and the rule must not apply: it used to leave the first three shapes
+   without a program and 64x32x16 with half of them. *)
+let test_vta_c6_exact () =
+  let c6 = Cons.Le ("arch_min_access", "tile_j_tile") in
+  List.iter
+    (fun ((m, n, k), expected) ->
+      let gen = Heron.Generator.generate D.vta (Op.gemm ~dt:Op.I8 ~m ~n ~k ()) in
+      let p = gen.Heron.Generator.problem in
+      let relaxed =
+        Problem.of_parts
+          (Array.to_list (Problem.vars p) |> List.map (fun v -> (v, Problem.domain p v)))
+          (List.filter (fun c -> c <> c6) (Problem.constraints p))
+      in
+      let limit = 100_000 in
+      let sols = Solver.enumerate ~limit relaxed in
+      Alcotest.(check bool) "relaxed space enumerated in full" true (List.length sols < limit);
+      let valid =
+        List.fold_left
+          (fun acc a ->
+            let ok = Validate.is_valid D.vta (instantiate gen a) in
+            if ok <> (Problem.check p a = Ok ()) then
+              Alcotest.failf "%dx%dx%d: a %s program is %s" m n k
+                (if ok then "valid" else "invalid")
+                (if ok then "pruned" else "admitted");
+            if ok then acc + 1 else acc)
+          0 sols
+      in
+      Alcotest.(check int) (Printf.sprintf "%dx%dx%d valid programs" m n k) expected valid)
+    [
+      ((64, 16, 16), 1_792);
+      ((16, 16, 16), 1_280);
+      ((48, 16, 16), 2_560);
+      ((64, 32, 16), 3_584);
+      ((32, 32, 32), 3_072);
+      ((64, 32, 64), 5_376);
+      ((64, 16, 64), 0);
+    ]
 
 let test_missing_tensorize_vta () =
   (* A scan cannot be tensorized and VTA has no scalar path: its VTA space
@@ -502,6 +545,7 @@ let suite =
     Alcotest.test_case "bad vector length" `Quick test_bad_vector_length;
     Alcotest.test_case "coverage violation" `Quick test_coverage_violation;
     Alcotest.test_case "vta loop order" `Quick test_vta_loop_order;
+    Alcotest.test_case "vta C6 admits exactly the valid programs" `Quick test_vta_c6_exact;
     Alcotest.test_case "vta missing tensorize" `Quick test_missing_tensorize_vta;
     Alcotest.test_case "perf deterministic" `Quick test_perf_deterministic;
     Alcotest.test_case "perf positive/bounded" `Quick test_perf_positive_and_bounded;
