@@ -5,6 +5,7 @@ module Solver_ref = Heron_csp.Solver_ref
 module Cons = Heron_csp.Cons
 module Domain = Heron_csp.Domain
 module Rng = Heron_util.Rng
+module Obs = Heron_obs.Obs
 
 (* Tight budgets on purpose: Give_up and restart paths must also be
    byte-identical between the engines, so we want a healthy fraction of
@@ -123,6 +124,67 @@ let incremental_identical ?(tag = "") arb ~count =
       let norm = Option.map (List.map (fun (v, d) -> (v, Domain.to_list d))) in
       norm (Solver.propagate_domains o) = norm (Solver_ref.propagate_domains o))
 
+(* Every [solver.*] counter, for deltas around one call. *)
+let solver_counters () =
+  List.filter
+    (fun (n, _) -> String.length n > 7 && String.sub n 0 7 = "solver.")
+    (Obs.Counter.snapshot ())
+
+(* The id path of CGA breeding against the CSP path it replaces:
+   [solve_children] must equal [solve_all] on the [with_extra] renderings
+   of the same restrictions, child for child — same solutions, same RNG
+   state afterwards, same [solver.*] counter deltas. Most restrictions
+   cross two parents drawn with [rand_sat_values]; the rest are random
+   value subsets, which may be empty or repeat a variable. The base is
+   the problem itself or the problem with [In] extras (applied before
+   each child's). The base template is compiled once beforehand, so both
+   sides meet a warm cache. *)
+let children_identical arb ~count =
+  QCheck.Test.make ~name:(name "" "solve_children = solve_all on with_extra renderings") ~count
+    (with_seed arb) (fun (sp, seed) ->
+      let p = Csp_gen.to_problem sp in
+      let vars = Problem.vars p in
+      let n = Array.length vars in
+      let rng = Rng.create (seed + 3) in
+      let base = if seed mod 2 = 1 then Problem.with_extra p (random_in_extras rng p) else p in
+      let parents = Array.of_list (Solver.rand_sat_values ~max_fails (Rng.create seed) p 3) in
+      let restriction () =
+        let v = Rng.int rng n in
+        if Array.length parents >= 2 && Rng.int rng 4 > 0 then begin
+          let a = (Rng.choice rng parents).(v) and b = (Rng.choice rng parents).(v) in
+          (v, Array.of_list (List.sort_uniq Int.compare [ a; b ]))
+        end
+        else begin
+          let dom = Domain.to_list (Problem.domain p vars.(v)) in
+          (v, Array.of_list (List.filter (fun _ -> Rng.int rng 3 > 0) dom))
+        end
+      in
+      let children =
+        List.init 5 (fun _ ->
+            if n = 0 then [] else List.init (Rng.int rng (n + 1)) (fun _ -> restriction ()))
+      in
+      ignore (Solver.propagate_domains base);
+      let run f =
+        let before = solver_counters () and r = Rng.create seed in
+        let out = f r in
+        let deltas = List.map2 (fun (k, a) (_, b) -> (k, b - a)) before (solver_counters ()) in
+        (out, Rng.state_hex r, deltas)
+      in
+      let by_ids =
+        run (fun r ->
+            Solver.solve_children ~max_fails ~max_restarts:1 r base children
+            |> List.map (Option.map (fun vs -> Assignment.key (Assignment.of_values vars vs))))
+      and by_csps =
+        run (fun r ->
+            children
+            |> List.map (fun rs ->
+                   Problem.with_extra base
+                     (List.map (fun (v, values) -> Cons.In (vars.(v), Array.to_list values)) rs))
+            |> Solver.solve_all ~max_fails ~max_restarts:1 r
+            |> List.map opt_key)
+      in
+      by_ids = by_csps)
+
 let tests ?(count = 300) () =
   let arb = Csp_gen.arbitrary () in
   (* Heron-shaped spaces (wide sparse universes, 0 in domains, aliased
@@ -138,6 +200,7 @@ let tests ?(count = 300) () =
     propagate_domains_identical arb ~count;
     solve_biased_identical arb ~count;
     incremental_identical arb ~count;
+    children_identical (QCheck.oneof [ arb; heron ]) ~count:(max 1 (count / 2));
     solve_identical ~tag heron ~count:hcount;
     rand_sat_identical ~tag heron ~count:hcount;
     incremental_identical ~tag heron ~count:hcount;

@@ -60,6 +60,11 @@ let max_value t i =
 
 let bin_of_value t i v = bin_of t.boundaries.(i) v
 
+let bin_values t values m r =
+  for i = 0 to Array.length t.feat_names - 1 do
+    Fmat.set m r i (bin_of t.boundaries.(i) values.(i))
+  done
+
 let bin_row t a m r =
   for i = 0 to Array.length t.feat_names - 1 do
     Fmat.set m r i (bin_of t.boundaries.(i) (value_of a t.feat_names.(i)))

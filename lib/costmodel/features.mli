@@ -28,10 +28,15 @@ val binned : t -> Assignment.t -> int array
 (** Bin index per feature: the highest bin whose boundary value does not
     exceed the variable's value. *)
 
+val bin_values : t -> int array -> Fmat.t -> int -> unit
+(** [bin_values t values m r] bins a candidate given as values indexed
+    by variable id into row [r] of the flat matrix [m]: feature [i] is
+    the problem's variable [i] (its position in {!Problem.vars}). *)
+
 val bin_row : t -> Assignment.t -> Fmat.t -> int -> unit
-(** [bin_row t a m r] bins assignment [a] directly into row [r] of the
-    flat matrix [m] — the batch-binning path of {!Model}; equivalent to
-    writing {!binned} into the row, without the intermediate array. *)
+(** [bin_row t a m r] bins assignment [a] into row [r] by looking up each
+    feature's variable (unbound variables read 0), with {!bin_values}'s
+    per-cell binning — equivalent to writing {!binned} into the row. *)
 
 (** {2 Shape-invariant helpers}
 

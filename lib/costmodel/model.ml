@@ -29,6 +29,7 @@ type t = {
   gbt_params : Gbt.params;
   window : int;
   nf : int;
+  n_bins : int array;  (* bin count per feature, fixed by the problem *)
   ring : Fmat.t;  (* always [window] rows *)
   ring_y : float array;
   mutable next : int;
@@ -51,6 +52,7 @@ let create ?(gbt_params = Gbt.default_params) ?(window = 512) problem =
     gbt_params;
     window;
     nf;
+    n_bins = Features.n_bins features;
     ring;
     ring_y = Array.make window 0.0;
     next = 0;
@@ -76,7 +78,7 @@ let record t a score =
   t.next <- (t.next + 1) mod t.window;
   if t.count < t.window then t.count <- t.count + 1
 
-let featurize_row t a m r = Features.bin_row t.features a m r
+let featurize_values t values m r = Features.bin_values t.features values m r
 
 (* Slot of the k-th most recent sample (k = 0 is the newest). *)
 let slot t k = ((t.next - 1 - k) mod t.window + t.window) mod t.window
@@ -95,7 +97,7 @@ let refit t =
             done;
             t.ensemble <-
               Some
-                (Gbt.fit ~params:t.gbt_params ~n_bins:(Features.n_bins t.features) t.fit_m
+                (Gbt.fit ~params:t.gbt_params ~n_bins:t.n_bins t.fit_m
                    t.fit_y)))
 
 let trained t = t.ensemble <> None
@@ -124,7 +126,7 @@ let predict_batch t assignments =
 
 let predict_gather t src rows n out =
   (* Zero-copy ranking entry: [rows.(0 .. n-1)] index pre-binned feature
-     rows of [src] (built once per assignment with {!featurize_row}), so
+     rows of [src] (built once per candidate with {!featurize_values}), so
      scoring a population is row blits plus the compiled ensemble — no
      per-candidate binning, lists or result allocation. Same counters and
      untrained semantics as {!predict_batch}. *)
@@ -139,35 +141,41 @@ let predict_gather t src rows n out =
           done;
           Gbt.predict_batch_into g t.pred_m out)
 
-let importance t =
+(* Feature ids by decreasing total gain, ties in id order (the sort is
+   stable), with their gains. *)
+let ranked t =
   match t.ensemble with
   | None -> []
   | Some g ->
       let gains = Gbt.feature_gains g in
-      let names = Features.names t.features in
-      let pairs = Array.to_list (Array.mapi (fun i n -> (n, gains.(i))) names) in
-      List.sort (fun (_, a) (_, b) -> Float.compare b a) pairs
+      List.init t.nf (fun i -> (i, gains.(i)))
+      |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
 
-let key_variables t k =
-  let ranked = importance t in
-  let positive = List.filter (fun (_, g) -> g > 0.0) ranked in
+let importance t =
+  let names = Features.names t.features in
+  List.map (fun (i, g) -> (names.(i), g)) (ranked t)
+
+let key_ids t k =
+  let positive = List.filter (fun (_, g) -> g > 0.0) (ranked t) in
   let chosen = List.filteri (fun i _ -> i < k) positive |> List.map fst in
   if chosen <> [] then chosen
   else
     (* Untrained model: deterministic fallback. *)
-    Array.to_list (Features.names t.features) |> List.filteri (fun i _ -> i < k)
+    List.filteri (fun i _ -> i < k) (List.init t.nf Fun.id)
+
+let key_variables t k =
+  let names = Features.names t.features in
+  List.map (fun i -> names.(i)) (key_ids t k)
 
 let n_samples t = t.count
 
 let n_features t = t.nf
 
-let layout_ok t bins =
-  Array.length bins = t.nf
-  &&
-  let nb = Features.n_bins t.features in
-  let ok = ref true in
-  Array.iteri (fun i b -> if b < 0 || b >= nb.(i) then ok := false) bins;
-  !ok
+(* Top level, so a check allocates no closure. *)
+let rec bins_fit nb bins i =
+  i = Array.length nb || (bins.(i) >= 0 && bins.(i) < nb.(i) && bins_fit nb bins (i + 1))
+
+let layout_ok t bins = Array.length bins = t.nf && bins_fit t.n_bins bins 0
 
 let samples t = List.init t.count (fun k -> (Fmat.row t.ring (slot t k), t.ring_y.(slot t k)))
 

@@ -21,17 +21,20 @@ val record : t -> Assignment.t -> float -> unit
 
 val record_row : t -> Fmat.t -> int -> float -> unit
 (** [record_row t src r score] records a pre-binned observation: row [r]
-    of [src] (built with {!featurize_row}, so the layout matches) is
+    of [src] (built with {!featurize_values}, so the layout matches) is
     blitted into the ring. Ring bytes and counters are identical to
     {!record} on the assignment the row was binned from — the record
     path of the interned search engine, which bins each candidate once
     at intern time. *)
 
-val featurize_row : t -> Assignment.t -> Fmat.t -> int -> unit
-(** [featurize_row t a m r] bins [a] into row [r] of the caller's matrix
-    with this model's feature layout ([m] must have {!n_features}
-    columns). Callers cache such rows per assignment and feed them back
-    through {!record_row} / {!predict_gather}. *)
+val featurize_values : t -> int array -> Fmat.t -> int -> unit
+(** [featurize_values t values m r] bins a candidate, given as values
+    indexed by variable id (feature [i] is the problem's variable [i]),
+    into row [r] of the caller's matrix with this model's feature layout
+    ([m] must have {!n_features} columns). The row equals what {!record}
+    stores for the assignment binding those values. Callers cache such
+    rows per candidate and feed them back through {!record_row} /
+    {!predict_gather}. *)
 
 val refit : t -> unit
 (** Retrains the ensemble on the stored observations (cheap; histogram
@@ -59,8 +62,12 @@ val importance : t -> (string * float) list
 
 val key_variables : t -> int -> string list
 (** Top-k feature names by importance, restricted to features with positive
-    gain; falls back to the lexicographically first variables when the
-    model is untrained. *)
+    gain; falls back to the first [k] variables in declaration order when
+    no feature has positive gain (an untrained model). *)
+
+val key_ids : t -> int -> int list
+(** {!key_variables} as feature ids, which are variable ids: the same
+    variables in the same order. *)
 
 val n_samples : t -> int
 

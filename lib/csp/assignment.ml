@@ -4,6 +4,13 @@ type t = int M.t
 
 let empty = M.empty
 let of_list l = List.fold_left (fun m (k, v) -> M.add k v m) M.empty l
+
+let of_values names values =
+  let m = ref M.empty in
+  for i = Array.length names - 1 downto 0 do
+    m := M.add names.(i) values.(i) !m
+  done;
+  !m
 let bindings = M.bindings
 let get t k = M.find k t
 let find_opt t k = M.find_opt k t

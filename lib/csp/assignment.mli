@@ -5,6 +5,13 @@ type t
 
 val empty : t
 val of_list : (string * int) list -> t
+
+val of_values : string array -> int array -> t
+(** [of_values names values] binds [names.(i)] to [values.(i)], inserting
+    from the last index down to the first. This is the order in which the
+    solver has always built its solutions, so the result is the very map
+    it builds, not only an equal one. The arrays must have equal length. *)
+
 val bindings : t -> (string * int) list
 val get : t -> string -> int
 (** @raise Not_found when the variable is unbound. *)

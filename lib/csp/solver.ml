@@ -125,10 +125,6 @@ let make_engine cp start =
     suf_hi = Array.make (cp.max_arity + 2) 0;
   }
 
-let reset e start =
-  Array.blit start 0 e.store 0 e.cp.total_words;
-  e.tr_len <- 0
-
 let finish_engine e =
   Obs.Counter.add c_trail e.trail_pushed;
   Obs.Counter.add c_support e.support_checks;
@@ -701,67 +697,98 @@ let compile_cached ~exact_limit problem =
 
 let is_in_cons = function Cons.In _ -> true | _ -> false
 
-(* Resolve a problem to (compiled template, start words), or [None] when
-   propagation alone refutes it. [Problem.with_extra] offspring whose
-   extras are all [In] constraints reuse the cached base template: blit
-   the base's root fixpoint, apply the [In] filters directly (an [In]
-   revise is a one-shot intersection — once applied it stays satisfied as
-   domains shrink, so the extras never need to join the watcher graph),
-   and re-propagate only the constraints watching a changed variable.
-   The result is the same fixpoint a full compile would reach. *)
-let prepare ?(exact_limit = default_exact_limit) problem =
-  let root, extras = Problem.decompose problem in
-  if root == problem then begin
-    let cp = compile_cached ~exact_limit problem in
-    if cp.root_ok then Some (cp, cp.root_words) else None
-  end
-  else if List.for_all is_in_cons extras then begin
-    let cp = compile_cached ~exact_limit root in
-    if not cp.root_ok then None
-    else if extras = [] then Some (cp, cp.root_words)
+type restriction = int * int array
+
+(* Narrow a fresh engine's store by [rs], in list order: each restriction
+   is a word mask over its variable's universe (the [Bitdom.position] of
+   each value), ANDed into the live words and committed like any filter.
+   Then the constraints watching a changed variable propagate. An [In]
+   filter is a one-shot intersection — once applied it stays satisfied
+   as domains shrink — so restrictions never join the watcher graph.
+   Runs untrailed: the narrowed store is the start of every search in
+   this engine. [false] on wipeout. *)
+let restrict e rs =
+  try
+    e.n_changed <- 0;
+    List.iter
+      (fun (v, values) ->
+        let l = e.cp.layouts.(v) and mask = e.scratch in
+        Array.fill mask 0 l.nw 0;
+        for k = 0 to Array.length values - 1 do
+          let i = Bitdom.position l.ix values.(k) in
+          if i >= 0 then Bitdom.set_bit mask i
+        done;
+        for wi = 0 to l.nw - 1 do
+          mask.(wi) <- mask.(wi) land e.store.(l.off + wi)
+        done;
+        commit_from_scratch e v mask)
+      rs;
+    for k = 0 to e.n_changed - 1 do
+      push_watchers e e.changed.(k) (-1)
+    done;
+    run_queue e
+  with Wipeout ->
+    Obs.Counter.incr c_wipeouts;
+    q_clear e;
+    false
+
+(* A fresh engine at [cp]'s root fixpoint narrowed by [rs], or [None]
+   when propagation refutes the root or the restrictions. *)
+let restricted_engine cp rs =
+  if not cp.root_ok then None
+  else begin
+    let e = make_engine cp cp.root_words in
+    if rs = [] || restrict e rs then Some e
     else begin
-      let e = make_engine cp cp.root_words in
-      let ok =
-        try
-          e.n_changed <- 0;
-          List.iter
-            (fun c ->
-              match c with
-              | Cons.In (v, cs) ->
-                  let vid = Hashtbl.find cp.ids v in
-                  let csd = Domain.of_list cs in
-                  commit_filter e vid (fun x -> Domain.mem x csd)
-              | _ -> assert false)
-            extras;
-          for k = 0 to e.n_changed - 1 do
-            push_watchers e e.changed.(k) (-1)
-          done;
-          run_queue e
-        with Wipeout ->
-          Obs.Counter.incr c_wipeouts;
-          q_clear e;
-          false
-      in
       finish_engine e;
-      if ok then Some (cp, e.store) else None
+      None
     end
   end
-  else begin
-    (* Non-[In] extras: compile the extended problem outright. Such
-       problems are one-shot, so they do not enter the cache. *)
-    let cp = compile ~exact_limit problem in
-    if cp.root_ok then Some (cp, cp.root_words) else None
-  end
 
-let extract e =
-  let bindings = ref [] in
-  Array.iteri
-    (fun i name ->
-      match d_value e i with
-      | Some v -> bindings := (name, v) :: !bindings
-      | None -> invalid_arg "Solver.extract: non-singleton domain")
-    e.cp.names;
-  Assignment.of_list !bindings
+(* Callers pass [In] extras only. *)
+let restriction_of cp = function
+  | Cons.In (v, cs) -> (Hashtbl.find cp.ids v, Domain.to_array (Domain.of_list cs))
+  | _ -> assert false
+
+(* [root]'s cached template, narrowed by [extras] (all [In] constraints)
+   in application order and then by [rs]. *)
+let plan_in ~exact_limit root extras rs =
+  let cp = compile_cached ~exact_limit root in
+  (cp, List.map (restriction_of cp) extras @ rs)
+
+(* What a search of [problem] starts from: a compiled template and the
+   restrictions that narrow its root fixpoint. [Problem.with_extra]
+   offspring whose extras are all [In] constraints share their base's
+   cached template, the extras becoming restrictions in application
+   order; the result is the fixpoint a full compile would reach. Other
+   extended problems are compiled outright and, being one-shot, do not
+   enter the cache. *)
+let plan ~exact_limit problem =
+  let root, extras = Problem.decompose problem in
+  if List.for_all is_in_cons extras then plan_in ~exact_limit root extras []
+  else (compile ~exact_limit problem, [])
+
+(* Resolve a problem to (compiled template, start words), or [None] when
+   propagation alone refutes it: the shared start of several searches. *)
+let prepare ?(exact_limit = default_exact_limit) problem =
+  match plan ~exact_limit problem with
+  | cp, [] -> if cp.root_ok then Some (cp, cp.root_words) else None
+  | cp, rs -> (
+      match restricted_engine cp rs with
+      | None -> None
+      | Some e ->
+          finish_engine e;
+          Some (cp, e.store))
+
+let extract_values e =
+  let out = Array.make e.cp.nvars 0 in
+  for i = 0 to e.cp.nvars - 1 do
+    if d_size e i <> 1 then invalid_arg "Solver.extract: non-singleton domain";
+    out.(i) <- d_min e i
+  done;
+  out
+
+let extract e = Assignment.of_values e.cp.names (extract_values e)
 
 exception Give_up
 
@@ -788,7 +815,9 @@ let move_to_front values x =
 
 (* Unified randomized DFS: [search_biased] of the old engine is the
    [?bias] case. Branching singletons and every propagation write are
-   trail-recorded; a failed branch is undone by rewinding to its mark. *)
+   trail-recorded; a failed branch is undone by rewinding to its mark.
+   [true] when a solution was found: it is left in the engine, every
+   domain a singleton, for [extract] or [extract_values] to read. *)
 let search ?(max_fails = 4000) ?bias ~stats rng e =
   let cp = e.cp in
   let fails = ref 0 in
@@ -814,7 +843,7 @@ let search ?(max_fails = 4000) ?bias ~stats rng e =
     stats.nodes <- stats.nodes + 1;
     Obs.Counter.incr c_nodes;
     match pick_var () with
-    | None -> Some (extract e)
+    | None -> true
     | Some vid ->
         let values = live_values e vid in
         Rng.shuffle rng values;
@@ -825,61 +854,63 @@ let search ?(max_fails = 4000) ?bias ~stats rng e =
             | _ -> ())
         | None -> ());
         let rec try_values i =
-          if i >= Array.length values then None
+          if i >= Array.length values then false
           else begin
             let mark = e.tr_len in
             assign e vid values.(i);
             push_watchers e vid (-1);
-            let ok = run_queue e in
-            let result = if ok then dfs () else None in
-            match result with
-            | Some _ as r -> r
-            | None ->
-                undo_to e mark;
-                stats.fails <- stats.fails + 1;
-                Obs.Counter.incr c_fails;
-                incr fails;
-                if !fails > max_fails then raise Give_up;
-                try_values (i + 1)
+            if run_queue e && dfs () then true
+            else begin
+              undo_to e mark;
+              stats.fails <- stats.fails + 1;
+              Obs.Counter.incr c_fails;
+              incr fails;
+              if !fails > max_fails then raise Give_up;
+              try_values (i + 1)
+            end
           end
         in
         try_values 0
   in
-  try dfs () with Give_up -> None
+  try dfs () with Give_up -> false
 
-let solve_prepared ~max_fails ~max_restarts ~stats ?bias rng cp start =
-  let e = make_engine cp start in
-  e.trailing <- true;
-  let rec attempt k =
-    if k > max_restarts then None
-    else begin
-      if k > 0 then begin
-        stats.restarts <- stats.restarts + 1;
-        Obs.Counter.incr c_restarts;
-        reset e start
-      end;
-      match search ~max_fails ?bias ~stats rng e with
-      | Some a -> Some a
-      | None -> attempt (k + 1)
-    end
-  in
-  let r = attempt 0 in
-  finish_engine e;
-  r
+(* Prepare and search in one engine: narrow [cp]'s root fixpoint by [rs]
+   untrailed, then search it trailed. A restart rewinds the whole trail,
+   which restores the narrowed start exactly. [out] reads the solution. *)
+let solve_restricted ~max_fails ~max_restarts ~stats rng cp rs out =
+  match restricted_engine cp rs with
+  | None -> None
+  | Some e ->
+      e.trailing <- true;
+      let rec attempt k =
+        if k > max_restarts then None
+        else begin
+          if k > 0 then begin
+            stats.restarts <- stats.restarts + 1;
+            Obs.Counter.incr c_restarts;
+            undo_to e 0
+          end;
+          if search ~max_fails ~stats rng e then Some (out e) else attempt (k + 1)
+        end
+      in
+      let r = attempt 0 in
+      finish_engine e;
+      r
 
-let solve ?(max_fails = 4000) ?(max_restarts = 8) ?exact_limit ?stats rng problem =
+let solve ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_limit) ?stats rng
+    problem =
   Obs.Counter.incr c_solve;
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  match prepare ?exact_limit problem with
-  | None -> None
-  | Some (cp, start) -> solve_prepared ~max_fails ~max_restarts ~stats rng cp start
+  let cp, rs = plan ~exact_limit problem in
+  solve_restricted ~max_fails ~max_restarts ~stats rng cp rs extract
 
 (* Each draw runs on its own generator, split from the parent in index
    order before any search starts. Draw i is therefore a pure function of
    (parent state, i): executing the draws on a domain pool of any size —
    or sequentially — yields byte-identical solution lists. The template
-   is prepared once here; each task only allocates its own engine. *)
-let rand_sat ?(max_fails = 4000) ?exact_limit ?pool rng problem n =
+   is prepared once here; each task only allocates its own engine, trailed
+   from the start, so a failed attempt rewinds the whole trail. *)
+let rand_sat_with out ?(max_fails = 4000) ?exact_limit ?pool rng problem n =
   if n <= 0 then []
   else
     match prepare ?exact_limit problem with
@@ -893,12 +924,11 @@ let rand_sat ?(max_fails = 4000) ?exact_limit ?pool rng problem n =
           e.trailing <- true;
           let rec go attempt =
             if attempt >= 3 then None
-            else
-              match search ~max_fails ~stats task_rng e with
-              | Some _ as a -> a
-              | None ->
-                  reset e start;
-                  go (attempt + 1)
+            else if search ~max_fails ~stats task_rng e then Some (out e)
+            else begin
+              undo_to e 0;
+              go (attempt + 1)
+            end
           in
           let r = go 0 in
           finish_engine e;
@@ -906,27 +936,54 @@ let rand_sat ?(max_fails = 4000) ?exact_limit ?pool rng problem n =
         in
         Heron_util.Pool.map ?pool draw rngs |> Array.to_list |> List.filter_map Fun.id
 
+let rand_sat ?max_fails ?exact_limit ?pool rng problem n =
+  rand_sat_with extract ?max_fails ?exact_limit ?pool rng problem n
+
+let rand_sat_values ?max_fails ?pool rng problem n =
+  rand_sat_with extract_values ?max_fails ?pool rng problem n
+
+(* Search a batch of plans on the pool, one engine per task, task [i] on
+   [rngs.(i)]. The plans were made sequentially in the caller (one compile
+   and root propagation per distinct base, cache hits for the rest). *)
+let search_plans ~max_fails ~max_restarts ?pool rngs plans out =
+  Heron_util.Pool.init ?pool (Array.length plans) (fun i ->
+      let cp, rs = plans.(i) in
+      solve_restricted ~max_fails ~max_restarts ~stats:(fresh_stats ()) rngs.(i) cp rs out)
+  |> Array.to_list
+
 (* Solve a batch of independent problems with per-task split generators;
-   same determinism contract as {!rand_sat}. Templates are prepared
-   sequentially in the caller (one compile + root propagation per
-   distinct base, cache hits for the rest), then searched on the pool. *)
-let solve_all ?(max_fails = 4000) ?(max_restarts = 8) ?exact_limit ?pool rng problems =
+   same determinism contract as {!rand_sat}. *)
+let solve_all ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_limit) ?pool
+    rng problems =
   let arr = Array.of_list problems in
   let rngs = Rng.split_n rng (Array.length arr) in
-  let preps =
+  let plans =
     Array.map
       (fun p ->
         Obs.Counter.incr c_solve;
-        prepare ?exact_limit p)
+        plan ~exact_limit p)
       arr
   in
-  let task i =
-    match preps.(i) with
-    | None -> None
-    | Some (cp, start) ->
-        solve_prepared ~max_fails ~max_restarts ~stats:(fresh_stats ()) rngs.(i) cp start
+  search_plans ~max_fails ~max_restarts ?pool rngs plans extract
+
+(* [solve_all] on the [with_extra] renderings of [children], without
+   building them: each child's plan is the one [plan] makes for its
+   rendering — the base's cached template narrowed by the base's own [In]
+   extras, then by the child's restrictions. *)
+let solve_children ~max_fails ~max_restarts ?pool rng problem children =
+  let root, extras = Problem.decompose problem in
+  if not (List.for_all is_in_cons extras) then
+    invalid_arg "Solver.solve_children: the base carries an extra that is not an In constraint";
+  let arr = Array.of_list children in
+  let rngs = Rng.split_n rng (Array.length arr) in
+  let plans =
+    Array.map
+      (fun rs ->
+        Obs.Counter.incr c_solve;
+        plan_in ~exact_limit:default_exact_limit root extras rs)
+      arr
   in
-  Heron_util.Pool.init ?pool (Array.length arr) task |> Array.to_list
+  search_plans ~max_fails ~max_restarts ?pool rngs plans extract_values
 
 let propagate_domains problem =
   match prepare problem with
@@ -991,6 +1048,6 @@ let solve_biased ?(max_fails = 4000) rng problem bias =
   | Some (cp, start) ->
       let e = make_engine cp start in
       e.trailing <- true;
-      let r = search ~max_fails ~bias ~stats rng e in
+      let r = if search ~max_fails ~bias ~stats rng e then Some (extract e) else None in
       finish_engine e;
       r

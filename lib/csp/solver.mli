@@ -16,7 +16,13 @@
     [engine] differential properties in [lib/check]), and cache traffic
     shows up in the [solver.compiles] / [solver.compile_cache_hits] /
     [solver.trail_pushes] counters documented in OBSERVABILITY.md, and
-    the work of exact binary PROD/SUM pruning in [solver.support_checks]. *)
+    the work of exact binary PROD/SUM pruning in [solver.support_checks].
+
+    Every solving entry point runs on one core: a problem is planned as a
+    template plus restrictions (a [with_extra] problem's [In] extras,
+    or {!solve_children}'s restrictions by variable id), and each search
+    narrows a fresh engine's root fixpoint by them and searches in that
+    same engine. *)
 
 type stats = {
   mutable nodes : int;     (** search nodes explored *)
@@ -50,6 +56,17 @@ val rand_sat :
     on its own generator split from [rng] in index order, so the result is
     identical with or without a [pool] and for any pool size. *)
 
+val rand_sat_values :
+  ?max_fails:int ->
+  ?pool:Heron_util.Pool.t ->
+  Heron_util.Rng.t ->
+  Problem.t ->
+  int ->
+  int array list
+(** {!rand_sat}'s draws — the same RNG use, solutions and counters — each
+    as an array of values indexed by variable id (the variable's position
+    in {!Problem.vars}), without building an assignment. *)
+
 val solve_all :
   ?max_fails:int ->
   ?max_restarts:int ->
@@ -61,6 +78,30 @@ val solve_all :
 (** Solve a batch of independent problems, optionally on a domain pool,
     with per-task generators split from [rng] in index order. Results are
     in input order and identical for any pool size. *)
+
+type restriction = int * int array
+(** [(v, values)]: variable [v] (its position in {!Problem.vars}) keeps
+    only [values], which ascend without repeats — an [In] constraint
+    addressed by variable id. *)
+
+val solve_children :
+  max_fails:int ->
+  max_restarts:int ->
+  ?pool:Heron_util.Pool.t ->
+  Heron_util.Rng.t ->
+  Problem.t ->
+  restriction list list ->
+  int array option list
+(** [solve_children ~max_fails ~max_restarts rng p children] solves one
+    child of [p] per restriction list, as value arrays indexed by variable
+    id. It gives the same solutions, RNG use and [solver.*] counters as
+    {!solve_all} on the children rendered as [Problem.with_extra p] of one
+    [In] constraint per restriction, but builds no problem: each child
+    starts from the base's cached template, ANDs [p]'s own [In] extras (if
+    [p] was built with [with_extra]) and then its restrictions into the
+    root fixpoint in list order, and is searched in the same engine.
+    @raise Invalid_argument when [p] carries an extra that is not an [In]
+    constraint. *)
 
 val propagate_domains : Problem.t -> (string * Domain.t) list option
 (** Runs propagation alone and returns the narrowed domains, or [None] on a

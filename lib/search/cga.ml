@@ -94,27 +94,38 @@ let warm_snapshot (env : Env.t) rows =
     s_model = rows;
   }
 
-let crossover_csps ?(mutation = true) rng problem ~keys ~parents ~n =
+(* Algorithm 3's crossover and mutation draw, for [n] children: each
+   child picks two parents with [Rng.choice], restricts every key variable
+   both bind to the set of their two values, and mutation drops one of
+   those restrictions at an [Rng.int] position. [value p k] is parent
+   [p]'s value of key [k], if bound. The search loop draws over value
+   arrays and variable ids, [crossover_csps] over assignments and names:
+   the same draws either way. *)
+let draw_children ~mutation rng ~value ~keys ~parents ~n =
   if Array.length parents < 2 then []
   else
     List.init n (fun _ ->
         let c1 = Rng.choice rng parents and c2 = Rng.choice rng parents in
-        let constraints =
+        let restrictions =
           List.filter_map
-            (fun v ->
-              match (Assignment.find_opt c1 v, Assignment.find_opt c2 v) with
-              | Some a, Some b -> Some (Cons.In (v, List.sort_uniq Int.compare [ a; b ]))
+            (fun k ->
+              match (value c1 k, value c2 k) with
+              | Some a, Some b ->
+                  Some (k, if a = b then [| a |] else if a < b then [| a; b |] else [| b; a |])
               | _ -> None)
             keys
         in
-        let constraints =
-          if mutation && constraints <> [] then begin
-            let drop = Rng.int rng (List.length constraints) in
-            List.filteri (fun i _ -> i <> drop) constraints
-          end
-          else constraints
-        in
-        Problem.with_extra problem constraints)
+        if mutation && restrictions <> [] then begin
+          let drop = Rng.int rng (List.length restrictions) in
+          List.filteri (fun i _ -> i <> drop) restrictions
+        end
+        else restrictions)
+
+let crossover_csps ?(mutation = true) rng problem ~keys ~parents ~n =
+  draw_children ~mutation rng ~value:Assignment.find_opt ~keys ~parents ~n
+  |> List.map (fun rs ->
+         Problem.with_extra problem
+           (List.map (fun (v, values) -> Cons.In (v, Array.to_list values)) rs))
 
 (* ---------- flat population scratch ---------- *)
 
@@ -216,7 +227,7 @@ let sync_feats model intern sc =
   if n > sc.feats_n then begin
     Fmat.set_rows sc.feats n;
     for id = sc.feats_n to n - 1 do
-      Model.featurize_row model (Intern.assignment intern id) sc.feats id
+      Model.featurize_values model (Intern.values intern id) sc.feats id
     done;
     sc.feats_n <- n
   end
@@ -412,9 +423,9 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
        interned and deduped in one pass over the flat buffer. *)
     timed time_search "cga.seed_population" (fun () ->
         let need = max 2 (params.pop_size - List.length !survivors) in
-        let seeds = Solver.rand_sat ?pool env.Env.rng env.Env.problem need in
+        let seeds = Solver.rand_sat_values ?pool env.Env.rng env.Env.problem need in
         sc.buf_n <- 0;
-        List.iter (fun a -> push_buf sc (Env.Recorder.intern rec_ a)) seeds;
+        List.iter (fun vs -> push_buf sc (Env.Recorder.intern_values rec_ vs)) seeds;
         List.iter (fun (id, _) -> push_buf sc id) !survivors);
     if sc.buf_n = 0 then continue := false
     else begin
@@ -426,30 +437,32 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
             score_ids sc.pop sc.pop_n;
             roulette_ids params.pop_size;
             let ns = List.length !survivors in
-            let parents = Array.make (params.pop_size + ns) Assignment.empty in
+            let parents = Array.make (params.pop_size + ns) [||] in
             for i = 0 to params.pop_size - 1 do
-              parents.(i) <- Intern.assignment intern sc.sel.(i)
+              parents.(i) <- Intern.values intern sc.sel.(i)
             done;
             List.iteri
-              (fun i (id, _) -> parents.(params.pop_size + i) <- Intern.assignment intern id)
+              (fun i (id, _) -> parents.(params.pop_size + i) <- Intern.values intern id)
               !survivors;
             let keys =
               match params.key_selection with
-              | By_model -> Model.key_variables model params.top_k
+              | By_model -> Model.key_ids model params.top_k
               | Random_keys ->
-                  let all = Array.copy (Problem.vars env.Env.problem) in
+                  let all = Array.init (Problem.n_vars env.Env.problem) Fun.id in
                   Rng.shuffle env.Env.rng all;
                   Array.to_list (Array.sub all 0 (min params.top_k (Array.length all)))
             in
-            let csps =
-              crossover_csps ~mutation:params.mutation env.Env.rng env.Env.problem ~keys
-                ~parents ~n:params.pop_size
+            let restrictions =
+              draw_children ~mutation:params.mutation env.Env.rng
+                ~value:(fun vs v -> Some vs.(v))
+                ~keys ~parents ~n:params.pop_size
             in
             let children =
-              Solver.solve_all ~max_fails:400 ~max_restarts:0 ?pool env.Env.rng csps
+              Solver.solve_children ~max_fails:400 ~max_restarts:0 ?pool env.Env.rng
+                env.Env.problem restrictions
               |> List.filter_map Fun.id
             in
-            Obs.Counter.add c_offspring_attempted (List.length csps);
+            Obs.Counter.add c_offspring_attempted (List.length restrictions);
             Obs.Counter.add c_offspring_accepted (List.length children);
             if Obs.enabled () then
               Obs.emit "generation"
@@ -457,12 +470,12 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
                   ("iter", Json.Int !iter_no);
                   ("gen", Json.Int g);
                   ("pop", Json.Int sc.pop_n);
-                  ("offspring_attempted", Json.Int (List.length csps));
+                  ("offspring_attempted", Json.Int (List.length restrictions));
                   ("offspring_accepted", Json.Int (List.length children));
                 ];
             (* pop <- dedupe (children @ pop), children first. *)
             sc.buf_n <- 0;
-            List.iter (fun a -> push_buf sc (Env.Recorder.intern rec_ a)) children;
+            List.iter (fun vs -> push_buf sc (Env.Recorder.intern_values rec_ vs)) children;
             sc.buf <- grown_int sc.buf (sc.buf_n + sc.pop_n);
             Array.blit sc.pop 0 sc.buf sc.buf_n sc.pop_n;
             sc.buf_n <- sc.buf_n + sc.pop_n;

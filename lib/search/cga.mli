@@ -81,9 +81,10 @@ val run :
     continues byte-identically to an uninterrupted run (the model
     ensemble is rebuilt by one deterministic refit of the checkpointed
     samples). A snapshot that does not fit the current task —
-    wrong-width or out-of-range model rows, or carried assignments that
-    bind other variables or out-of-domain values — raises
-    [Invalid_argument] before anything is restored, so a checkpoint (or
+    wrong-width or out-of-range model rows, carried assignments that
+    bind other variables or out-of-domain values, or measurement-cache
+    keys over other variables — raises [Invalid_argument] before anything
+    is restored, so a checkpoint (or
     a transferred warm-start window) from a different operator, shape or
     descriptor can never silently corrupt a run.
 
@@ -102,4 +103,7 @@ val crossover_csps :
   n:int ->
   Heron_csp.Problem.t list
 (** The constraint-based crossover + mutation operator alone (Algorithm 3),
-    exposed for tests and the playground example. *)
+    exposed for tests and the playground example. The search loop makes
+    the same draws on variable ids and value arrays and hands them to
+    {!Heron_csp.Solver.solve_children} as restrictions; this renders them
+    as [Problem.with_extra] CSPs of [In] constraints instead. *)

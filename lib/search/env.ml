@@ -90,7 +90,7 @@ module Recorder = struct
       env;
       budget;
       resilience;
-      intern = Intern.create ();
+      intern = Intern.create (Problem.vars env.problem);
       flags = Bytes.make 256 '\000';
       cvals = Array.make 256 None;
       cache_cap = max 1 cache_cap;
@@ -129,6 +129,11 @@ module Recorder = struct
 
   let intern r a =
     let id = Intern.intern r.intern a in
+    ensure r;
+    id
+
+  let intern_values r vs =
+    let id = Intern.intern_values r.intern vs in
     ensure r;
     id
 
@@ -310,10 +315,10 @@ module Recorder = struct
     }
 
   let id_of_key r ctx k =
+    let fail e = invalid_arg (Printf.sprintf "Env.Recorder.import: %s key %S: %s" ctx k e) in
     match Assignment.of_key k with
-    | Ok a -> Intern.intern_keyed r.intern a k
-    | Error e ->
-        invalid_arg (Printf.sprintf "Env.Recorder.import: %s key %S: %s" ctx k e)
+    | Ok a -> ( try Intern.intern_keyed r.intern a k with Invalid_argument e -> fail e)
+    | Error e -> fail e
 
   let import ?cache_cap ?resilience env ~budget x =
     let r = create ?cache_cap ?resilience env ~budget in

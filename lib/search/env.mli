@@ -41,7 +41,9 @@ val score : float option -> float
     the hot path (checkpoint export is the only place keys materialize).
     The assignment-keyed API below is unchanged; searchers that already
     hold ids (the {!Cga} flat-pool loop) use the [_id] entry points and
-    skip the intern lookup too. *)
+    skip the intern lookup too. A candidate interned by its values
+    ({!intern_values}) gets its assignment built only when it is
+    measured, becomes the incumbent or is exported. *)
 module Recorder : sig
   type r
 
@@ -103,6 +105,13 @@ module Recorder : sig
       and recorder ids coincide (one id namespace per run). *)
 
   val intern : r -> Assignment.t -> int
+  (** @raise Invalid_argument when the assignment does not bind exactly
+      the problem's variables (see {!Intern.intern}). *)
+
+  val intern_values : r -> int array -> int
+  (** The id of a candidate given as values indexed by variable id (see
+      {!Intern.intern_values}): the solver's children and draws enter the
+      recorder this way, without an assignment being built. *)
 
   val seen_id : r -> int -> bool
   val degraded_id : r -> int -> bool
@@ -131,6 +140,8 @@ module Recorder : sig
       is given), so a resumed search continues byte-identically to one
       that was never interrupted. Exported keys are parsed back into
       assignments with {!Assignment.of_key}; a key that is not a
-      canonical rendering (hand-edited or corrupt checkpoint) raises
-      [Invalid_argument] before any state is restored into the run. *)
+      canonical rendering (hand-edited or corrupt checkpoint), or that
+      does not bind exactly the problem's variables (a checkpoint of
+      another task), raises [Invalid_argument] naming the key before any
+      state is restored into the run. *)
 end

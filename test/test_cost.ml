@@ -208,6 +208,8 @@ let test_untrained_predict_batch_counts () =
   let calls1 = Obs.Counter.value c_calls in
   Alcotest.(check int) "untrained path counted" (calls0 + 1) calls1
 
+let values_of p a = Array.map (Assignment.get a) (Problem.vars p)
+
 (* The batched/pre-binned entry points of the interned search engine must
    be observably identical to the scalar paths they replace: same ring
    bytes ([samples]), same ensemble after refit, same predictions. *)
@@ -233,8 +235,8 @@ let same_samples msg a b =
       Alcotest.(check (float 0.0)) (msg ^ ": score") y1 y2)
     sa sb
 
-(* record_row through a caller-binned matrix is the same observation as
-   record on the assignment, across ring wrap-around. *)
+(* record_row through a matrix binned from the candidate's values is the
+   same observation as record on the assignment, across ring wrap-around. *)
 let test_record_row_matches_record () =
   let p = toy_problem () in
   let obs = batch_observations 40 in
@@ -245,7 +247,7 @@ let test_record_row_matches_record () =
   Fmat.set_rows m 1;
   List.iter
     (fun (a, y) ->
-      Model.featurize_row rowed a m 0;
+      Model.featurize_values rowed (values_of p a) m 0;
       Model.record_row rowed m 0 y)
     obs;
   same_samples "record_row" scalar rowed
@@ -263,7 +265,7 @@ let test_predict_gather_matches_predict_batch () =
   let src = Fmat.create ~capacity:(2 * n) ~n_features:(Model.n_features m) () in
   Fmat.set_rows src (2 * n);
   let rows = Array.init n (fun i -> (2 * i) + 1) in
-  List.iteri (fun i a -> Model.featurize_row m a src rows.(i)) probes;
+  List.iteri (fun i a -> Model.featurize_values m (values_of p a) src rows.(i)) probes;
   let out = Array.make n nan in
   Model.predict_gather m src rows n out;
   let expect = Array.of_list (Model.predict_batch m probes) in
@@ -271,7 +273,7 @@ let test_predict_gather_matches_predict_batch () =
   (* Untrained: both paths yield zeros. *)
   let fresh = Model.create p in
   let out0 = Array.make n nan in
-  List.iteri (fun i a -> Model.featurize_row fresh a src rows.(i)) probes;
+  List.iteri (fun i a -> Model.featurize_values fresh (values_of p a) src rows.(i)) probes;
   Model.predict_gather fresh src rows n out0;
   Alcotest.(check (array (float 0.0)))
     "untrained zeros"
@@ -308,6 +310,59 @@ let test_samples_restore_roundtrip () =
   let probe = Assignment.of_list [ ("x", 8); ("y", 3); ("noise", 4) ] in
   Alcotest.(check (float 0.0)) "same prediction" (Model.predict m probe) (Model.predict m2 probe)
 
+(* [layout_ok] guards every resumed window row and every donor row a
+   warm start receives. It reads bin counts fixed at [Model.create]:
+   checking a row allocates nothing. *)
+let test_layout_ok_allocates_nothing () =
+  let m = Model.create (toy_problem ()) in
+  (* Bin counts 5, 3 and 10. *)
+  Alcotest.(check bool) "valid row" true (Model.layout_ok m [| 4; 2; 9 |]);
+  Alcotest.(check bool) "bin past its feature" false (Model.layout_ok m [| 4; 3; 9 |]);
+  Alcotest.(check bool) "negative bin" false (Model.layout_ok m [| 0; -1; 0 |]);
+  Alcotest.(check bool) "short row" false (Model.layout_ok m [| 4; 2 |]);
+  Alcotest.(check bool) "long row" false (Model.layout_ok m [| 4; 2; 9; 0 |]);
+  let row = [| 4; 2; 9 |] and reps = 512 in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (Model.layout_ok m row))
+  done;
+  let w2 = Gc.minor_words () in
+  let words = w2 -. w1 -. (w1 -. w0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d checks allocate %.0f words (none)" reps words)
+    true (words <= 0.0)
+
+(* The search loop bins candidates as value arrays and picks key
+   variables as ids; both must agree with the assignment and name paths. *)
+let test_values_and_ids_match_names () =
+  let p = toy_problem () in
+  let f = Features.of_problem p and m = Model.create p in
+  let rows = Fmat.create ~capacity:2 ~n_features:(Features.n_features f) () in
+  Fmat.set_rows rows 2;
+  List.iter
+    (fun (x, y, noise) ->
+      Features.bin_row f (Assignment.of_list [ ("x", x); ("y", y); ("noise", noise) ]) rows 0;
+      Features.bin_values f [| x; y; noise |] rows 1;
+      Alcotest.(check (array int)) "same row" (Fmat.row rows 0) (Fmat.row rows 1))
+    [ (1, 1, 0); (4, 3, 7); (16, 5, 9); (3, 2, 100); (0, 0, -1) ];
+  let names = Problem.vars p in
+  let by_id k = List.map (fun i -> names.(i)) (Model.key_ids m k) in
+  Alcotest.(check (list string)) "untrained" (Model.key_variables m 2) (by_id 2);
+  let rng = Rng.create 5 in
+  for _ = 1 to 64 do
+    let a =
+      Assignment.of_list
+        [ ("x", [| 1; 2; 4; 8; 16 |].(Rng.int rng 5)); ("y", 1 + (2 * Rng.int rng 3));
+          ("noise", Rng.int rng 10) ]
+    in
+    Model.record m a (float_of_int (Assignment.get a "x" + Assignment.get a "y"))
+  done;
+  Model.refit m;
+  List.iter
+    (fun k -> Alcotest.(check (list string)) "trained" (Model.key_variables m k) (by_id k))
+    [ 1; 2; 3; 5 ]
+
 let suite =
   [
     Alcotest.test_case "feature shape" `Quick test_features_shape;
@@ -330,4 +385,7 @@ let suite =
       test_predict_gather_matches_predict_batch;
     Alcotest.test_case "untrained predict_batch counts" `Quick test_untrained_predict_batch_counts;
     Alcotest.test_case "samples/restore round-trip" `Quick test_samples_restore_roundtrip;
+    Alcotest.test_case "layout_ok allocates nothing" `Quick test_layout_ok_allocates_nothing;
+    Alcotest.test_case "values and ids = assignments and names" `Quick
+      test_values_and_ids_match_names;
   ]

@@ -891,6 +891,15 @@ let test_compile_cache () =
   Alcotest.(check int) "offspring reuses base template" c2 (compiles ());
   Alcotest.(check bool) "offspring lookup is a cache hit" true (hits () > h2)
 
+(* [solve_children] takes a frozen root or an [In]-extended base (the
+   engine property compares both with [solve_all]); any other base is
+   refused. *)
+let test_solve_children_refuses_other_bases () =
+  let base = Problem.with_extra (chain_problem ()) [ Cons.Le ("x", "y") ] in
+  match Solver.solve_children ~max_fails:100 ~max_restarts:0 (Rng.create 1) base [ [] ] with
+  | _ -> Alcotest.fail "a base with a non-In extra was accepted"
+  | exception Invalid_argument _ -> ()
+
 let qtest t =
   Heron_check.Replay.to_alcotest ~seed:(Heron_check.Replay.seed_from_env ()) t
 
@@ -917,6 +926,8 @@ let suite =
       test_select_index_among_sources;
     Alcotest.test_case "sum constraint" `Quick test_sum_constraint;
     Alcotest.test_case "with_extra" `Quick test_with_extra;
+    Alcotest.test_case "solve_children refuses other bases" `Quick
+      test_solve_children_refuses_other_bases;
     Alcotest.test_case "solve_biased" `Quick test_solve_biased;
     Alcotest.test_case "violations count" `Quick test_violations_count;
     Alcotest.test_case "variable categories" `Quick test_categories;
