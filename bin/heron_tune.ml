@@ -267,9 +267,14 @@ let () =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Write an atomic checkpoint of the full search state to \
-             $(docv) after every exploration iteration; a killed run \
-             resumed with $(b,--resume) finishes byte-identically.")
+            "Checkpoint the search state to $(docv) after every \
+             exploration iteration. For one operator the file is an \
+             append-only log, one checksummed record per iteration; \
+             with $(b,--network) it is one JSON file replaced atomically \
+             per round. A killed run resumed with $(b,--resume) finishes \
+             byte-identically; given the same $(docv) for both flags, it \
+             continues the log in place, cutting off a record torn by \
+             the kill.")
   in
   let resume =
     Arg.(
@@ -277,9 +282,9 @@ let () =
       & opt (some string) None
       & info [ "resume" ] ~docv:"FILE"
           ~doc:
-            "Resume from a checkpoint written by $(b,--checkpoint). The \
-             run parameters (DLA, operator, trials, seed, faults) must \
-             match the checkpointed run.")
+            "Resume from a checkpoint written by $(b,--checkpoint), from \
+             its last whole record. The run parameters (DLA, operator, \
+             trials, seed, faults) must match the checkpointed run.")
   in
   let kill_after =
     Arg.(

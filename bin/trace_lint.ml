@@ -4,9 +4,10 @@
    valid. The @trace-quick alias runs this on a freshly traced tuning run,
    so `dune runtest` always exercises --trace end to end.
 
-   With --checkpoint, the files are validated as search checkpoints
-   instead (versioned schema, field-by-field diagnostics, RNG state
-   format), printing a one-line summary per valid file. *)
+   With --checkpoint, the files are validated as search checkpoint logs
+   instead (record framing, versioned schema, field-by-field diagnostics,
+   RNG state format), printing a one-line summary per valid file: the
+   records replayed, the bytes of a torn tail dropped, and the state. *)
 
 module Trace = Heron_obs.Trace
 module Checkpoint = Heron_search.Checkpoint
@@ -27,20 +28,22 @@ let lint path =
           false)
 
 let lint_checkpoint path =
-  match Checkpoint.load ~path with
+  match Checkpoint.read ~path with
   | Error msg ->
       Printf.printf "FAIL %s: %s\n" path msg;
       false
-  | Ok ((_, snap) as ck) ->
-      (* [load] already validated the schema; the RNG state additionally
+  | Ok log -> (
+      (* [read] already validated the schema; the RNG state additionally
          has to be restorable. *)
       let rng = Heron_util.Rng.create 0 in
-      (match Heron_util.Rng.set_state_hex rng snap.Heron_search.Cga.s_rng_hex with
+      match
+        Heron_util.Rng.set_state_hex rng log.Checkpoint.snapshot.Heron_search.Cga.s_rng_hex
+      with
       | Error msg ->
           Printf.printf "FAIL %s: checkpoint: rng: %s\n" path msg;
           false
       | Ok () ->
-          Printf.printf "OK   %s: %s\n" path (Checkpoint.describe ck);
+          Printf.printf "OK   %s: %s\n" path (Checkpoint.describe log);
           true)
 
 let () =

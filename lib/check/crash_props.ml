@@ -1,8 +1,8 @@
 (* Exhaustive crash-point verification of the storage protocols.
 
    Each scenario below is a write-path protocol (store publish, queue
-   checkpoint, CGA checkpoint, nets composite checkpoint, the serve daemon
-   end to end). The explorer runs it once under a site-recording
+   checkpoint, CGA checkpoint replace and append, nets composite
+   checkpoint, the serve daemon end to end). The explorer runs it once under a site-recording
    {!Heron_util.Io_faults} injector to enumerate its N I/O sites — every
    executed write/fsync/rename boundary — then replays it N times with a
    simulated process death at exactly site i, checks the protocol's
@@ -297,7 +297,8 @@ type ckpt_ctx = { cc_path : string; cc_writer : Checkpoint.writer }
 (* Old-or-new: a checkpoint overwrite killed at any boundary leaves a
    loadable checkpoint equal to exactly one of the two versions. Both
    versions, and the redo, go through one writer, as a tuning run's
-   checkpoints do. *)
+   checkpoints do. The snapshots are unrelated, so every write replaces
+   the log. *)
 let checkpoint_scenario ~label ~old_snap ~new_snap =
   let old_ckpt = (label, old_snap) and new_ckpt = (label, new_snap) in
   let render (label, s) = Json.to_string (Checkpoint.snapshot_to_json ~label s) in
@@ -332,6 +333,66 @@ let search_checkpoint_sweep ~count =
       let old_snap = synthetic_snapshot rng in
       let new_snap = synthetic_snapshot rng in
       explore (checkpoint_scenario ~label:"run" ~old_snap ~new_snap))
+
+(* The same for an append: two consecutive snapshots of one small real
+   run, the second appended to a log that holds the first. A death leaves
+   a log that loads to one of the two. Recovery is a resume: a writer that
+   continues the file from the snapshot it holds, fed the resumed run's
+   snapshots up to the second one, must end on the uninterrupted log's
+   bytes. *)
+let run_small ?resume ~on_snapshot seed =
+  let env =
+    {
+      Env.problem = Search_props.toy_problem ();
+      measure = Search_props.hash_measure;
+      rng = Rng.create seed;
+    }
+  in
+  ignore (Cga.run ~params:Search_props.small_params ?resume ~on_snapshot env ~budget:12)
+
+let append_scenario ~seed ~label ~old_snap ~new_snap =
+  let render (label, s) = Json.to_string (Checkpoint.snapshot_to_json ~label s) in
+  let upto = new_snap.Cga.s_iter in
+  {
+    setup =
+      (fun () ->
+        let path = fresh_name "ckpt_log" ^ ".log" in
+        let c = { cc_path = path; cc_writer = Checkpoint.writer ~path ~label } in
+        Checkpoint.write c.cc_writer old_snap;
+        c);
+    run = (fun c -> Checkpoint.write c.cc_writer new_snap);
+    mid_check =
+      (fun c ->
+        match Checkpoint.load ~path:c.cc_path with
+        | Error _ -> false
+        | Ok got ->
+            let r = render got in
+            r = render (label, old_snap) || r = render (label, new_snap));
+    recover =
+      (fun c ->
+        match Checkpoint.read ~path:c.cc_path with
+        | Error e -> failwith e
+        | Ok log ->
+            let w = Checkpoint.reopen ~path:c.cc_path log in
+            run_small ~resume:log.Checkpoint.snapshot seed ~on_snapshot:(fun s ->
+                if s.Cga.s_iter <= upto then Checkpoint.write w s));
+    final = (fun c -> In_channel.with_open_bin c.cc_path In_channel.input_all);
+    teardown = (fun c -> rm_rf c.cc_path);
+  }
+
+let search_append_sweep ~count =
+  QCheck.Test.make
+    ~name:"crash: CGA checkpoint append leaves old or new and continues in place at every I/O site"
+    ~count seed_pair (fun (seed, k) ->
+      let snapshots = ref [] in
+      run_small seed ~on_snapshot:(fun s -> snapshots := s :: !snapshots);
+      let snapshots = Array.of_list (List.rev !snapshots) in
+      let n = Array.length snapshots in
+      n < 2
+      ||
+      let i = k mod (n - 1) in
+      explore
+        (append_scenario ~seed ~label:"run" ~old_snap:snapshots.(i) ~new_snap:snapshots.(i + 1)))
 
 (* ---------- (d) nets composite checkpoint ---------- *)
 
@@ -442,6 +503,7 @@ let tests ?(count = 20) () =
     store_publish_sweep ~count:(max 1 (count / 2));
     queue_checkpoint_sweep ~count;
     search_checkpoint_sweep ~count;
+    search_append_sweep ~count;
     nets_checkpoint_sweep ~count:(max 1 (count / 10));
     serve_daemon_sweep ~count:(max 1 (count / 10));
   ]

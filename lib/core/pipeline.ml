@@ -68,25 +68,31 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
     | Some spec -> Some (Env.Recorder.make_resilience ?policy (make_attempt_measure measure spec))
   in
   let label = run_label desc op ~budget ~seed ~faults in
-  let resume =
+  let resumed =
     match resume with
     | None -> None
     | Some path -> (
-        match Checkpoint.load ~path with
+        match Checkpoint.read ~path with
         | Error e -> invalid_arg e
-        | Ok (file_label, snap) ->
-            if file_label <> label then
+        | Ok log ->
+            if log.Checkpoint.label <> label then
               invalid_arg
                 (Printf.sprintf
                    "checkpoint: %s belongs to a different run (file label %S, this run %S)" path
-                   file_label label)
-            else Some snap)
+                   log.Checkpoint.label label)
+            else Some (path, log))
   in
   let on_snapshot =
     match checkpoint with
     | None -> None
     | Some path ->
-        let w = Checkpoint.writer ~path ~label in
+        (* Resuming from the file being written continues its log in place
+           from the snapshot the run resumes from. *)
+        let w =
+          match resumed with
+          | Some (from, log) when from = path -> Checkpoint.reopen ~path log
+          | _ -> Checkpoint.writer ~path ~label
+        in
         let writes = ref 0 in
         Some
           (fun snap ->
@@ -96,6 +102,7 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
                crash would) after the Nth checkpoint write. *)
             match kill_after with Some n when !writes >= n -> exit 3 | _ -> ())
   in
+  let resume = Option.map (fun (_, log) -> log.Checkpoint.snapshot) resumed in
   let outcome = Cga.run ?params ?pool ?resilience ?resume ?on_snapshot env ~budget in
   { gen; outcome; desc; op; measurements = count () }
 

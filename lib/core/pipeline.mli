@@ -67,10 +67,13 @@ val tune :
     under [?policy]. Without a fault spec the pipeline is byte-identical
     to previous behavior.
 
-    [?checkpoint] writes an atomic checkpoint of the full search state to
-    the given path at every exploration iteration; [?resume] restores one
-    (refusing a checkpoint whose label does not match this run) and
-    continues byte-identically to an uninterrupted run. [?kill_after n]
+    [?checkpoint] logs the search state to the given path at every
+    exploration iteration, one record per iteration (see
+    {!Heron_search.Checkpoint}); [?resume] restores the last whole record
+    of one (refusing a checkpoint whose label does not match this run) and
+    continues byte-identically to an uninterrupted run. With the same path
+    for both, the log is continued in place: a torn last record is cut
+    off, and the file ends on the uninterrupted run's bytes. [?kill_after n]
     is a crash simulation hook for tests: the process exits with status 3
     after the [n]th checkpoint write.
 

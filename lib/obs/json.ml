@@ -51,14 +51,18 @@ let add_int b i =
   end
   else add_neg_digits b (-i)
 
+(* The formatter [Printf.sprintf] applies for a [%f]/[%g] conversion of a
+   finite float, called without building the format string each time. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest representation that parses back to the same float; non-finite
    values have no JSON encoding and degrade to null. *)
 let float_repr f =
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else if Float.is_integer f && Float.abs f < 1e16 then format_float "%.1f" f
   else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 (* [repr] renders a float: [float_repr] itself, or a printer's memo of it. *)
 let rec write repr b = function

@@ -354,16 +354,17 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
     | None -> ()
     | Some f ->
         f
-          {
-            s_iter = !iter_no;
-            s_dry = !dry_iterations;
-            s_stopped = not !continue;
-            s_rng_hex = Rng.state_hex env.Env.rng;
-            s_recorder = Env.Recorder.export rec_;
-            s_survivors =
-              List.map (fun (id, l) -> (Intern.assignment intern id, l)) !survivors;
-            s_model = Model.samples model;
-          }
+          (Obs.with_span "cga.snapshot" (fun () ->
+               {
+                 s_iter = !iter_no;
+                 s_dry = !dry_iterations;
+                 s_stopped = not !continue;
+                 s_rng_hex = Rng.state_hex env.Env.rng;
+                 s_recorder = Env.Recorder.export rec_;
+                 s_survivors =
+                   List.map (fun (id, l) -> (Intern.assignment intern id, l)) !survivors;
+                 s_model = Model.samples model;
+               }))
   in
   (* Score [ids.(0 .. n-1)] into [scores.(0 .. n-1)] through the cached
      feature rows, clamped strictly positive for roulette weights (the

@@ -1,5 +1,7 @@
 module Assignment = Heron_csp.Assignment
 module Json = Heron_obs.Json
+module Atomic_io = Heron_util.Atomic_io
+module Hashing = Heron_util.Hashing
 
 let version = 1
 
@@ -17,25 +19,13 @@ let json_of_point (p : Env.point) =
     [ Json.Int p.Env.step; json_of_opt json_of_float p.Env.latency; json_of_opt json_of_float p.Env.best ]
 
 let json_of_cache_entry (k, l) = Json.List [ Json.String k; json_of_opt json_of_float l ]
+let json_of_keys ks = Json.List (List.map (fun k -> Json.String k) ks)
 
-let json_of_recorder ~trace ~cache (x : Env.Recorder.export) =
-  Json.Obj
-    [
-      ("steps", Json.Int x.Env.Recorder.x_steps);
-      ("evals", Json.Int x.Env.Recorder.x_evals);
-      ("invalid", Json.Int x.Env.Recorder.x_invalid);
-      ("best", json_of_opt json_of_float x.Env.Recorder.x_best);
-      ("best_a", json_of_opt json_of_assignment x.Env.Recorder.x_best_a);
-      ("trace", trace);
-      ("cache", cache);
-      ("quarantined", Json.List (List.map (fun k -> Json.String k) x.Env.Recorder.x_quarantined));
-      ("degraded", Json.List (List.map (fun k -> Json.String k) x.Env.Recorder.x_degraded));
-    ]
+let json_of_row (bins, score) =
+  Json.List [ Json.List (Array.to_list (Array.map (fun b -> Json.Int b) bins)); Json.Float score ]
 
-(* The checkpoint document, with the recorder's trace and cache lists
-   given by the caller: rendered ones for [to_json], placeholders for the
-   writer, which prints their entries from its memo. *)
-let document ~label ~trace ~cache (s : Cga.snapshot) =
+let to_json ~label (s : Cga.snapshot) =
+  let x = s.Cga.s_recorder in
   Json.Obj
     [
       ("heron_checkpoint", Json.Int version);
@@ -44,152 +34,215 @@ let document ~label ~trace ~cache (s : Cga.snapshot) =
       ("dry", Json.Int s.Cga.s_dry);
       ("stopped", Json.Bool s.Cga.s_stopped);
       ("rng", Json.String s.Cga.s_rng_hex);
-      ("recorder", json_of_recorder ~trace ~cache s.Cga.s_recorder);
+      ( "recorder",
+        Json.Obj
+          [
+            ("steps", Json.Int x.Env.Recorder.x_steps);
+            ("evals", Json.Int x.Env.Recorder.x_evals);
+            ("invalid", Json.Int x.Env.Recorder.x_invalid);
+            ("best", json_of_opt json_of_float x.Env.Recorder.x_best);
+            ("best_a", json_of_opt json_of_assignment x.Env.Recorder.x_best_a);
+            ("trace", Json.List (List.map json_of_point x.Env.Recorder.x_trace));
+            ("cache", Json.List (List.map json_of_cache_entry x.Env.Recorder.x_cache));
+            ("quarantined", json_of_keys x.Env.Recorder.x_quarantined);
+            ("degraded", json_of_keys x.Env.Recorder.x_degraded);
+          ] );
       ( "survivors",
         Json.List
           (List.map
              (fun (a, l) -> Json.List [ json_of_assignment a; Json.Float l ])
              s.Cga.s_survivors) );
-      ( "model",
-        Json.List
-          (List.map
-             (fun (bins, score) ->
-               Json.List
-                 [ Json.List (Array.to_list (Array.map (fun b -> Json.Int b) bins)); Json.Float score ])
-             s.Cga.s_model) );
+      ("model", Json.List (List.map json_of_row s.Cga.s_model));
     ]
 
-let to_json ~label (s : Cga.snapshot) =
-  let x = s.Cga.s_recorder in
-  document ~label s
-    ~trace:(Json.List (List.map json_of_point x.Env.Recorder.x_trace))
-    ~cache:(Json.List (List.map json_of_cache_entry x.Env.Recorder.x_cache))
-
-(* One file per run: successive checkpoints of a run repeat nearly every
-   float of the previous one, so the printer's memo formats each once, and
-   the one buffer is rewritten in place instead of reallocated. *)
+(* One file per run: successive composite checkpoints of a network run
+   repeat nearly every float of the previous one, and a log's delta records
+   repeat many floats of the records before them (best-so-far values,
+   survivor latencies), so the printer's memo formats each once, and the
+   one buffer is rewritten in place instead of reallocated. *)
 type file = { path : string; what : string; printer : Json.printer; buf : Buffer.t }
 
 let file ~path ~what = { path; what; printer = Json.printer (); buf = Buffer.create 4096 }
-
-let output f write =
-  Heron_util.Atomic_io.with_retry ~what:f.what (fun () ->
-      Heron_util.Atomic_io.with_file_out ~path:f.path write)
 
 let write_json f v =
   Buffer.clear f.buf;
   Json.print f.printer f.buf v;
   Buffer.add_char f.buf '\n';
-  output f (fun oc -> Buffer.output_buffer oc f.buf)
+  Atomic_io.with_retry ~what:f.what (fun () ->
+      Atomic_io.with_file_out ~path:f.path (fun oc -> Buffer.output_buffer oc f.buf))
 
-(* The entries of one recorder list that a writer has written, in list
-   order, with their rendered text joined by commas in one buffer.
-   Successive snapshots of a run share their lists' leading entries: the
-   recorder exports the same point records, and the same memoized key
-   strings and latency options, every time. So an entry is recognized by
-   physical equality, and since the values are immutable, an entry that
-   is physically the same renders to the same text. *)
-type 'a entries = {
-  same : 'a -> 'a -> bool;
-  json : 'a -> Json.t;
-  mutable items : 'a array;
-  mutable n : int;
-  text : Buffer.t;
+(* ---------- the log ---------- *)
+
+(* [v] as one record, a line: the payload's length in bytes, its FNV-1a
+   checksum in the store sidecars' hex, and the payload, [v] printed
+   through [f]'s float memo. The record is assembled in [f]'s buffer. *)
+let record f v =
+  Buffer.clear f.buf;
+  Json.print f.printer f.buf v;
+  let payload = Buffer.contents f.buf in
+  Buffer.clear f.buf;
+  Printf.bprintf f.buf "%d %016Lx " (String.length payload) (Hashing.fnv1a payload);
+  Buffer.add_string f.buf payload;
+  Buffer.add_char f.buf '\n';
+  Buffer.contents f.buf
+
+(* A one-record log holding [s], in place of whatever the file held. *)
+let replace f ~label s =
+  let r = record f (to_json ~label s) in
+  Atomic_io.with_retry ~what:f.what (fun () -> Atomic_io.write_string ~path:f.path r)
+
+(* The state the file holds, as the writer last wrote or read it. A cache
+   entry's slot counts the entries the log added before it since [snap]'s
+   first record; [first] is the slot of the cache's head, so an entry sits
+   at position [slot - first] of the cache. [known] holds the slots of
+   [snap]'s survivors and best assignment, which the next snapshot mostly
+   repeats physically, so their keys need not be rendered again. *)
+type held = {
+  snap : Cga.snapshot;
+  slots : (string, int) Hashtbl.t;
+  first : int;
+  next : int;
+  known : (Assignment.t * int) list;
 }
 
-let entries ~same ~json = { same; json; items = [||]; n = 0; text = Buffer.create 4096 }
+let hold (s : Cga.snapshot) =
+  let cache = s.Cga.s_recorder.Env.Recorder.x_cache in
+  let slots = Hashtbl.create 1024 in
+  List.iteri (fun i (k, _) -> Hashtbl.replace slots k i) cache;
+  { snap = s; slots; first = 0; next = List.length cache; known = [] }
 
-(* Make [e] hold exactly the entries of [xs]: when [xs] starts with the
-   held entries, render only its tail; otherwise (another run's snapshot,
-   a FIFO eviction, a shorter list) render every entry again. *)
-let sync e printer xs =
-  let rec held i xs =
-    if i = e.n then Some xs
-    else
-      match xs with
-      | x :: rest when e.same x e.items.(i) -> held (i + 1) rest
-      | _ -> None
-  in
-  let tail =
-    match held 0 xs with
-    | Some tail -> tail
-    | None ->
-        e.n <- 0;
-        Buffer.clear e.text;
-        xs
-  in
-  List.iter
-    (fun x ->
-      if e.n > 0 then Buffer.add_char e.text ',';
-      Json.print printer e.text (e.json x);
-      if e.n = Array.length e.items then
-        e.items <- Array.append e.items (Array.make (max 64 e.n) x);
-      e.items.(e.n) <- x;
-      e.n <- e.n + 1)
-    tail
-
-(* A writer prints the document in three parts, split at the trace and
-   cache lists, and sends the parts and the held entries' text straight
-   to the file, never joining them into one string. *)
-type writer = {
-  file : file;  (* its buffer holds the part before the trace entries *)
-  label : string;
-  trace : Env.point entries;
-  cache : (string * float option) entries;
-  mid : Buffer.t;  (* between the trace and the cache entries *)
-  tail : Buffer.t;  (* after the cache entries *)
-}
+type writer = { file : file; w_label : string; mutable held : held option }
 
 let writer ~path ~label =
-  {
-    file = file ~path ~what:"search.checkpoint";
-    label;
-    trace = entries ~same:( == ) ~json:json_of_point;
-    cache = entries ~same:(fun (k, l) (k', l') -> k == k' && l == l') ~json:json_of_cache_entry;
-    mid = Buffer.create 256;
-    tail = Buffer.create 4096;
-  }
+  { file = file ~path ~what:"search.checkpoint"; w_label = label; held = None }
 
-(* The writer's placeholders for the two lists: blocks allocated here, so
-   no value of a document is physically equal to either. *)
-let trace_hole = Json.String (String.make 1 't')
-let cache_hole = Json.String (String.make 1 'c')
+(* [Some added] when [xs] is [old] followed by [added], entry for entry. *)
+let rec added_after same old xs =
+  match (old, xs) with
+  | [], added -> Some added
+  | o :: old, x :: xs when same o x -> added_after same old xs
+  | _ -> None
 
-(* Print [v] as [Json.print] does, except that a placeholder ends the
-   current part with its opening bracket and starts the next with its
-   closing one. Only objects are descended: the placeholders are fields
-   of the recorder object. *)
-let rec print_parts w part v =
-  if v == trace_hole || v == cache_hole then begin
-    Buffer.add_char !part '[';
-    part := if v == trace_hole then w.mid else w.tail;
-    Buffer.add_char !part ']'
-  end
-  else
-    match v with
-    | Json.Obj fields ->
-        Buffer.add_char !part '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char !part ',';
-            Json.print w.file.printer !part (Json.String k);
-            Buffer.add_char !part ':';
-            print_parts w part v)
-          fields;
-        Buffer.add_char !part '}'
-    | v -> Json.print w.file.printer !part v
+let rec is_prefix same xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> same x y && is_prefix same xs ys
+  | _ :: _, [] -> false
 
+(* Successive exports of one recorder share their entries physically: the
+   same point records, the same memoized key strings and latency options.
+   A resumed run's exports share them with the snapshot it imported. *)
+let same_entry (k, l) (k', l') = k == k' && l == l'
+
+(* The cache is a FIFO: [xs] is [old] less [evicted] entries at its head,
+   followed by the [added] ones. *)
+let cache_delta old xs =
+  let is_head o = match xs with x :: _ -> same_entry o x | [] -> false in
+  let rec evict n = function
+    | o :: rest when not (is_head o) -> evict (n + 1) rest
+    | kept -> (n, kept)
+  in
+  let evicted, kept = evict 0 old in
+  Option.map (fun added -> (evicted, added)) (added_after same_entry kept xs)
+
+(* Model rows are copies, so they are matched by content; scores by their
+   bits, which is what decides how they print. *)
+let same_row ((b : int array), s) (b', s') =
+  let rec same i = i < 0 || (b.(i) = b'.(i) && same (i - 1)) in
+  Int64.equal (Int64.bits_of_float s) (Int64.bits_of_float s')
+  && Array.length b = Array.length b'
+  && same (Array.length b - 1)
+
+(* The window, most recent row first, is [added] followed by the first
+   rows of [old]; the rest of [old], [dropped] rows, left it. *)
+let model_delta old rows =
+  let rec go added rest =
+    match rest with
+    | r :: tl when not (is_prefix same_row rest old) -> go (r :: added) tl
+    | _ -> (List.rev added, List.length old - List.length rest)
+  in
+  go [] rows
+
+exception Unreferenced
+
+(* The delta record that takes the file from [h] to [s], and the state it
+   leaves; [None] when [s] does not extend [h]. Survivors and the best
+   assignment are positions in the cache after the record, so one outside
+   the cache makes the write a replacement. *)
+let delta h (s : Cga.snapshot) =
+  let o = h.snap.Cga.s_recorder and x = s.Cga.s_recorder in
+  match
+    ( added_after ( == ) o.Env.Recorder.x_trace x.Env.Recorder.x_trace,
+      cache_delta o.Env.Recorder.x_cache x.Env.Recorder.x_cache )
+  with
+  | Some trace, Some (evicted, cache) -> (
+      let first = h.first + evicted in
+      List.iteri (fun i (k, _) -> Hashtbl.replace h.slots k (h.next + i)) cache;
+      let known = ref [] in
+      let position a =
+        let slot =
+          match List.find_opt (fun (a', _) -> a' == a) h.known with
+          | Some (_, slot) when slot >= first -> slot
+          | _ -> (
+              match Hashtbl.find_opt h.slots (Assignment.key a) with
+              | Some slot when slot >= first -> slot
+              | _ -> raise Unreferenced)
+        in
+        known := (a, slot) :: !known;
+        Json.Int (slot - first)
+      in
+      match
+        ( List.map (fun (a, l) -> Json.List [ position a; Json.Float l ]) s.Cga.s_survivors,
+          json_of_opt position x.Env.Recorder.x_best_a )
+      with
+      | exception Unreferenced -> None
+      | survivors, best_a ->
+          let model, dropped = model_delta h.snap.Cga.s_model s.Cga.s_model in
+          let if_changed name old keys =
+            if List.equal String.equal old keys then [] else [ (name, json_of_keys keys) ]
+          in
+          let record =
+            Json.Obj
+              ([
+                 ("heron_delta", Json.Int version);
+                 ("iter", Json.Int s.Cga.s_iter);
+                 ("dry", Json.Int s.Cga.s_dry);
+                 ("stopped", Json.Bool s.Cga.s_stopped);
+                 ("rng", Json.String s.Cga.s_rng_hex);
+                 ("steps", Json.Int x.Env.Recorder.x_steps);
+                 ("evals", Json.Int x.Env.Recorder.x_evals);
+                 ("invalid", Json.Int x.Env.Recorder.x_invalid);
+                 ("best", json_of_opt json_of_float x.Env.Recorder.x_best);
+                 ("trace", Json.List (List.map json_of_point trace));
+                 ("evicted", Json.Int evicted);
+                 ("cache", Json.List (List.map json_of_cache_entry cache));
+                 ("survivors", Json.List survivors);
+                 ("best_a", best_a);
+                 ("model_dropped", Json.Int dropped);
+                 ("model", Json.List (List.map json_of_row model));
+               ]
+              @ if_changed "quarantined" o.Env.Recorder.x_quarantined x.Env.Recorder.x_quarantined
+              @ if_changed "degraded" o.Env.Recorder.x_degraded x.Env.Recorder.x_degraded)
+          in
+          let next = h.next + List.length cache in
+          Some (record, { snap = s; slots = h.slots; first; next; known = !known }))
+  | _ -> None
+
+(* The writer forgets what the file holds while it writes, so a write that
+   raises leaves it to replace the file next time. *)
 let write w s =
-  let x = s.Cga.s_recorder in
-  sync w.trace w.file.printer x.Env.Recorder.x_trace;
-  sync w.cache w.file.printer x.Env.Recorder.x_cache;
-  List.iter Buffer.clear [ w.file.buf; w.mid; w.tail ];
-  print_parts w (ref w.file.buf) (document ~label:w.label ~trace:trace_hole ~cache:cache_hole s);
-  Buffer.add_char w.tail '\n';
-  output w.file (fun oc ->
-      List.iter (Buffer.output_buffer oc) [ w.file.buf; w.trace.text; w.mid; w.cache.text; w.tail ])
+  let next = Option.bind w.held (fun h -> delta h s) in
+  w.held <- None;
+  match next with
+  | Some (v, h) ->
+      let r = record w.file v in
+      Atomic_io.with_retry ~what:w.file.what (fun () -> Atomic_io.append ~path:w.file.path r);
+      w.held <- Some h
+  | None ->
+      replace w.file ~label:w.w_label s;
+      w.held <- Some (hold s)
 
-let save ~path ~label s = write (writer ~path ~label) s
+let save ~path ~label s = replace (file ~path ~what:"search.checkpoint") ~label s
 
 (* ---------- decoding ---------- *)
 
@@ -220,9 +273,12 @@ let as_string ctx = function
   | Json.String s -> Ok s
   | _ -> fail ctx "expected a string"
 
+(* A non-finite float prints as [null]; it reads back as NaN, which prints
+   the same. *)
 let as_float ctx = function
   | Json.Float f -> Ok f
   | Json.Int n -> Ok (float_of_int n)
+  | Json.Null -> Ok Float.nan
   | _ -> fail ctx "expected a number"
 
 let as_list ctx = function
@@ -241,14 +297,17 @@ let map_listi ctx f l =
   in
   go 0 [] l
 
+let as_items f ctx v =
+  let* l = as_list ctx v in
+  map_listi ctx f l
+
 let dec_assignment ctx v =
-  let* pairs = as_list ctx v in
   let* bindings =
-    map_listi ctx
+    as_items
       (fun ctx -> function
         | Json.List [ Json.String var; Json.Int x ] -> Ok (var, x)
         | _ -> fail ctx "expected [variable, value]")
-      pairs
+      ctx v
   in
   Ok (Assignment.of_list bindings)
 
@@ -261,30 +320,34 @@ let dec_point ctx v =
       Ok { Env.step; latency; best }
   | _ -> fail ctx "expected [step, latency, best]"
 
+let dec_cache_entry ctx = function
+  | Json.List [ Json.String k; l ] ->
+      let* l = as_opt as_float ctx l in
+      Ok (k, l)
+  | _ -> fail ctx "expected [key, latency]"
+
+let dec_row ctx = function
+  | Json.List [ bins; score ] ->
+      let* bins = as_items as_int ctx bins in
+      let* score = as_float ctx score in
+      Ok (Array.of_list bins, score)
+  | _ -> fail ctx "expected [bins, score]"
+
+let get ctx name dec v =
+  let ctx' = if ctx = "" then name else ctx ^ "." ^ name in
+  let* x = field ctx name v in
+  dec ctx' x
+
 let dec_recorder ctx v =
-  let* steps = Result.bind (field ctx "steps" v) (as_int (ctx ^ ".steps")) in
-  let* evals = Result.bind (field ctx "evals" v) (as_int (ctx ^ ".evals")) in
-  let* invalid = Result.bind (field ctx "invalid" v) (as_int (ctx ^ ".invalid")) in
-  let* best = Result.bind (field ctx "best" v) (as_opt as_float (ctx ^ ".best")) in
-  let* best_a = Result.bind (field ctx "best_a" v) (as_opt dec_assignment (ctx ^ ".best_a")) in
-  let* trace = Result.bind (field ctx "trace" v) (as_list (ctx ^ ".trace")) in
-  let* trace = map_listi (ctx ^ ".trace") dec_point trace in
-  let* cache = Result.bind (field ctx "cache" v) (as_list (ctx ^ ".cache")) in
-  let* cache =
-    map_listi (ctx ^ ".cache")
-      (fun ctx -> function
-        | Json.List [ Json.String k; l ] ->
-            let* l = as_opt as_float ctx l in
-            Ok (k, l)
-        | _ -> fail ctx "expected [key, latency]")
-      cache
-  in
-  let dec_keys name =
-    let* l = Result.bind (field ctx name v) (as_list (ctx ^ "." ^ name)) in
-    map_listi (ctx ^ "." ^ name) as_string l
-  in
-  let* quarantined = dec_keys "quarantined" in
-  let* degraded = dec_keys "degraded" in
+  let* steps = get ctx "steps" as_int v in
+  let* evals = get ctx "evals" as_int v in
+  let* invalid = get ctx "invalid" as_int v in
+  let* best = get ctx "best" (as_opt as_float) v in
+  let* best_a = get ctx "best_a" (as_opt dec_assignment) v in
+  let* trace = get ctx "trace" (as_items dec_point) v in
+  let* cache = get ctx "cache" (as_items dec_cache_entry) v in
+  let* quarantined = get ctx "quarantined" (as_items as_string) v in
+  let* degraded = get ctx "degraded" (as_items as_string) v in
   Ok
     {
       Env.Recorder.x_steps = steps;
@@ -310,35 +373,23 @@ let of_json v =
     if ver = version then Ok ()
     else Error (Printf.sprintf "checkpoint: unsupported version %d (this build reads %d)" ver version)
   in
-  let* label = Result.bind (field ctx "label" v) (as_string "label") in
-  let* iter = Result.bind (field ctx "iter" v) (as_int "iter") in
-  let* dry = Result.bind (field ctx "dry" v) (as_int "dry") in
-  let* stopped = Result.bind (field ctx "stopped" v) (as_bool "stopped") in
-  let* rng = Result.bind (field ctx "rng" v) (as_string "rng") in
-  let* recorder = Result.bind (field ctx "recorder" v) (dec_recorder "recorder") in
-  let* survivors = Result.bind (field ctx "survivors" v) (as_list "survivors") in
+  let* label = get ctx "label" as_string v in
+  let* iter = get ctx "iter" as_int v in
+  let* dry = get ctx "dry" as_int v in
+  let* stopped = get ctx "stopped" as_bool v in
+  let* rng = get ctx "rng" as_string v in
+  let* recorder = get ctx "recorder" dec_recorder v in
   let* survivors =
-    map_listi "survivors"
-      (fun ctx -> function
-        | Json.List [ a; l ] ->
-            let* a = dec_assignment ctx a in
-            let* l = as_float ctx l in
-            Ok (a, l)
-        | _ -> fail ctx "expected [assignment, latency]")
-      survivors
+    get ctx "survivors"
+      (as_items (fun ctx -> function
+         | Json.List [ a; l ] ->
+             let* a = dec_assignment ctx a in
+             let* l = as_float ctx l in
+             Ok (a, l)
+         | _ -> fail ctx "expected [assignment, latency]"))
+      v
   in
-  let* model = Result.bind (field ctx "model" v) (as_list "model") in
-  let* model =
-    map_listi "model"
-      (fun ctx -> function
-        | Json.List [ bins; score ] ->
-            let* bins = as_list ctx bins in
-            let* bins = map_listi ctx as_int bins in
-            let* score = as_float ctx score in
-            Ok (Array.of_list bins, score)
-        | _ -> fail ctx "expected [bins, score]")
-      model
-  in
+  let* model = get ctx "model" (as_items dec_row) v in
   Ok
     ( label,
       {
@@ -351,23 +402,156 @@ let of_json v =
         s_model = model;
       } )
 
-let load ~path =
+(* The length of [xs], when [n] of its entries can leave it. *)
+let leaving ctx n xs =
+  let len = List.length xs in
+  if n < 0 || n > len then fail ctx (Printf.sprintf "%d of %d entries" n len) else Ok len
+
+(* Replay one delta record over the state [s] the records before it left. *)
+let apply_delta ctx (s : Cga.snapshot) v =
+  let x = s.Cga.s_recorder in
+  let* ver = get ctx "heron_delta" as_int v in
+  let* () =
+    if ver = version then Ok ()
+    else fail ctx (Printf.sprintf "unsupported delta version %d (this build reads %d)" ver version)
+  in
+  let* iter = get ctx "iter" as_int v in
+  let* dry = get ctx "dry" as_int v in
+  let* stopped = get ctx "stopped" as_bool v in
+  let* rng = get ctx "rng" as_string v in
+  let* steps = get ctx "steps" as_int v in
+  let* evals = get ctx "evals" as_int v in
+  let* invalid = get ctx "invalid" as_int v in
+  let* best = get ctx "best" (as_opt as_float) v in
+  let* trace = get ctx "trace" (as_items dec_point) v in
+  let* evicted = get ctx "evicted" as_int v in
+  let* _ = leaving (ctx ^ ".evicted") evicted x.Env.Recorder.x_cache in
+  let* added = get ctx "cache" (as_items dec_cache_entry) v in
+  let cache = List.filteri (fun i _ -> i >= evicted) x.Env.Recorder.x_cache @ added in
+  let entries = Array.of_list cache in
+  let entry ctx = function
+    | Json.Int i when i >= 0 && i < Array.length entries -> (
+        match Assignment.of_key (fst entries.(i)) with
+        | Ok a -> Ok a
+        | Error e -> fail ctx e)
+    | _ ->
+        fail ctx
+          (Printf.sprintf "expected a position in the %d cache entries" (Array.length entries))
+  in
+  let* survivors =
+    get ctx "survivors"
+      (as_items (fun ctx -> function
+         | Json.List [ i; l ] ->
+             let* a = entry ctx i in
+             let* l = as_float ctx l in
+             Ok (a, l)
+         | _ -> fail ctx "expected [cache position, latency]"))
+      v
+  in
+  let* best_a = get ctx "best_a" (as_opt entry) v in
+  let* dropped = get ctx "model_dropped" as_int v in
+  let* len = leaving (ctx ^ ".model_dropped") dropped s.Cga.s_model in
+  let* rows = get ctx "model" (as_items dec_row) v in
+  let keys name old =
+    match Json.member name v with None -> Ok old | Some l -> as_items as_string (ctx ^ "." ^ name) l
+  in
+  let* quarantined = keys "quarantined" x.Env.Recorder.x_quarantined in
+  let* degraded = keys "degraded" x.Env.Recorder.x_degraded in
+  Ok
+    {
+      Cga.s_iter = iter;
+      s_dry = dry;
+      s_stopped = stopped;
+      s_rng_hex = rng;
+      s_recorder =
+        {
+          Env.Recorder.x_steps = steps;
+          x_evals = evals;
+          x_invalid = invalid;
+          x_best = best;
+          x_best_a = best_a;
+          x_trace = x.Env.Recorder.x_trace @ trace;
+          x_cache = cache;
+          x_quarantined = quarantined;
+          x_degraded = degraded;
+        };
+      s_survivors = survivors;
+      s_model = rows @ List.filteri (fun i _ -> i < len - dropped) s.Cga.s_model;
+    }
+
+(* The payload of the whole record at [pos], and where the next record
+   starts; [None] for a torn or damaged record. *)
+let next_record content pos =
+  let n = String.length content in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec digits i = if i < n && i - pos < 18 && is_digit content.[i] then digits (i + 1) else i in
+  let sp = digits pos in
+  if sp = pos || sp + 18 > n || content.[sp] <> ' ' || content.[sp + 17] <> ' ' then None
+  else
+    let len = int_of_string (String.sub content pos (sp - pos)) and start = sp + 18 in
+    if len > n - start - 1 || content.[start + len] <> '\n' then None
+    else
+      let payload = String.sub content start len in
+      if String.sub content (sp + 1) 16 = Printf.sprintf "%016Lx" (Hashing.fnv1a payload) then
+        Some (payload, start + len + 1)
+      else None
+
+type log = { label : string; snapshot : Cga.snapshot; records : int; bytes : int; dropped : int }
+
+let read ~path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error (Printf.sprintf "checkpoint: cannot read %s: %s" path e)
-  | content -> (
-      match Json.parse (String.trim content) with
-      | Error e -> Error (Printf.sprintf "checkpoint: %s: invalid JSON: %s" path e)
-      | Ok v -> of_json v)
+  | content when String.length content > 0 && content.[0] = '{' ->
+      Error
+        (Printf.sprintf
+           "checkpoint: %s is a whole-file JSON checkpoint, the format before checkpoint logs; \
+            this build reads only logs of framed records"
+           path)
+  | content ->
+      let rec replay state i pos =
+        match next_record content pos with
+        | Some (payload, next) -> (
+            let record =
+              match Json.parse payload with
+              | Error e -> Error (Printf.sprintf "checkpoint: record %d: invalid JSON: %s" i e)
+              | Ok v -> (
+                  match (state, Json.member "heron_delta" v) with
+                  | _, None -> of_json v
+                  | Some (label, s), Some _ ->
+                      let ctx = Printf.sprintf "record %d" i in
+                      Result.map (fun s -> (label, s)) (apply_delta ctx s v)
+                  | None, Some _ -> Error "checkpoint: record 0: a delta record, not a snapshot")
+            in
+            match record with Ok st -> replay (Some st) (i + 1) next | Error _ as e -> e)
+        | None -> (
+            match state with
+            | Some (label, snapshot) ->
+                let dropped = String.length content - pos in
+                Ok { label; snapshot; records = i; bytes = pos; dropped }
+            | None ->
+                Error
+                  (Printf.sprintf "checkpoint: %s holds no whole record (%d bytes)" path
+                     (String.length content)))
+      in
+      replay None 0 0
+
+let load ~path = Result.map (fun l -> (l.label, l.snapshot)) (read ~path)
+
+let reopen ~path log =
+  if log.dropped > 0 then Atomic_io.truncate ~path log.bytes;
+  { (writer ~path ~label:log.label) with held = Some (hold log.snapshot) }
 
 let snapshot_to_json = to_json
 let snapshot_of_json = of_json
 
-let describe (label, s) =
+let describe log =
+  let s = log.snapshot in
   let r = s.Cga.s_recorder in
   Printf.sprintf
-    "label=%S iterations=%d steps=%d evals=%d invalid=%d best=%s cached=%d quarantined=%d \
-     degraded=%d survivors=%d model_samples=%d%s"
-    label s.Cga.s_iter r.Env.Recorder.x_steps r.Env.Recorder.x_evals r.Env.Recorder.x_invalid
+    "label=%S records=%d dropped_bytes=%d iterations=%d steps=%d evals=%d invalid=%d best=%s \
+     cached=%d quarantined=%d degraded=%d survivors=%d model_samples=%d%s"
+    log.label log.records log.dropped s.Cga.s_iter r.Env.Recorder.x_steps r.Env.Recorder.x_evals
+    r.Env.Recorder.x_invalid
     (match r.Env.Recorder.x_best with
     | None -> "none"
     | Some b -> Printf.sprintf "%.3fus" b)

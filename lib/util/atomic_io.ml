@@ -110,6 +110,48 @@ let with_file_out ?(fsync = false) ~path f =
 
 let write_string ?fsync ~path s = with_file_out ?fsync ~path (fun oc -> output_string oc s)
 
+let truncate ~path len =
+  try Unix.truncate path len
+  with Unix.Unix_error (err, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message err))
+
+(* An append lands at the end of the file or not at all: a failure cuts
+   the file back to its length before the append, so a retry starts from
+   the same end. An injected [Fail] writes the whole record first, as a
+   write whose error is only reported after it landed; [Torn] and [Crash]
+   leave a prefix of it, as page-cache loss and process death would. *)
+let append ~path s =
+  let fd =
+    try Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0
+    with Unix.Unix_error (err, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message err))
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let before = (Unix.fstat fd).Unix.st_size and len = String.length s in
+      let fail msg =
+        (try Unix.ftruncate fd before with Unix.Unix_error _ -> ());
+        raise (Sys_error msg)
+      in
+      (* Write the first [k] bytes of [s]. *)
+      let write k =
+        let rec go off = if off < k then go (off + Unix.write_substring fd s off (k - off)) in
+        try go 0 with Unix.Unix_error (err, _, _) -> fail (path ^ ": " ^ Unix.error_message err)
+      in
+      match Io_faults.default () with
+      | None -> write len
+      | Some inj -> (
+          match Io_faults.at_site inj ~path ~len Io_faults.Write with
+          | Io_faults.Proceed -> write len
+          | Io_faults.Torn k -> write k
+          | Io_faults.Fail msg ->
+              write len;
+              fail msg
+          | Io_faults.Crash k ->
+              write k;
+              raise
+                (Io_faults.Crashed
+                   { path; op = Io_faults.Write; site = Io_faults.sites_seen inj - 1 })))
+
 (* Bounded retry with exponential backoff for the durability protocols
    (store publish, checkpoint writes): transient failures surface as
    [Sys_error] and are worth one more roll; a simulated crash

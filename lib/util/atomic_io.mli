@@ -2,8 +2,9 @@
     renamed over [path] only once complete, so a reader never observes a
     truncated file and a killed writer leaves the previous version (or
     nothing) behind — never garbage. Used for benchmark JSON reports,
-    search checkpoints, the observability journal, library saves and the
-    serve store.
+    search checkpoints (a log's first record; later records go through
+    {!append}), the observability journal, library saves and the serve
+    store.
 
     {2 Durability contract}
 
@@ -37,6 +38,22 @@ val with_file_out : ?fsync:bool -> path:string -> (out_channel -> unit) -> unit
     disk exactly as the simulated death would. A real error after [f]
     returns (flush, fsync, close, rename) is raised as
     [Sys_error (path ^ ": " ^ reason)], so {!with_retry} retries it. *)
+
+val append : path:string -> string -> unit
+(** [append ~path s] adds [s] at the end of the existing file [path], for
+    append-only logs. It is not durable, and no temp file or rename is
+    involved. A failed write cuts [path] back to its length before the
+    call and raises [Sys_error], so {!with_retry} retries it from the same
+    end and a log never keeps a failed record's bytes before a later one. An
+    installed {!Io_faults} injector is consulted once, at a [Write] site. A
+    torn write keeps a prefix of [s] and returns normally. A crash keeps a
+    prefix of [s] and raises {!Io_faults.Crashed}. An injected failure is
+    reported after [s] landed and is undone like a real one. *)
+
+val truncate : path:string -> int -> unit
+(** [truncate ~path len] cuts [path] to its first [len] bytes, as a log
+    reader does to drop a torn tail before appending again. A failure
+    raises [Sys_error]. *)
 
 val with_retry : ?attempts:int -> what:string -> (unit -> 'a) -> 'a
 (** [with_retry ~what f] runs [f], retrying a [Sys_error] (transient

@@ -538,11 +538,19 @@ let test_tracing_transparent () =
   Alcotest.(check bool) "untraced rerun identical" true (run false = plain)
 
 (* Each checkpoint write of a tuning run is one [search.checkpoint] span,
-   and tracing leaves the checkpoint file byte-identical. *)
+   the snapshot it writes is built in one [cga.snapshot] span, and tracing
+   leaves the checkpoint file byte-identical. A run without a checkpoint
+   builds no snapshot. *)
 let test_checkpoint_span_per_iteration () =
   let op = Heron_tensor.Op.gemm ~m:128 ~n:128 ~k:128 () in
-  let tune path =
-    ignore (Heron.Pipeline.tune ~budget:32 ~seed:5 ~checkpoint:path Heron_dla.Descriptor.v100 op)
+  let tune ?checkpoint () =
+    ignore (Heron.Pipeline.tune ~budget:32 ~seed:5 ?checkpoint Heron_dla.Descriptor.v100 op)
+  in
+  let count name events =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) -> e.ev = "span_begin" && Trace.string_field "span" e = Some name)
+         events)
   in
   let plain = Filename.temp_file "heron_ck_plain" ".json" in
   let traced = Filename.temp_file "heron_ck_traced" ".json" in
@@ -552,19 +560,18 @@ let test_checkpoint_span_per_iteration () =
       Sys.remove plain;
       Sys.remove traced)
     (fun () ->
-      tune plain;
-      let (), events = with_journal (fun () -> tune traced) in
+      tune ~checkpoint:plain ();
+      let (), events = with_journal (fun () -> tune ~checkpoint:traced ()) in
       check_valid events;
-      let spans =
-        List.length
-          (List.filter
-             (fun (e : Trace.event) ->
-               e.ev = "span_begin" && Trace.string_field "span" e = Some "search.checkpoint")
-             events)
-      in
+      let spans = count "search.checkpoint" events in
       Alcotest.(check bool) "checkpoints written" true (spans > 0);
       Alcotest.(check (option int)) "one span per iteration" (Trace.counter events "cga.iterations")
         (Some spans);
+      Alcotest.(check (option int)) "one snapshot per iteration"
+        (Trace.counter events "cga.iterations")
+        (Some (count "cga.snapshot" events));
+      let (), events = with_journal (fun () -> tune ()) in
+      Alcotest.(check int) "no snapshot without a checkpoint" 0 (count "cga.snapshot" events);
       Alcotest.(check string) "traced checkpoint identical" (read plain) (read traced))
 
 (* The network tuner's composite checkpoint: one [nets.checkpoint] span per

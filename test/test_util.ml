@@ -342,6 +342,48 @@ let test_io_faults_record_counts_sites () =
           Heron_util.Atomic_io.write_string ~fsync:true ~path:(Filename.concat dir "b") "x";
           Alcotest.(check int) "durable write adds 3 sites" 5 (Io_faults.sites_seen inj)))
 
+(* An append is one write site. A failed append leaves the file as it
+   was, so under retries the file holds exactly the appends that returned,
+   in order, and no failed record's bytes sit between two good ones. A
+   crash keeps a prefix of the record. *)
+let test_atomic_append () =
+  in_temp_dir (fun dir ->
+      let path = Filename.concat dir "log" in
+      Heron_util.Atomic_io.write_string ~path "head\n";
+      let inj = Io_faults.create { Io_faults.zero with record = true } in
+      Io_faults.set_default (Some inj);
+      Fun.protect
+        ~finally:(fun () -> Io_faults.set_default None)
+        (fun () -> Heron_util.Atomic_io.append ~path "one\n");
+      Alcotest.(check int) "an append = 1 site" 1 (Io_faults.sites_seen inj);
+      Alcotest.(check string) "appended" "head\none\n" (read_file path);
+      let expected = Buffer.create 256 and failed = ref 0 in
+      Buffer.add_string expected (read_file path);
+      with_injector { Io_faults.zero with seed = 3; enospc = 0.5 } (fun () ->
+          for i = 1 to 40 do
+            let record = Printf.sprintf "record %d\n" i in
+            match
+              Heron_util.Atomic_io.with_retry ~what:"test" (fun () ->
+                  Heron_util.Atomic_io.append ~path record)
+            with
+            | () -> Buffer.add_string expected record
+            | exception Sys_error _ -> incr failed
+          done);
+      Alcotest.(check bool) "some appends failed every attempt" true (!failed > 0);
+      Alcotest.(check string) "the file holds the appends that returned" (Buffer.contents expected)
+        (read_file path);
+      let before = read_file path and record = String.make 64 'x' in
+      with_injector { Io_faults.zero with crash_at = Some 0 } (fun () ->
+          match Heron_util.Atomic_io.append ~path record with
+          | () -> Alcotest.fail "crash_at=0 must kill the append"
+          | exception Io_faults.Crashed _ -> ());
+      let after = read_file path in
+      let n = String.length before in
+      Alcotest.(check bool) "a crash keeps a prefix of the record" true
+        (String.length after <= n + 64
+        && String.sub after 0 n = before
+        && String.for_all (Char.equal 'x') (String.sub after n (String.length after - n))))
+
 let test_with_retry () =
   (* A transient failure is retried; the third attempt succeeds. *)
   let calls = ref 0 in
@@ -409,4 +451,5 @@ let suite =
       test_io_faults_deterministic_and_fsync_immune;
     Alcotest.test_case "io-faults record counts sites" `Quick test_io_faults_record_counts_sites;
     Alcotest.test_case "with_retry policy" `Quick test_with_retry;
+    Alcotest.test_case "atomic append" `Quick test_atomic_append;
   ]
