@@ -131,6 +131,7 @@ let run dla network kind dims dt trials seed jobs slice round_robin no_transfer 
             Obs.manifest ~tool:"heron_tune" ~seed ~descriptor:desc.D.dname
               ~op:(Op.to_string op) ~budget:trials ~jobs:(max 1 jobs) ()
           in
+          let before = Obs.span_totals () in
           match
             Obs.with_trace trace manifest (fun () ->
                 Pool.with_jobs jobs (fun pool ->
@@ -141,14 +142,15 @@ let run dla network kind dims dt trials seed jobs slice round_robin no_transfer 
               prerr_endline e;
               2
           | tuned ->
+          let phases = Heron_search.Cga.phases ~before ~after:(Obs.span_totals ()) in
           if metrics then print_string (Obs.metrics_report ());
           Printf.printf "space: %s\n"
             (Heron.Stats.to_string (Heron.Stats.of_problem tuned.gen.problem));
-          let o = tuned.Heron.Pipeline.outcome in
           Printf.printf
             "phases (%d jobs): search %.2fs, model %.2fs, measure %.2fs\n"
-            o.Heron_search.Cga.jobs o.Heron_search.Cga.time_search_s
-            o.Heron_search.Cga.time_model_s o.Heron_search.Cga.time_measure_s;
+            tuned.Heron.Pipeline.outcome.Heron_search.Cga.jobs
+            phases.Heron_search.Cga.search_s phases.Heron_search.Cga.model_s
+            phases.Heron_search.Cga.measure_s;
           (match Heron.Pipeline.best_latency_us tuned with
           | None -> print_endline "no valid program found"
           | Some l ->

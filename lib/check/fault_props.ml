@@ -5,6 +5,9 @@ module Faults = Heron_dla.Faults
 module Cga = Heron_search.Cga
 module Env = Heron_search.Env
 module Resilience = Heron_search.Resilience
+module Checkpoint = Heron_search.Checkpoint
+module Io_faults = Heron_util.Io_faults
+module Json = Heron_obs.Json
 module Rng = Heron_util.Rng
 
 let seed_pair = QCheck.pair QCheck.small_int QCheck.small_int
@@ -129,10 +132,79 @@ let resume_equals_uninterrupted ~count =
       let resumed = run_cga ~resilience:(make_resilience ()) ~resume seed in
       same_result full.Cga.result resumed.Cga.result)
 
+(* (e) A checkpoint write that tears or fails loses that write only: a
+   whole small run writes its log under injected torn writes and ENOSPC,
+   going on past a write that raised, as [Pipeline.tune] does past a torn
+   one. After every write the log reads back the last snapshot that
+   landed — the one just written when the write returned — and resuming
+   in place from the final file ends on the fault-free run's result and
+   snapshot. *)
+let checkpoint_writes_lose_only_themselves ~count =
+  QCheck.Test.make ~name:"fault: a torn or failed checkpoint write loses only that write" ~count
+    QCheck.(quad small_int small_int (int_bound 5) (int_bound 5))
+    (fun (seed, fseed, torn, enospc) ->
+      let label = "io-faults" in
+      let render s = Json.to_string (Checkpoint.snapshot_to_json ~label s) in
+      let run ?resume ~on_snapshot () =
+        let env =
+          {
+            Env.problem = Search_props.toy_problem ();
+            measure = Search_props.hash_measure;
+            rng = Rng.create seed;
+          }
+        in
+        Cga.run ~params:Search_props.small_params ?resume ~on_snapshot env ~budget:40
+      in
+      let final = ref None in
+      let full = run ~on_snapshot:(fun s -> final := Some (render s)) () in
+      let path = Filename.temp_file "heron_iofaults" ".log" in
+      let remove p = if Sys.file_exists p then Sys.remove p in
+      let campaign = Io_faults.default () in
+      Fun.protect
+        ~finally:(fun () ->
+          Io_faults.set_default campaign;
+          remove path;
+          remove (path ^ ".tmp"))
+      @@ fun () ->
+      let read () = match Checkpoint.read ~path with Ok log -> Some log | Error _ -> None in
+      let spec =
+        {
+          Io_faults.zero with
+          seed = fseed;
+          torn = 0.1 *. float_of_int torn;
+          enospc = 0.1 *. float_of_int enospc;
+        }
+      in
+      let w = Checkpoint.writer ~path ~label and landed = ref None and ok = ref true in
+      Io_faults.set_default (Some (Io_faults.create spec));
+      ignore
+        (run
+           ~on_snapshot:(fun s ->
+             (match Checkpoint.write w s with
+             | () -> landed := Some (render s)
+             | exception (Sys_error _ | Heron_util.Atomic_io.Torn_write _) -> ());
+             let back = Option.map (fun log -> render log.Checkpoint.snapshot) (read ()) in
+             if back <> !landed then ok := false)
+           ());
+      Io_faults.set_default None;
+      !ok
+      &&
+      match (!landed, read ()) with
+      | None, _ -> true
+      | Some _, None -> false
+      | Some _, Some log ->
+          let w = Checkpoint.reopen ~path log in
+          let resumed =
+            run ~resume:log.Checkpoint.snapshot ~on_snapshot:(Checkpoint.write w) ()
+          in
+          same_result full.Cga.result resumed.Cga.result
+          && Option.map (fun log -> render log.Checkpoint.snapshot) (read ()) = !final)
+
 let tests ?(count = 20) () =
   [
     offspring_valid_under_faults ~count;
     quarantine_never_remeasured ~count;
     faults_off_inert ~count:(max 1 (count / 2));
     resume_equals_uninterrupted ~count:(max 1 (count / 2));
+    checkpoint_writes_lose_only_themselves ~count;
   ]

@@ -8,7 +8,11 @@
     - a zero-rate fault spec is byte-for-byte inert: trace, incumbent and
       invalid count equal the resilience-free run;
     - killing a run at any iteration boundary and resuming from the
-      checkpoint snapshot reproduces the uninterrupted run exactly. *)
+      checkpoint snapshot reproduces the uninterrupted run exactly;
+    - under injected torn writes and ENOSPC, a checkpoint write that
+      returned reads back as the snapshot it wrote, one that raised
+      leaves the log as it was, and resuming in place from the final log
+      reproduces the fault-free run. *)
 
 val tests : ?count:int -> unit -> QCheck.Test.t list
 (** [count] cases per property (default 20). *)

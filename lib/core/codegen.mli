@@ -12,6 +12,3 @@ module Descriptor = Heron_dla.Descriptor
 
 val emit : Descriptor.t -> Concrete.t -> string
 (** Full kernel rendering, including a launch-configuration header. *)
-
-val launch_config : Descriptor.t -> Concrete.t -> string
-(** One-line grid/block (or core/queue) summary. *)

@@ -12,6 +12,9 @@ module Checkpoint = Heron_search.Checkpoint
 module Obs = Heron_obs.Obs
 module Rng = Heron_util.Rng
 
+(* Checkpoint writes torn on every retry, and so lost. *)
+let c_lost_writes = Obs.Counter.make "checkpoint.lost_writes"
+
 type tuned = {
   gen : Generator.t;
   outcome : Cga.outcome;
@@ -96,7 +99,13 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
         let writes = ref 0 in
         Some
           (fun snap ->
-            Obs.with_span "search.checkpoint" (fun () -> Checkpoint.write w snap);
+            (* A torn write is page-cache loss, which a real process
+               would never see: when it tears on every retry it is lost,
+               not fatal. The file keeps every earlier whole record, and
+               the next write tries again. *)
+            Obs.with_span "search.checkpoint" (fun () ->
+                try Checkpoint.write w snap
+                with Heron_util.Atomic_io.Torn_write _ -> Obs.Counter.incr c_lost_writes);
             incr writes;
             (* Crash simulation for resilience tests: die (uncleanly, as a
                crash would) after the Nth checkpoint write. *)

@@ -17,7 +17,3 @@
 
 val apply_all : Gen_ctx.t -> unit
 (** Runs C1–C6 over the context, mutating its problem builder. *)
-
-val apply_c5 : Gen_ctx.t -> unit
-(** The memory-limit rule alone (exposed for the customization example and
-    tests). *)

@@ -20,9 +20,6 @@ val capacity : t -> int
 val clear : t -> unit
 (** Drop all rows (storage is retained for reuse). *)
 
-val reserve : t -> int -> unit
-(** Ensure capacity for at least the given number of rows. *)
-
 val set_rows : t -> int -> unit
 (** Set the logical row count (growing storage as needed); cell contents
     of newly exposed rows are unspecified until written with {!set}. Used
@@ -36,13 +33,10 @@ val data : t -> Bytes.t
 (** The raw row-major store (row [r] occupies bytes
     [r * n_features .. (r + 1) * n_features - 1]). For the library's own
     hot loops, which hoist the row base out of per-cell indexing; invalid
-    beyond the current row count, and stale after a growing {!reserve}. *)
+    beyond the current row count, and stale once storage grows. *)
 
 val set : t -> int -> int -> int -> unit
 (** @raise Invalid_argument when the value does not fit a byte. *)
-
-val push_row : t -> int array -> unit
-(** Append one row given as a bin-index vector. *)
 
 val row : t -> int -> int array
 (** Materialize one row as an [int array] (checkpointing / debug). *)

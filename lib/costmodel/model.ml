@@ -3,20 +3,9 @@ module Assignment = Heron_csp.Assignment
 module Obs = Heron_obs.Obs
 
 let c_fit_calls = Obs.Counter.make "costmodel.fit_calls"
-let c_fit_ns = Obs.Counter.make "costmodel.fit_ns"
 let c_predict_calls = Obs.Counter.make "costmodel.predict_calls"
-let c_predict_ns = Obs.Counter.make "costmodel.predict_ns"
 let c_record_calls = Obs.Counter.make "costmodel.record_calls"
 let c_predict_rows = Obs.Counter.make "costmodel.predict_rows"
-
-(* Wall-clock a cold-path call into a calls/ns counter pair (these run once
-   per CGA generation, so the two clock reads are negligible). *)
-let timed_count c_calls c_ns f =
-  let t0 = Obs.Clock.now_ns () in
-  let x = f () in
-  Obs.Counter.incr c_calls;
-  Obs.Counter.add c_ns (Obs.Clock.now_ns () - t0);
-  x
 
 (* The training window lives in a fixed ring: [window] flat byte rows plus
    a float target per slot. [next] is the slot the next [record] writes;
@@ -85,20 +74,17 @@ let slot t k = ((t.next - 1 - k) mod t.window + t.window) mod t.window
 
 let refit t =
   if t.count >= 8 then
-    timed_count c_fit_calls c_fit_ns (fun () ->
-        Obs.with_span "costmodel.fit" (fun () ->
-            (* Fit on most-recent-first rows — the exact sample order the
-               pre-overhaul list window trained in. *)
-            Fmat.set_rows t.fit_m t.count;
-            for k = 0 to t.count - 1 do
-              let s = slot t k in
-              Fmat.blit_row t.ring s t.fit_m k;
-              t.fit_y.(k) <- t.ring_y.(s)
-            done;
-            t.ensemble <-
-              Some
-                (Gbt.fit ~params:t.gbt_params ~n_bins:t.n_bins t.fit_m
-                   t.fit_y)))
+    Obs.with_span "costmodel.fit" (fun () ->
+        Obs.Counter.incr c_fit_calls;
+        (* Fit on most-recent-first rows — the exact sample order the
+           pre-overhaul list window trained in. *)
+        Fmat.set_rows t.fit_m t.count;
+        for k = 0 to t.count - 1 do
+          let s = slot t k in
+          Fmat.blit_row t.ring s t.fit_m k;
+          t.fit_y.(k) <- t.ring_y.(s)
+        done;
+        t.ensemble <- Some (Gbt.fit ~params:t.gbt_params ~n_bins:t.n_bins t.fit_m t.fit_y))
 
 let trained t = t.ensemble <> None
 
@@ -110,7 +96,8 @@ let predict t a =
 let predict_batch t assignments =
   (* The untrained path counts too, so traces distinguish "cheap because
      untrained" from "never called". *)
-  timed_count c_predict_calls c_predict_ns (fun () ->
+  Obs.with_span "costmodel.predict" (fun () ->
+      Obs.Counter.incr c_predict_calls;
       Obs.Counter.add c_predict_rows (List.length assignments);
       match t.ensemble with
       | None -> List.map (fun _ -> 0.0) assignments
@@ -130,7 +117,8 @@ let predict_gather t src rows n out =
      scoring a population is row blits plus the compiled ensemble — no
      per-candidate binning, lists or result allocation. Same counters and
      untrained semantics as {!predict_batch}. *)
-  timed_count c_predict_calls c_predict_ns (fun () ->
+  Obs.with_span "costmodel.predict" (fun () ->
+      Obs.Counter.incr c_predict_calls;
       Obs.Counter.add c_predict_rows n;
       match t.ensemble with
       | None -> Array.fill out 0 n 0.0

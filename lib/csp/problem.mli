@@ -21,8 +21,6 @@ val add_var : builder -> ?category:category -> string -> Domain.t -> unit
 val declare_var : builder -> ?category:category -> string -> Domain.t -> unit
 (** Like {!add_var} but intersects domains if the variable exists. *)
 
-val has_var : builder -> string -> bool
-
 val domain_of : builder -> string -> Domain.t
 (** Current domain of a declared variable.
     @raise Invalid_argument on unknown variables. *)

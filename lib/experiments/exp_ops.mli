@@ -1,26 +1,6 @@
 (** Operator-level comparisons: Figures 6 (V100), 7 (T4/A100 with Table 9
     shapes), 8 (DL Boost) and 9 (VTA). *)
 
-module Op = Heron_tensor.Op
-module Descriptor = Heron_dla.Descriptor
-module Methods = Heron_baselines.Methods
-
-type cell = { method_name : string; latency_us : float option }
-
-type shape_result = { shape_name : string; op : Op.t; cells : cell list }
-
-val run_shapes :
-  budget:int ->
-  seed:int ->
-  Descriptor.t ->
-  methods:Methods.t list ->
-  (string * Op.t) list ->
-  shape_result list
-
-val relative_to_heron : shape_result -> (string * float option) list
-(** Per-method speedup of Heron over the method: latency_method /
-    latency_heron (>1 means Heron is faster), [None] when either failed. *)
-
 val fig6 : ?budget:int -> ?seed:int -> unit -> string
 (** TensorCore V100, 9 operator classes: geometric-mean performance of each
     method relative to Heron. *)

@@ -54,13 +54,15 @@ let fig14 ?(budget = 120) ?(seed = 42) ?pool () =
   let rows =
     List.map
       (fun (name, op) ->
+        let before = Obs.span_totals () in
         let tuned = Pipeline.tune ~budget ~seed ?pool desc op in
-        let o = tuned.Pipeline.outcome in
+        let p = Cga.phases ~before ~after:(Obs.span_totals ()) in
         let measure =
-          simulated_measure_s o.Cga.result.Env.trace ~reps:3 +. o.Cga.time_measure_s
+          simulated_measure_s tuned.Pipeline.outcome.Cga.result.Env.trace ~reps:3
+          +. p.Cga.measure_s
         in
-        let search = o.Cga.time_search_s in
-        let model = o.Cga.time_model_s in
+        let search = p.Cga.search_s in
+        let model = p.Cga.model_s in
         let total = measure +. search +. model in
         let pct x = Printf.sprintf "%.0f%%" (100.0 *. x /. total) in
         [ name; Printf.sprintf "%.1f min" (total /. 60.0); pct search; pct model;

@@ -11,6 +11,7 @@ module Features = Heron_cost.Features
 module Transfer = Heron_cost.Transfer
 module Rng = Heron_util.Rng
 module Hashing = Heron_util.Hashing
+module Atomic_io = Heron_util.Atomic_io
 module Obs = Heron_obs.Obs
 module Json = Heron_obs.Json
 
@@ -41,6 +42,7 @@ let c_transfer_attempts = Obs.Counter.make "nets.transfer_attempts"
 let c_transfer_applied = Obs.Counter.make "nets.transfer_applied"
 let c_transfer_samples = Obs.Counter.make "nets.transfer_samples"
 let c_transfer_skipped = Obs.Counter.make "nets.transfer_skipped"
+let c_lost_writes = Obs.Counter.make "checkpoint.lost_writes"
 
 let policy_tag = function
   | Scheduler.Gradient -> "gradient"
@@ -322,14 +324,18 @@ let tune ?(budget = 256) ?(seed = 42) ?(slice = 16) ?(policy = Scheduler.Gradien
         | Error e -> invalid_arg e)
   in
   let allocations = ref allocations in
-  let file = Option.map (fun path -> Checkpoint.file ~path ~what:"nets.checkpoint") checkpoint in
   let writes = ref 0 in
   let save_checkpoint () =
-    match file with
+    match checkpoint with
     | None -> ()
-    | Some f ->
+    | Some path ->
+        (* As in [Pipeline.tune]: a write torn on every retry is lost,
+           and the file keeps the previous round's. *)
         Obs.with_span "nets.checkpoint" (fun () ->
-            Checkpoint.write_json f (checkpoint_json ~label sched !allocations states));
+            let doc = Json.to_string (checkpoint_json ~label sched !allocations states) ^ "\n" in
+            try
+              Atomic_io.with_retry ~what:"nets.checkpoint" (fun () -> Atomic_io.replace ~path doc)
+            with Atomic_io.Torn_write _ -> Obs.Counter.incr c_lost_writes);
         incr writes;
         (* Crash simulation: die (uncleanly, as a crash would) after the
            Nth checkpoint write. *)

@@ -64,69 +64,42 @@ let float_repr f =
     let s = format_float "%.12g" f in
     if float_of_string s = f then s else format_float "%.17g" f
 
-(* [repr] renders a float: [float_repr] itself, or a printer's memo of it. *)
-let rec write repr b = function
+let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> add_int b i
-  | Float f -> Buffer.add_string b (repr f)
+  | Float f -> Buffer.add_string b (float_repr f)
   | String s -> escape_string b s
   | List xs ->
       Buffer.add_char b '[';
-      write_items repr b false xs;
+      write_items b false xs;
       Buffer.add_char b ']'
   | Obj fields ->
       Buffer.add_char b '{';
-      write_fields repr b false fields;
+      write_fields b false fields;
       Buffer.add_char b '}'
 
-and write_items repr b sep = function
+and write_items b sep = function
   | [] -> ()
   | x :: rest ->
       if sep then Buffer.add_char b ',';
-      write repr b x;
-      write_items repr b true rest
+      write b x;
+      write_items b true rest
 
-and write_fields repr b sep = function
+and write_fields b sep = function
   | [] -> ()
   | (k, v) :: rest ->
       if sep then Buffer.add_char b ',';
       escape_string b k;
       Buffer.add_char b ':';
-      write repr b v;
-      write_fields repr b true rest
+      write b v;
+      write_fields b true rest
 
 let to_string v =
   let b = Buffer.create 128 in
-  write float_repr b v;
+  write b v;
   Buffer.contents b
-
-(* The memo is keyed by the float's bits, never by float equality: [0.0]
-   and [-0.0] are equal but print differently, and every NaN payload is
-   its own key (all of them print [null]). *)
-module Bits = Hashtbl.Make (struct
-  type t = int64
-
-  let equal = Int64.equal
-  let hash = Int64.hash
-end)
-
-type printer = string Bits.t
-
-let printer () = Bits.create 1024
-
-let print p b v =
-  write
-    (fun f ->
-      let bits = Int64.bits_of_float f in
-      match Bits.find_opt p bits with
-      | Some s -> s
-      | None ->
-          let s = float_repr f in
-          Bits.add p bits s;
-          s)
-    b v
 
 (* ---------- parsing ---------- *)
 

@@ -15,17 +15,6 @@ val to_string : t -> string
 (** Compact (single-line) rendering. Floats use the shortest decimal form
     that round-trips; non-finite floats degrade to [null]. *)
 
-type printer
-(** A renderer that remembers the text of every float it has printed, so
-    rewriting a document that mostly repeats an earlier one formats each
-    float once. Its memory grows with the distinct floats (by bit
-    pattern) it has seen; it holds no other state. *)
-
-val printer : unit -> printer
-
-val print : printer -> Buffer.t -> t -> unit
-(** [print p b v] appends exactly [to_string v] to [b]. *)
-
 val parse : string -> (t, string) result
 (** Parse one complete JSON value; trailing garbage is an error. Numbers
     without [.]/[e] parse as [Int], others as [Float]. *)

@@ -2,15 +2,15 @@
    counters/gauges, and a JSONL event journal with a versioned schema.
 
    Design constraints (see OBSERVABILITY.md):
-   - counters/gauges are always live (atomic increments, metrics can be
-     printed without a journal) and never touch RNG or control flow, so
-     instrumented code produces byte-identical results with or without a
-     trace;
+   - counters/gauges and span totals are always live (metrics and phase
+     times can be read without a journal) and never touch RNG or control
+     flow, so instrumented code produces byte-identical results with or
+     without a trace;
    - the journal sink is process-global and mutex-serialized; timestamps
      are read under the sink mutex, so [t_ns] is non-decreasing in file
      order — a validated invariant;
-   - when no sink is installed every journal entry point is a single
-     atomic load. *)
+   - when no sink is installed [emit] is a single atomic load, and a span
+     costs two clock reads and one update of its name's total. *)
 
 let schema_version = 1
 
@@ -283,6 +283,25 @@ let with_trace path m f =
 
 (* ---------- spans ---------- *)
 
+(* Per-name span totals, kept with or without a journal: the one clock
+   every phase figure is read from. *)
+type span_total = { count : int; ns : int }
+
+let totals : (string, span_total) Hashtbl.t = Hashtbl.create 32
+let totals_mutex = Mutex.create ()
+
+let add_total name dur =
+  Mutex.lock totals_mutex;
+  let t = Option.value (Hashtbl.find_opt totals name) ~default:{ count = 0; ns = 0 } in
+  Hashtbl.replace totals name { count = t.count + 1; ns = t.ns + dur };
+  Mutex.unlock totals_mutex
+
+let span_totals () =
+  Mutex.lock totals_mutex;
+  let all = Hashtbl.fold (fun name t acc -> (name, t) :: acc) totals [] in
+  Mutex.unlock totals_mutex;
+  List.sort compare all
+
 (* Per-domain span stack: spans opened on different pool domains nest
    independently, and the journal records which domain each belongs to so
    validators can check stack discipline per domain. *)
@@ -290,7 +309,9 @@ let span_stack : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref
 
 let with_span name f =
   match Atomic.get current with
-  | None -> f ()
+  | None ->
+      let t_begin = Clock.now_ns () in
+      Fun.protect ~finally:(fun () -> add_total name (Clock.now_ns () - t_begin)) f
   | Some s ->
       let id = Atomic.fetch_and_add s.span_ids 1 in
       let stack = Domain.DLS.get span_stack in
@@ -309,6 +330,7 @@ let with_span name f =
         ~finally:(fun () ->
           (match !stack with top :: rest when top = id -> stack := rest | _ -> ());
           let dur = Clock.now_ns () - t_begin in
+          add_total name dur;
           emit "span_end"
             [
               ("span", Json.String name);

@@ -3,10 +3,11 @@
     versioned schema plus a run manifest.
 
     Instrumentation never touches RNG state or control flow, so traced and
-    untraced runs of the same seed produce byte-identical results; with no
-    journal installed every entry point is one atomic load (counters stay
-    live so [--metrics] works without a trace). See OBSERVABILITY.md for
-    the event schema. *)
+    untraced runs of the same seed produce byte-identical results. With no
+    journal installed, {!emit} is one atomic load and a span costs two
+    clock reads and one update of its name's total; counters and span
+    totals stay live, so [--metrics] and phase times work without a trace.
+    See OBSERVABILITY.md for the event schema. *)
 
 val schema_version : int
 (** Version stamped on every journal line ([1]). Bump on any breaking
@@ -102,9 +103,21 @@ val emit : string -> (string * Json.t) list -> unit
     [t_ns] is non-decreasing in file order. No-op when disabled. *)
 
 val with_span : string -> (unit -> 'a) -> 'a
-(** [with_span name f] wraps [f] in [span_begin]/[span_end] events carrying
-    a unique id, the per-domain parent span, the domain id and the
-    duration. When disabled, exactly [f ()]. *)
+(** [with_span name f] runs [f] and adds its wall time to [name]'s total
+    ({!span_totals}), also when [f] raises. With a journal installed it
+    also wraps [f] in [span_begin]/[span_end] events carrying a unique id,
+    the per-domain parent span, the domain id and the duration; the
+    [dur_ns] of [span_end] is the amount added to the total. *)
+
+type span_total = {
+  count : int;  (** spans closed *)
+  ns : int;  (** their inclusive wall time, in nanoseconds *)
+}
+
+val span_totals : unit -> (string * span_total) list
+(** Every span name closed so far in this process, sorted by name, with
+    its total, whether or not a journal was installed. Totals only grow:
+    the change across a call is what that call's spans took. *)
 
 val metrics_report : unit -> string
 (** Human-readable table of all non-zero counters and gauges. *)

@@ -26,8 +26,6 @@ type ga_params = {
   elite : int;  (** best chromosomes carried over unchanged *)
 }
 
-val default_ga_params : ga_params
-
 val genetic : ?params:ga_params -> Env.t -> budget:int -> Env.result
 (** Classic GA: crossover/mutation on concrete chromosomes; invalid
     offspring score zero fitness (no repair). *)

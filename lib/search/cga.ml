@@ -45,14 +45,35 @@ let default_params =
     mutation = true;
   }
 
-type outcome = {
-  result : Env.result;
-  model : Model.t;
-  jobs : int;
-  time_search_s : float;
-  time_model_s : float;
-  time_measure_s : float;
-}
+type outcome = { result : Env.result; model : Model.t; jobs : int }
+
+(* The spans of one CGA iteration, and the paper's three-way breakdown of
+   tuning time (Table 10, Fig. 14) read from their totals. Prediction
+   ([costmodel.predict]) nests inside evolution and ranking, so it counts
+   as search. *)
+let span_seed = "cga.seed_population"
+let span_evolve = "cga.evolve"
+let span_rank = "cga.rank"
+let span_measure = "cga.measure"
+let span_model = "cga.model"
+
+type phases = { search_s : float; model_s : float; measure_s : float }
+
+let phases ~before ~after =
+  let seconds names =
+    let ns totals =
+      List.fold_left
+        (fun acc name ->
+          match List.assoc_opt name totals with Some t -> acc + t.Obs.ns | None -> acc)
+        0 names
+    in
+    float_of_int (ns after - ns before) *. 1e-9
+  in
+  {
+    search_s = seconds [ span_seed; span_evolve; span_rank ];
+    model_s = seconds [ span_model ];
+    measure_s = seconds [ span_measure ];
+  }
 
 (* Everything the exploration loop carries across an iteration boundary.
    Restoring a snapshot and continuing is byte-identical to never having
@@ -279,14 +300,6 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
            (fun a ->
              let s = Model.predict model a in
              if s > 0.0 then Some (1000.0 /. s) else None)));
-  let time_search = ref 0.0 and time_model = ref 0.0 and time_measure = ref 0.0 in
-  let timed acc name f =
-    Obs.with_span name (fun () ->
-        let t0 = Obs.Clock.now_ns () in
-        let x = f () in
-        acc := !acc +. (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9);
-        x)
-  in
   let iter_no = ref 0 in
   let continue = ref true in
   let dry_iterations = ref 0 in
@@ -422,7 +435,7 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
     Obs.Counter.incr c_iterations;
     (* Step 1: first generation = random valid assignments + survivors,
        interned and deduped in one pass over the flat buffer. *)
-    timed time_search "cga.seed_population" (fun () ->
+    Obs.with_span span_seed (fun () ->
         let need = max 2 (params.pop_size - List.length !survivors) in
         let seeds = Solver.rand_sat_values ?pool env.Env.rng env.Env.problem need in
         sc.buf_n <- 0;
@@ -432,7 +445,7 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
     else begin
       dedupe_buf_into_pop intern sc;
       (* Step 2: evolve on CSPs for several generations. *)
-      timed time_search "cga.evolve" (fun () ->
+      Obs.with_span span_evolve (fun () ->
           for g = 1 to params.generations do
             Obs.Counter.incr c_generations;
             score_ids sc.pop sc.pop_n;
@@ -485,7 +498,7 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
       (* Step 3: epsilon-greedy selection of the measurement batch —
          filter unseen, score through the cached rows, rank in place. *)
       let nf =
-        timed time_search "cga.rank" (fun () ->
+        Obs.with_span span_rank (fun () ->
             sc.fresh <- grown_int sc.fresh sc.pop_n;
             let nf = ref 0 in
             for i = 0 to sc.pop_n - 1 do
@@ -537,7 +550,7 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
               if k < n_top then sc.fresh.(sc.order.(k)) else sc.shuf.(k - n_top))
         in
         let latencies =
-          timed time_measure "cga.measure" (fun () ->
+          Obs.with_span span_measure (fun () ->
               Array.map (Env.Recorder.eval_id rec_) chosen)
         in
         let measured = ref [] in
@@ -549,7 +562,7 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
         let measured = !measured in
         (* Step 4: update the cost model on the measured scores, feeding
            the cached feature rows straight into the training ring. *)
-        timed time_model "cga.model" (fun () ->
+        Obs.with_span span_model (fun () ->
             List.iter
               (fun (id, l) -> Model.record_row model sc.feats id (Env.score l))
               measured;
@@ -570,7 +583,4 @@ let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
     result = Env.Recorder.finish rec_;
     model;
     jobs = (match pool with Some p -> Pool.jobs p | None -> 1);
-    time_search_s = !time_search;
-    time_model_s = !time_model;
-    time_measure_s = !time_measure;
   }

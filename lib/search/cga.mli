@@ -30,10 +30,27 @@ type outcome = {
   result : Env.result;
   model : Model.t;
   jobs : int;  (** domain-pool parallelism the run executed with *)
-  time_search_s : float;  (** CGA evolution wall time, CSP solving included *)
-  time_model_s : float;  (** cost-model training wall time *)
-  time_measure_s : float;  (** DLA measurement wall time *)
 }
+
+(** Wall time of a tuning call by phase, the paper's compile-time
+    breakdown (Table 10, Fig. 14). *)
+type phases = {
+  search_s : float;
+      (** CGA evolution: the [cga.seed_population], [cga.evolve] and
+          [cga.rank] spans, CSP solving and cost-model prediction
+          included *)
+  model_s : float;  (** cost-model training: the [cga.model] spans *)
+  measure_s : float;  (** DLA measurement: the [cga.measure] spans *)
+}
+
+val phases :
+  before:(string * Heron_obs.Obs.span_total) list ->
+  after:(string * Heron_obs.Obs.span_total) list ->
+  phases
+(** [phases ~before ~after] reads the phases of what ran between two
+    {!Heron_obs.Obs.span_totals} readings, e.g. around one
+    [Pipeline.tune]. The figures are the journal's: the same spans, with
+    or without a trace. *)
 
 (** Everything the exploration loop carries across an iteration boundary,
     for crash-safe checkpoint/resume (see {!Checkpoint} for the on-disk
@@ -91,8 +108,8 @@ val run :
     Determinism: per-task generators are split from [env.rng] in index
     order and results always merge by task index, so a fixed seed yields a
     byte-identical [result.trace] whatever the pool size (including no
-    pool at all). The per-phase wall-clock fields plus [jobs] let callers
-    compute parallel speedups. *)
+    pool at all). Each phase of an iteration runs in its own span (see
+    {!phases}), and [jobs] records the pool size it ran with. *)
 
 val crossover_csps :
   ?mutation:bool ->

@@ -10,11 +10,11 @@
    Shares {!Cga}'s [params], [outcome] and [snapshot] types, so results
    and checkpoints from either engine compare byte for byte. Two
    deliberate deltas from the historical loop, both shared with the live
-   engine and neither affecting results: step-3 ranking is charged to
-   [time_search_s] (it previously fell between the timing buckets), and
-   the phase buckets read the monotonic wall clock [Obs.Clock.now_ns]
-   instead of [Sys.time], which is process CPU time summed over all
-   domains. *)
+   engine and neither affecting results: step-3 ranking runs in its own
+   [cga.rank] span (it previously fell between the timed phases), and the
+   phases are timed by their [Obs] spans alone, on the monotonic wall
+   clock, instead of by [Sys.time] buckets, which read process CPU time
+   summed over all domains. *)
 
 module Problem = Heron_csp.Problem
 module Assignment = Heron_csp.Assignment
@@ -92,8 +92,8 @@ let dedupe assignments =
       end)
     assignments
 
-let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume ?on_snapshot
-    (env : Env.t) ~budget =
+let run ?(params = Cga.default_params) ?pool ?resilience ?resume ?on_snapshot (env : Env.t)
+    ~budget =
   let params =
     { params with Cga.batch = min params.Cga.batch (max 4 (budget / 8)) }
   in
@@ -107,14 +107,6 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
            (fun a ->
              let s = Model.predict model a in
              if s > 0.0 then Some (1000.0 /. s) else None)));
-  let time_search = ref 0.0 and time_model = ref 0.0 and time_measure = ref 0.0 in
-  let timed acc name f =
-    Obs.with_span name (fun () ->
-        let t0 = Obs.Clock.now_ns () in
-        let x = f () in
-        acc := !acc +. (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9);
-        x)
-  in
   let iter_no = ref 0 in
   let survivors = ref [] in
   let continue = ref true in
@@ -158,8 +150,8 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
       | Some a -> check_assignment "recorder best assignment" a));
   let rec_ =
     match resume with
-    | None -> Env_ref.Recorder.create ?measure_batch ?resilience env ~budget
-    | Some s -> Env_ref.Recorder.import ?measure_batch ?resilience env ~budget s.Cga.s_recorder
+    | None -> Env_ref.Recorder.create ?resilience env ~budget
+    | Some s -> Env_ref.Recorder.import ?resilience env ~budget s.Cga.s_recorder
   in
   (match resume with
   | None -> ()
@@ -193,7 +185,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
     Obs.Counter.incr c_iterations;
     (* Step 1: first generation = random valid assignments + survivors. *)
     let pop0 =
-      timed time_search "cga.seed_population" (fun () ->
+      Obs.with_span "cga.seed_population" (fun () ->
           let need = max 2 (params.Cga.pop_size - List.length !survivors) in
           Solver.rand_sat ?pool env.Env.rng env.Env.problem need
           @ List.map fst !survivors)
@@ -208,7 +200,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
       in
       (* Step 2: evolve on CSPs for several generations. *)
       let pop = ref (dedupe pop0) in
-      timed time_search "cga.evolve" (fun () ->
+      Obs.with_span "cga.evolve" (fun () ->
           for g = 1 to params.Cga.generations do
             Obs.Counter.incr c_generations;
             let scored = Array.of_list (predict_all !pop) in
@@ -245,7 +237,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
           done);
       (* Step 3: epsilon-greedy selection of the measurement batch. *)
       let fresh =
-        timed time_search "cga.rank" (fun () ->
+        Obs.with_span "cga.rank" (fun () ->
             List.filter (fun a -> not (Env_ref.Recorder.seen rec_ a)) !pop
             |> predict_all
             |> List.sort (fun (_, x) (_, y) -> compare y x))
@@ -267,7 +259,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
       else begin
         dry_iterations := 0;
         let latencies =
-          timed time_measure "cga.measure" (fun () ->
+          Obs.with_span "cga.measure" (fun () ->
               Env_ref.Recorder.eval_batch ?pool rec_ chosen)
         in
         let measured = List.combine chosen latencies in
@@ -275,7 +267,7 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
           List.filter (fun (a, _) -> not (Env_ref.Recorder.degraded rec_ a)) measured
         in
         (* Step 4: update the cost model on the measured scores. *)
-        timed time_model "cga.model" (fun () ->
+        Obs.with_span "cga.model" (fun () ->
             List.iter (fun (a, l) -> Model.record model a (Env.score l)) measured;
             Model.refit model);
         let valid =
@@ -293,7 +285,4 @@ let run ?(params = Cga.default_params) ?pool ?measure_batch ?resilience ?resume 
     Cga.result = Env_ref.Recorder.finish rec_;
     model;
     jobs = (match pool with Some p -> Pool.jobs p | None -> 1);
-    time_search_s = !time_search;
-    time_model_s = !time_model;
-    time_measure_s = !time_measure;
   }

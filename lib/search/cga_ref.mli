@@ -7,10 +7,6 @@
 val run :
   ?params:Cga.params ->
   ?pool:Heron_util.Pool.t ->
-  ?measure_batch:
-    (?pool:Heron_util.Pool.t ->
-    Heron_csp.Assignment.t array ->
-    float option array) ->
   ?resilience:Env_ref.Recorder.resilience ->
   ?resume:Cga.snapshot ->
   ?on_snapshot:(Cga.snapshot -> unit) ->
@@ -20,5 +16,6 @@ val run :
 (** Byte-identical in results, traces, snapshots and RNG consumption to
     the pre-overhaul {!Cga.run}. The only intentional differences from the
     historical code are bookkeeping, shared by both engines: step-3
-    ranking is charged to [time_search_s], and the phase times are
-    monotonic wall-clock seconds rather than [Sys.time] CPU seconds. *)
+    ranking runs in its own [cga.rank] span, and the phases are timed by
+    their [Obs] spans on the monotonic wall clock rather than by
+    [Sys.time] CPU seconds (read them with {!Cga.phases}). *)

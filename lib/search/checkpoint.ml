@@ -55,41 +55,22 @@ let to_json ~label (s : Cga.snapshot) =
       ("model", Json.List (List.map json_of_row s.Cga.s_model));
     ]
 
-(* One file per run: successive composite checkpoints of a network run
-   repeat nearly every float of the previous one, and a log's delta records
-   repeat many floats of the records before them (best-so-far values,
-   survivor latencies), so the printer's memo formats each once, and the
-   one buffer is rewritten in place instead of reallocated. *)
-type file = { path : string; what : string; printer : Json.printer; buf : Buffer.t }
-
-let file ~path ~what = { path; what; printer = Json.printer (); buf = Buffer.create 4096 }
-
-let write_json f v =
-  Buffer.clear f.buf;
-  Json.print f.printer f.buf v;
-  Buffer.add_char f.buf '\n';
-  Atomic_io.with_retry ~what:f.what (fun () ->
-      Atomic_io.with_file_out ~path:f.path (fun oc -> Buffer.output_buffer oc f.buf))
-
 (* ---------- the log ---------- *)
 
+(* Checkpoint writes retry a transient [Sys_error] or a torn write under
+   this label. *)
+let what = "search.checkpoint"
+
 (* [v] as one record, a line: the payload's length in bytes, its FNV-1a
-   checksum in the store sidecars' hex, and the payload, [v] printed
-   through [f]'s float memo. The record is assembled in [f]'s buffer. *)
-let record f v =
-  Buffer.clear f.buf;
-  Json.print f.printer f.buf v;
-  let payload = Buffer.contents f.buf in
-  Buffer.clear f.buf;
-  Printf.bprintf f.buf "%d %016Lx " (String.length payload) (Hashing.fnv1a payload);
-  Buffer.add_string f.buf payload;
-  Buffer.add_char f.buf '\n';
-  Buffer.contents f.buf
+   checksum in the store sidecars' hex, and the payload. *)
+let record v =
+  let payload = Json.to_string v in
+  Printf.sprintf "%d %016Lx %s\n" (String.length payload) (Hashing.fnv1a payload) payload
 
 (* A one-record log holding [s], in place of whatever the file held. *)
-let replace f ~label s =
-  let r = record f (to_json ~label s) in
-  Atomic_io.with_retry ~what:f.what (fun () -> Atomic_io.write_string ~path:f.path r)
+let replace ~path ~label s =
+  let r = record (to_json ~label s) in
+  Atomic_io.with_retry ~what (fun () -> Atomic_io.replace ~path r)
 
 (* The state the file holds, as the writer last wrote or read it. A cache
    entry's slot counts the entries the log added before it since [snap]'s
@@ -111,10 +92,9 @@ let hold (s : Cga.snapshot) =
   List.iteri (fun i (k, _) -> Hashtbl.replace slots k i) cache;
   { snap = s; slots; first = 0; next = List.length cache; known = [] }
 
-type writer = { file : file; w_label : string; mutable held : held option }
+type writer = { path : string; w_label : string; mutable held : held option }
 
-let writer ~path ~label =
-  { file = file ~path ~what:"search.checkpoint"; w_label = label; held = None }
+let writer ~path ~label = { path; w_label = label; held = None }
 
 (* [Some added] when [xs] is [old] followed by [added], entry for entry. *)
 let rec added_after same old xs =
@@ -235,14 +215,14 @@ let write w s =
   w.held <- None;
   match next with
   | Some (v, h) ->
-      let r = record w.file v in
-      Atomic_io.with_retry ~what:w.file.what (fun () -> Atomic_io.append ~path:w.file.path r);
+      let r = record v in
+      Atomic_io.with_retry ~what (fun () -> Atomic_io.append ~path:w.path r);
       w.held <- Some h
   | None ->
-      replace w.file ~label:w.w_label s;
+      replace ~path:w.path ~label:w.w_label s;
       w.held <- Some (hold s)
 
-let save ~path ~label s = replace (file ~path ~what:"search.checkpoint") ~label s
+let save = replace
 
 (* ---------- decoding ---------- *)
 

@@ -13,9 +13,11 @@
 
     A {!write} whose snapshot extends the state the file holds appends one
     delta record; any other write replaces the file atomically (tmp +
-    rename) with a one-record log. A kill during an append leaves a torn
-    last record, which {!load} drops: it replays whole records and stops
-    at the first truncated or checksum-failing frame.
+    rename) with a one-record log. Both go through
+    {!Heron_util.Atomic_io}'s checked writes, so a torn write loses that
+    write only (see {!write}). A kill during an append leaves a torn last
+    record, which {!load} drops: it replays whole records and stops at
+    the first truncated or checksum-failing frame.
 
     The [label] ties a checkpoint to the run that produced it (operator,
     budget, seed, fault spec ...): {!load} returns it so callers can
@@ -23,21 +25,6 @@
 
 val version : int
 (** The version of the snapshot document and of delta records. *)
-
-type file
-(** A JSON file rewritten in place, one whole value per {!write_json}, as
-    the network tuner's composite checkpoint is: the value is printed into
-    one reused buffer by one printer that remembers the text of every
-    float it has already printed, so rewriting a mostly unchanged value
-    costs little re-formatting. The bytes are exactly
-    [Heron_obs.Json.to_string v ^ "\n"]. *)
-
-val file : path:string -> what:string -> file
-(** [what] labels the write's retries ({!Heron_util.Atomic_io.with_retry}). *)
-
-val write_json : file -> Heron_obs.Json.t -> unit
-(** Atomic write: the JSON lands in [path ^ ".tmp"] and is renamed over
-    [path] only once complete. A transient [Sys_error] is retried. *)
 
 type writer
 (** The checkpoint log of one run. It holds the last snapshot it wrote or
@@ -54,8 +41,10 @@ val writer : path:string -> label:string -> writer
 
 val write : writer -> Cga.snapshot -> unit
 (** Append a delta record, or replace the file with a one-record log of
-    the snapshot. A transient [Sys_error] is retried (retries are labelled
-    [search.checkpoint]); an append that fails leaves the log as it was. *)
+    the snapshot. A transient [Sys_error] or a torn write
+    ({!Heron_util.Atomic_io.Torn_write}) is retried (retries are labelled
+    [search.checkpoint]). A write that returns has landed whole; one that
+    raises, after its retries, leaves the file as it was. *)
 
 val save : path:string -> label:string -> Cga.snapshot -> unit
 (** Replace [path] with a one-record log of the snapshot. *)

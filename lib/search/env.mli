@@ -25,9 +25,6 @@ type result = {
   invalid : int;  (** number of invalid candidates explored *)
 }
 
-val score_of_latency : float -> float
-(** Fitness score of a measured latency (higher is better). *)
-
 val score : float option -> float
 (** Fitness of a measurement outcome; invalid programs score 0. *)
 

@@ -55,8 +55,6 @@ module Recorder = struct
     env : Env.t;
     budget : int;
     resilience : resilience option;
-    measure_batch :
-      (?pool:Heron_util.Pool.t -> Assignment.t array -> float option array) option;
     cache : (string, float option) Hashtbl.t;
     cache_cap : int;
     cache_order : string Queue.t;  (* insertion order, for FIFO eviction *)
@@ -70,12 +68,11 @@ module Recorder = struct
 
   let default_cache_cap = 65_536
 
-  let create ?(cache_cap = default_cache_cap) ?measure_batch ?resilience env ~budget =
+  let create ?(cache_cap = default_cache_cap) ?resilience env ~budget =
     {
       env;
       budget;
       resilience;
-      measure_batch;
       cache = Hashtbl.create 256;
       cache_cap = max 1 cache_cap;
       cache_order = Queue.create ();
@@ -229,11 +226,7 @@ module Recorder = struct
               end)
     done;
     let jobs = Array.of_list (List.rev !jobs_rev) in
-    let measured =
-      match (r.measure_batch, r.resilience) with
-      | Some mb, None -> Array.map (fun l -> Plain l) (mb ?pool jobs)
-      | _ -> Heron_util.Pool.map ?pool (fun a -> measure_outcome r a) jobs
-    in
+    let measured = Heron_util.Pool.map ?pool (fun a -> measure_outcome r a) jobs in
     Array.to_list
       (Array.mapi
          (fun i a ->
@@ -284,8 +277,8 @@ module Recorder = struct
       x_degraded = (match r.resilience with None -> [] | Some rz -> sorted_keys rz.degraded);
     }
 
-  let import ?cache_cap ?measure_batch ?resilience env ~budget (x : Env.Recorder.export) =
-    let r = create ?cache_cap ?measure_batch ?resilience env ~budget in
+  let import ?cache_cap ?resilience env ~budget (x : Env.Recorder.export) =
+    let r = create ?cache_cap ?resilience env ~budget in
     List.iter
       (fun (key, l) ->
         Hashtbl.replace r.cache key l;

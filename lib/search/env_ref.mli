@@ -22,7 +22,6 @@ module Recorder : sig
 
   val create :
     ?cache_cap:int ->
-    ?measure_batch:(?pool:Heron_util.Pool.t -> Assignment.t array -> float option array) ->
     ?resilience:resilience ->
     Env.t ->
     budget:int ->
@@ -43,7 +42,6 @@ module Recorder : sig
 
   val import :
     ?cache_cap:int ->
-    ?measure_batch:(?pool:Heron_util.Pool.t -> Assignment.t array -> float option array) ->
     ?resilience:resilience ->
     Env.t ->
     budget:int ->

@@ -40,7 +40,6 @@ type post_op = Relu | Sigmoid | Scale of float
     (** fusable elementwise epilogues (applied by the Always-Inline rule) *)
 
 val apply_post : post_op -> float -> float
-val post_op_to_string : post_op -> string
 
 type t = {
   cname : string;

@@ -62,14 +62,24 @@ let plain_with_file_out ~fsync ~path f =
       Unix.rename tmp path);
   if fsync then fsync_dir_noerr (Filename.dirname path)
 
+exception Torn_write of string
+
+(* What a checked write raises when fewer bytes landed than it wrote.
+   Only an injected torn write (page-cache loss made visible at once)
+   lands short. *)
+let torn ~path ~written landed =
+  Torn_write (Printf.sprintf "%s: torn write: %d of %d bytes landed" path landed written)
+
 (* The instrumented protocol: the same syscall sequence, with the injector
    consulted at each boundary — content write, fsync (when requested),
    rename. A [Crash] raises [Io_faults.Crashed] with exactly the bytes
    that had persisted by that boundary left on disk; [Fail] mimics the
    plain error contract (temp file removed, target untouched, Sys_error);
    [Torn] silently truncates the temp file and lets the rename proceed —
-   the un-fsynced-page-loss failure the checksummed readers must catch. *)
-let injected_with_file_out inj ~fsync ~path f =
+   the un-fsynced-page-loss failure the checksummed readers must catch —
+   unless [checked], when the short temp file is removed before the
+   rename, as a failed write's is. *)
+let injected_with_file_out inj ~fsync ~checked ~path f =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
   write_contents ~tmp oc f;
@@ -87,6 +97,12 @@ let injected_with_file_out inj ~fsync ~path f =
       remove_noerr tmp;
       raise (Sys_error msg)
   | Io_faults.Crash k -> crash Io_faults.Write (site inj - 1) ~keep:k);
+  (if checked then
+     let landed = (Unix.stat tmp).Unix.st_size in
+     if landed <> len then begin
+       remove_noerr tmp;
+       raise (torn ~path ~written:len landed)
+     end);
   if fsync then begin
     match Io_faults.at_site inj ~path ~len ~durable:true Io_faults.Fsync with
     | Io_faults.Proceed | Io_faults.Torn _ -> finish ~path ~tmp oc (fun () -> fsync_path tmp)
@@ -106,9 +122,17 @@ let injected_with_file_out inj ~fsync ~path f =
 let with_file_out ?(fsync = false) ~path f =
   match Io_faults.default () with
   | None -> plain_with_file_out ~fsync ~path f
-  | Some inj -> injected_with_file_out inj ~fsync ~path f
+  | Some inj -> injected_with_file_out inj ~fsync ~checked:false ~path f
 
 let write_string ?fsync ~path s = with_file_out ?fsync ~path (fun oc -> output_string oc s)
+
+(* Without an injector a returned write has landed, so only the
+   instrumented protocol needs the check. *)
+let replace ~path s =
+  let f oc = output_string oc s in
+  match Io_faults.default () with
+  | None -> plain_with_file_out ~fsync:false ~path f
+  | Some inj -> injected_with_file_out inj ~fsync:false ~checked:true ~path f
 
 let truncate ~path len =
   try Unix.truncate path len
@@ -118,7 +142,9 @@ let truncate ~path len =
    the file back to its length before the append, so a retry starts from
    the same end. An injected [Fail] writes the whole record first, as a
    write whose error is only reported after it landed; [Torn] and [Crash]
-   leave a prefix of it, as page-cache loss and process death would. *)
+   leave a prefix of it, as page-cache loss and process death would. The
+   file's length then shows the tear, and a torn append is cut back too,
+   and raised as [Torn_write]. *)
 let append ~path s =
   let fd =
     try Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0
@@ -128,10 +154,11 @@ let append ~path s =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let before = (Unix.fstat fd).Unix.st_size and len = String.length s in
-      let fail msg =
+      let undo e =
         (try Unix.ftruncate fd before with Unix.Unix_error _ -> ());
-        raise (Sys_error msg)
+        raise e
       in
+      let fail msg = undo (Sys_error msg) in
       (* Write the first [k] bytes of [s]. *)
       let write k =
         let rec go off = if off < k then go (off + Unix.write_substring fd s off (k - off)) in
@@ -140,7 +167,7 @@ let append ~path s =
       match Io_faults.default () with
       | None -> write len
       | Some inj -> (
-          match Io_faults.at_site inj ~path ~len Io_faults.Write with
+          (match Io_faults.at_site inj ~path ~len Io_faults.Write with
           | Io_faults.Proceed -> write len
           | Io_faults.Torn k -> write k
           | Io_faults.Fail msg ->
@@ -150,11 +177,14 @@ let append ~path s =
               write k;
               raise
                 (Io_faults.Crashed
-                   { path; op = Io_faults.Write; site = Io_faults.sites_seen inj - 1 })))
+                   { path; op = Io_faults.Write; site = Io_faults.sites_seen inj - 1 }));
+          let landed = (Unix.fstat fd).Unix.st_size - before in
+          if landed <> len then undo (torn ~path ~written:len landed)))
 
 (* Bounded retry with exponential backoff for the durability protocols
    (store publish, checkpoint writes): transient failures surface as
-   [Sys_error] and are worth one more roll; a simulated crash
+   [Sys_error], and a torn checkpoint write as [Torn_write]; both left
+   the file as it was and are worth one more roll. A simulated crash
    ([Io_faults.Crashed]) is process death and must never be retried. The
    backoff sleeps are microseconds — enough to model the policy without
    slowing a test suite. *)
@@ -163,8 +193,8 @@ let with_retry ?(attempts = 3) ~what f =
   let rec go n =
     match f () with
     | v -> v
-    | exception Sys_error msg ->
-        if n + 1 >= attempts then raise (Sys_error msg)
+    | exception ((Sys_error msg | Torn_write msg) as e) ->
+        if n + 1 >= attempts then raise e
         else begin
           Obs.Counter.incr c_retries;
           Obs.emit "io_retry"

@@ -39,6 +39,18 @@ val with_file_out : ?fsync:bool -> path:string -> (out_channel -> unit) -> unit
     returns (flush, fsync, close, rename) is raised as
     [Sys_error (path ^ ": " ^ reason)], so {!with_retry} retries it. *)
 
+exception Torn_write of string
+(** A checked write ({!replace}, {!append}) returned with fewer bytes in
+    place than it wrote — an injected torn write — and was undone like a
+    failed one: the file is as it was. {!with_retry} retries it. *)
+
+val replace : path:string -> string -> unit
+(** [replace ~path s] is [write_string ~path s] for files a writer builds
+    on (checkpoints): it returns only once [s] landed whole. Under an
+    installed {!Io_faults} injector it compares the temp file's length
+    with [String.length s] before the rename; a torn write removes the
+    temp file, leaves [path] untouched and raises {!Torn_write}. *)
+
 val append : path:string -> string -> unit
 (** [append ~path s] adds [s] at the end of the existing file [path], for
     append-only logs. It is not durable, and no temp file or rename is
@@ -46,9 +58,11 @@ val append : path:string -> string -> unit
     call and raises [Sys_error], so {!with_retry} retries it from the same
     end and a log never keeps a failed record's bytes before a later one. An
     installed {!Io_faults} injector is consulted once, at a [Write] site. A
-    torn write keeps a prefix of [s] and returns normally. A crash keeps a
-    prefix of [s] and raises {!Io_faults.Crashed}. An injected failure is
-    reported after [s] landed and is undone like a real one. *)
+    torn write keeps a prefix of [s]; the file's length then falls short
+    of the bytes written, so the append is cut back as well and raises
+    {!Torn_write}. A crash keeps a prefix of [s] and raises
+    {!Io_faults.Crashed}. An injected failure is reported after [s] landed
+    and is undone like a real one. *)
 
 val truncate : path:string -> int -> unit
 (** [truncate ~path len] cuts [path] to its first [len] bytes, as a log
@@ -57,7 +71,8 @@ val truncate : path:string -> int -> unit
 
 val with_retry : ?attempts:int -> what:string -> (unit -> 'a) -> 'a
 (** [with_retry ~what f] runs [f], retrying a [Sys_error] (transient
-    ENOSPC/EIO, injected or real) up to [attempts] times total (default 3)
+    ENOSPC/EIO, injected or real) or a {!Torn_write} up to [attempts]
+    times total (default 3)
     with exponential microsecond backoff, counting [io.retries] and
     emitting an [io_retry] journal event per retry. The last error is
     re-raised when attempts are exhausted. {!Io_faults.Crashed} is never
