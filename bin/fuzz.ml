@@ -30,16 +30,6 @@ let collect ~budget ~filter =
              else None)
            tests)
 
-(* A simulated process death from --io-faults must terminate like a real
-   crash would: nonzero (3), nothing handled. (The crash property group
-   installs and clears its own injector per scenario, independent of this
-   process default.) *)
-let crash_to_exit3 f =
-  try f ()
-  with Heron_util.Io_faults.Crashed _ as e ->
-    Printf.eprintf "io-faults: %s\n%!" (Printexc.to_string e);
-    3
-
 let run budget seed filter list_only trace metrics faults io_faults =
   match Heron_dla.Faults.parse faults with
   | Error e ->
@@ -53,7 +43,9 @@ let run budget seed filter list_only trace metrics faults io_faults =
   | Ok io_spec ->
   Heron_dla.Faults.set_default fault_spec;
   Heron_util.Io_faults.set_default (Option.map Heron_util.Io_faults.create io_spec);
-  crash_to_exit3 @@ fun () ->
+  (* The crash property group installs and clears its own injector per
+     scenario, independent of this process default. *)
+  Heron_util.Io_faults.top_level @@ fun () ->
   let tests = collect ~budget ~filter in
   if list_only then begin
     List.iter (fun (group, name, _) -> Printf.printf "%-8s %s\n" group name) tests;
@@ -157,8 +149,11 @@ let () =
   let term =
     Term.(const run $ budget $ seed $ filter $ list_only $ trace $ metrics $ faults $ io_faults)
   in
+  let exits =
+    List.map (fun (c, doc) -> Cmd.Exit.info c ~doc) Heron_util.Io_faults.exits @ Cmd.Exit.defaults
+  in
   let info =
-    Cmd.info "fuzz"
+    Cmd.info "fuzz" ~exits
       ~doc:"Property-based fuzzing campaigns for the Heron CSP solver, DLA layer and search."
   in
   exit (Cmd.eval' (Cmd.v info term))

@@ -22,16 +22,7 @@ module Index = Heron_serving.Index
 module Store = Heron_serving.Store
 module Traffic = Heron_serving.Traffic
 module Rng = Heron_util.Rng
-
-let desc_of_string = function
-  | "v100" -> Ok D.v100
-  | "t4" -> Ok D.t4
-  | "a100" -> Ok D.a100
-  | "dlboost" -> Ok D.dlboost
-  | "vta" -> Ok D.vta
-  | "tpu" -> Ok D.tpu
-  | "cambricon" -> Ok D.cambricon
-  | s -> Error (Printf.sprintf "unknown DLA %S (v100|t4|a100|dlboost|vta|tpu|cambricon)" s)
+module Io_faults = Heron_util.Io_faults
 
 (* Serving universes. "quick" is a small intrinsic-friendly GEMM family
    whose spaces tune in well under a second each — the CI universe; the
@@ -61,17 +52,9 @@ let cold_lookup path key =
       List.find_opt (fun (e : Library.entry) -> e.Library.op_key ^ "@" ^ e.Library.dla = key)
         (Library.entries lib)
 
-(* A simulated process death from --io-faults must terminate like a real
-   crash would: nonzero (3, matching --kill-after), nothing handled. *)
-let crash_to_exit3 f =
-  try f ()
-  with Heron_util.Io_faults.Crashed _ as e ->
-    Printf.eprintf "io-faults: %s\n%!" (Printexc.to_string e);
-    3
-
 let run dla universe dir requests zipf waves budget family_max seed jobs kill_after dump gate
     trace metrics io_faults =
-  match desc_of_string dla with
+  match D.of_string dla with
   | Error e ->
       prerr_endline e;
       2
@@ -81,23 +64,22 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
           prerr_endline e;
           2
       | Ok ops ->
-          match Heron_util.Io_faults.parse io_faults with
+          match Io_faults.parse io_faults with
           | Error e ->
               prerr_endline e;
               2
           | Ok io_spec ->
-          Heron_util.Io_faults.set_default
-            (Option.map Heron_util.Io_faults.create io_spec);
+          Io_faults.set_default (Option.map Io_faults.create io_spec);
           (match io_spec with
           | None -> ()
-          | Some s -> Printf.printf "io-faults: %s\n%!" (Heron_util.Io_faults.to_string s));
-          crash_to_exit3 @@ fun () ->
+          | Some s -> Printf.printf "io-faults: %s\n%!" (Io_faults.to_string s));
+          Io_faults.top_level @@ fun () ->
           let jobs = max 1 jobs in
           let manifest =
             Obs.manifest ~tool:"heron_serve" ~seed ~descriptor:desc.D.dname ~budget ~jobs ()
           in
           Obs.with_trace trace manifest @@ fun () ->
-          Pool.with_jobs jobs @@ fun pool ->
+          Pool.with_jobs jobs @@ fun () ->
           let config =
             {
               (Serve.default_config ~dir ~resolve:(Serve.universe_resolve ops) desc) with
@@ -152,7 +134,7 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
                   incr measured
                 done;
                 lookup_s := !lookup_s +. (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9));
-            let tuned = Serve.drain ?pool ~on_publish daemon in
+            let tuned = Serve.drain ~on_publish daemon in
             Printf.printf "wave %d: drained %d tasks, library v%d (%d entries)\n%!" wave tuned
               (Serve.version daemon)
               (Library.size (Serve.library daemon))
@@ -323,8 +305,9 @@ let () =
       const run $ dla $ universe $ dir $ requests $ zipf $ waves $ budget $ family_max $ seed
       $ jobs $ kill_after $ dump $ gate $ trace $ metrics $ io_faults)
   in
+  let exits = List.map (fun (c, doc) -> Cmd.Exit.info c ~doc) Io_faults.exits @ Cmd.Exit.defaults in
   let info =
-    Cmd.info "heron_serve"
+    Cmd.info "heron_serve" ~exits
       ~doc:"Serve a persistent tuned-schedule library with a background tuning queue."
   in
   exit (Cmd.eval' (Cmd.v info term))

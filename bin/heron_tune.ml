@@ -6,16 +6,8 @@ module Op = Heron_tensor.Op
 module D = Heron_dla.Descriptor
 module Pool = Heron_util.Pool
 module Obs = Heron_obs.Obs
-
-let desc_of_string = function
-  | "v100" -> Ok D.v100
-  | "t4" -> Ok D.t4
-  | "a100" -> Ok D.a100
-  | "dlboost" -> Ok D.dlboost
-  | "vta" -> Ok D.vta
-  | "tpu" -> Ok D.tpu
-  | "cambricon" -> Ok D.cambricon
-  | s -> Error (Printf.sprintf "unknown DLA %S (v100|t4|a100|dlboost|vta|tpu|cambricon)" s)
+module Cga = Heron_search.Cga
+module Io_faults = Heron_util.Io_faults
 
 let op_of ~kind ~dims ~dt =
   let dt = match dt with "i8" -> Op.I8 | "f32" -> Op.F32 | _ -> Op.F16 in
@@ -32,6 +24,11 @@ let op_of ~kind ~dims ~dt =
       Error
         "usage: gemm M N K | bmm B M N K | gemv M K | c1d N CI L CO KL S P | \
          c2d N CI H W CO KH KW S P | scan B L"
+
+(* The paper's compile-time breakdown of a run (Table 10, Fig. 14). *)
+let print_phases ~jobs (p : Cga.phases) =
+  Printf.printf "phases (%d jobs): search %.2fs, model %.2fs, measure %.2fs\n" jobs p.Cga.search_s
+    p.Cga.model_s p.Cga.measure_s
 
 (* Whole-network mode: extract tasks, let the gradient scheduler slice
    the budget, print the per-task allocation and the end-to-end latency. *)
@@ -52,16 +49,18 @@ let run_network desc name ~budget ~seed ~jobs ~slice ~policy ~transfer trace met
         Obs.manifest ~tool:"heron_tune" ~seed ~descriptor:desc.D.dname
           ~op:net.Heron_nets.Models.net_name ~budget ~jobs:(max 1 jobs) ()
       in
+      let before = Obs.span_totals () in
       (match
          Obs.with_trace trace manifest (fun () ->
-             Pool.with_jobs jobs (fun pool ->
-                 Heron_nets.Tuner.tune ~budget ~seed ~slice ~policy ~transfer ?pool ?checkpoint
-                   ?resume ?kill_after desc net))
+             Pool.with_jobs jobs (fun () ->
+                 Heron_nets.Tuner.tune ~budget ~seed ~slice ~policy ~transfer ?checkpoint ?resume
+                   ?kill_after desc net))
        with
       | exception Invalid_argument e ->
           prerr_endline e;
           2
       | r ->
+          let phases = Cga.phases ~before ~after:(Obs.span_totals ()) in
           if metrics then print_string (Obs.metrics_report ());
           List.iter
             (fun tr ->
@@ -74,30 +73,23 @@ let run_network desc name ~budget ~seed ~jobs ~slice ~policy ~transfer trace met
                 | Some b -> Printf.sprintf "%.2f us" b)
                 (if tr.Heron_nets.Tuner.tr_transferred then "  (transferred)" else ""))
             r.Heron_nets.Tuner.r_reports;
+          print_phases ~jobs:(max 1 jobs) phases;
           Printf.printf "measurements: %d\n" r.Heron_nets.Tuner.r_measurements;
           (match r.Heron_nets.Tuner.r_latency_us with
           | None -> print_endline "no end-to-end latency (some task has no valid schedule)"
           | Some l -> Printf.printf "end-to-end latency: %.2f us\n" l);
           0)
 
-(* A simulated process death from --io-faults must terminate like a real
-   crash would: nonzero (3, matching --kill-after), nothing handled. *)
-let crash_to_exit3 f =
-  try f ()
-  with Heron_util.Io_faults.Crashed _ as e ->
-    Printf.eprintf "io-faults: %s\n%!" (Printexc.to_string e);
-    3
-
 let run dla network kind dims dt trials seed jobs slice round_robin no_transfer trace metrics
     faults io_faults checkpoint resume kill_after =
-  match Heron_util.Io_faults.parse io_faults with
+  match Io_faults.parse io_faults with
   | Error e ->
       prerr_endline e;
       2
   | Ok io_spec ->
-  Heron_util.Io_faults.set_default (Option.map Heron_util.Io_faults.create io_spec);
-  crash_to_exit3 @@ fun () ->
-  match desc_of_string dla with
+  Io_faults.set_default (Option.map Io_faults.create io_spec);
+  Io_faults.top_level @@ fun () ->
+  match D.of_string dla with
   | Error e -> prerr_endline e; 2
   | Ok desc -> (
       match network with
@@ -134,23 +126,19 @@ let run dla network kind dims dt trials seed jobs slice round_robin no_transfer 
           let before = Obs.span_totals () in
           match
             Obs.with_trace trace manifest (fun () ->
-                Pool.with_jobs jobs (fun pool ->
-                    Heron.Pipeline.tune ~budget:trials ~seed ?pool ?checkpoint ?resume
-                      ?kill_after desc op))
+                Pool.with_jobs jobs (fun () ->
+                    Heron.Pipeline.tune ~budget:trials ~seed ?checkpoint ?resume ?kill_after desc
+                      op))
           with
           | exception Invalid_argument e ->
               prerr_endline e;
               2
           | tuned ->
-          let phases = Heron_search.Cga.phases ~before ~after:(Obs.span_totals ()) in
+          let phases = Cga.phases ~before ~after:(Obs.span_totals ()) in
           if metrics then print_string (Obs.metrics_report ());
           Printf.printf "space: %s\n"
             (Heron.Stats.to_string (Heron.Stats.of_problem tuned.gen.problem));
-          Printf.printf
-            "phases (%d jobs): search %.2fs, model %.2fs, measure %.2fs\n"
-            tuned.Heron.Pipeline.outcome.Heron_search.Cga.jobs
-            phases.Heron_search.Cga.search_s phases.Heron_search.Cga.model_s
-            phases.Heron_search.Cga.measure_s;
+          print_phases ~jobs:tuned.Heron.Pipeline.outcome.Cga.jobs phases;
           (match Heron.Pipeline.best_latency_us tuned with
           | None -> print_endline "no valid program found"
           | Some l ->
@@ -302,5 +290,8 @@ let () =
       const run $ dla $ network $ kind $ dims $ dt $ trials $ seed $ jobs $ slice $ round_robin
       $ no_transfer $ trace $ metrics $ faults $ io_faults $ checkpoint $ resume $ kill_after)
   in
-  let info = Cmd.info "heron_tune" ~doc:"Tune one operator with Heron on a simulated DLA." in
+  let exits = List.map (fun (c, doc) -> Cmd.Exit.info c ~doc) Io_faults.exits @ Cmd.Exit.defaults in
+  let info =
+    Cmd.info "heron_tune" ~exits ~doc:"Tune one operator with Heron on a simulated DLA."
+  in
   exit (Cmd.eval' (Cmd.v info term))

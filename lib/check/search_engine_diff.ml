@@ -33,19 +33,17 @@ let make_env seed =
 
 let budget = 12
 
-let run_live ?pool ?resilience ?resume ?on_snapshot seed =
+let run_live ?resilience ?resume ?on_snapshot seed =
   let env = make_env seed in
   let o =
-    Cga.run ~params:Search_props.small_params ?pool ?resilience ?resume ?on_snapshot env
-      ~budget
+    Cga.run ~params:Search_props.small_params ?resilience ?resume ?on_snapshot env ~budget
   in
   (o, Rng.state_hex env.Env.rng)
 
-let run_ref ?pool ?resilience ?resume ?on_snapshot seed =
+let run_ref ?resilience ?resume ?on_snapshot seed =
   let env = make_env seed in
   let o =
-    Cga_ref.run ~params:Search_props.small_params ?pool ?resilience ?resume ?on_snapshot env
-      ~budget
+    Cga_ref.run ~params:Search_props.small_params ?resilience ?resume ?on_snapshot env ~budget
   in
   (o, Rng.state_hex env.Env.rng)
 
@@ -95,16 +93,15 @@ let run_identical ~count =
       && String.equal rng_a rng_b
       && same_snapshots (snaps_a ()) (snaps_b ()))
 
-(* (b) Same with the live engine on a 4-domain pool against the frozen
-   engine with no pool at all: identity and jobs-independence at once. *)
+(* (b) Same with the live engine on a 4-domain default pool against the
+   frozen engine with no pool at all: identity and jobs-independence at
+   once. *)
 let run_identical_jobs4 ~count =
   QCheck.Test.make ~name:"search_engine: jobs-4 run byte-identical to jobs-1 frozen engine"
     ~count seed_arb (fun seed ->
       let push_a, snaps_a = collect () and push_b, snaps_b = collect () in
-      let a, rng_a =
-        Pool.with_pool ~domains:4 (fun pool -> run_live ~pool ~on_snapshot:push_a seed)
-      in
-      let b, rng_b = run_ref ~on_snapshot:push_b seed in
+      let a, rng_a = Pool.with_jobs 4 (fun () -> run_live ~on_snapshot:push_a seed) in
+      let b, rng_b = Pool.with_jobs 1 (fun () -> run_ref ~on_snapshot:push_b seed) in
       same_result a.Cga.result b.Cga.result
       && String.equal rng_a rng_b
       && same_snapshots (snaps_a ()) (snaps_b ()))
@@ -165,11 +162,8 @@ let counters_jobs_independent ~count =
   in
   QCheck.Test.make ~name:"search_engine: search.* counters independent of pool size" ~count
     seed_arb (fun seed ->
-      let d1 = deltas (fun () -> ignore (run_live seed)) in
-      let d4 =
-        deltas (fun () ->
-            Pool.with_pool ~domains:4 (fun pool -> ignore (run_live ~pool seed)))
-      in
+      let d1 = deltas (fun () -> Pool.with_jobs 1 (fun () -> ignore (run_live seed))) in
+      let d4 = deltas (fun () -> Pool.with_jobs 4 (fun () -> ignore (run_live seed))) in
       d1 = d4 && List.exists (fun (_, d) -> d > 0) d1)
 
 let tests ?(count = 20) () =

@@ -91,19 +91,19 @@ let small_params =
       survivors = 2;
     }
 
-let run_cga ?pool seed =
+let run_cga ~jobs seed =
   let env =
     Env.{ problem = toy_problem (); measure = hash_measure; rng = Rng.create seed }
   in
-  let outcome = Cga.run ~params:small_params ?pool env ~budget:12 in
+  let outcome = Pool.with_jobs jobs (fun () -> Cga.run ~params:small_params env ~budget:12) in
   outcome.Cga.result
 
 let cga_pool_invariance ~count =
   QCheck.Test.make ~name:"search: CGA trace is identical with and without a pool" ~count
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
-      let seq = run_cga seed in
-      let par = Pool.with_pool ~domains:3 (fun pool -> run_cga ~pool seed) in
+      let seq = run_cga ~jobs:1 seed in
+      let par = run_cga ~jobs:3 seed in
       seq.Env.trace = par.Env.trace
       && seq.Env.best_latency = par.Env.best_latency
       && seq.Env.best_assignment = par.Env.best_assignment

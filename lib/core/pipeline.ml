@@ -23,10 +23,10 @@ type tuned = {
   measurements : int;
 }
 
-let make_measure ?reps desc (gen : Generator.t) =
+let make_measure desc (gen : Generator.t) =
   (* One measurer per closure, with the per-operator perf-model context
      built once up front. *)
-  let measurer = Measure.create ?reps ~op:gen.Generator.template.Heron_sched.Template.op desc in
+  let measurer = Measure.create ~op:gen.Generator.template.Heron_sched.Template.op desc in
   let measure a =
     match Concrete.instantiate gen.Generator.template a with
     | exception Invalid_argument _ -> None
@@ -34,8 +34,8 @@ let make_measure ?reps desc (gen : Generator.t) =
   in
   (measure, fun () -> Measure.count measurer)
 
-let make_env ?reps ?(seed = 42) desc gen =
-  let measure, _count = make_measure ?reps desc gen in
+let make_env ?(seed = 42) desc gen =
+  let measure, _count = make_measure desc gen in
   { Env.problem = gen.Generator.problem; measure; rng = Rng.create seed }
 
 (* One resilient measurement attempt: ask the fault injector what happens
@@ -59,16 +59,15 @@ let run_label desc op ~budget ~seed ~faults =
     budget seed
     (match faults with None -> "off" | Some s -> Faults.to_string s)
 
-let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?checkpoint ?resume
-    ?kill_after desc op =
-  let faults = Faults.resolve faults in
+let tune ?(budget = 200) ?(seed = 42) ?checkpoint ?resume ?kill_after desc op =
+  let faults = Faults.default () in
   let gen = Generator.generate ~seed desc op in
-  let measure, count = make_measure ?reps desc gen in
+  let measure, count = make_measure desc gen in
   let env = { Env.problem = gen.Generator.problem; measure; rng = Rng.create seed } in
   let resilience =
     match faults with
     | None -> None
-    | Some spec -> Some (Env.Recorder.make_resilience ?policy (make_attempt_measure measure spec))
+    | Some spec -> Some (Env.Recorder.make_resilience (make_attempt_measure measure spec))
   in
   let label = run_label desc op ~budget ~seed ~faults in
   let resumed =
@@ -112,7 +111,7 @@ let tune ?(budget = 200) ?(seed = 42) ?reps ?params ?pool ?faults ?policy ?check
             match kill_after with Some n when !writes >= n -> exit 3 | _ -> ())
   in
   let resume = Option.map (fun (_, log) -> log.Checkpoint.snapshot) resumed in
-  let outcome = Cga.run ?params ?pool ?resilience ?resume ?on_snapshot env ~budget in
+  let outcome = Cga.run ?resilience ?resume ?on_snapshot env ~budget in
   { gen; outcome; desc; op; measurements = count () }
 
 let best_latency_us t = t.outcome.Cga.result.Env.best_latency

@@ -16,13 +16,12 @@ type tuned = {
   measurements : int;  (** DLA measurer invocations *)
 }
 
-val make_measure :
-  ?reps:int -> Descriptor.t -> Generator.t -> (Assignment.t -> float option) * (unit -> int)
+val make_measure : Descriptor.t -> Generator.t -> (Assignment.t -> float option) * (unit -> int)
 (** The measurement closure used by every searcher: instantiate the
     template with the assignment, validate on the DLA, simulate. The second
     component reports how many measurements ran. *)
 
-val make_env : ?reps:int -> ?seed:int -> Descriptor.t -> Generator.t -> Env.t
+val make_env : ?seed:int -> Descriptor.t -> Generator.t -> Env.t
 
 val make_attempt_measure :
   (Assignment.t -> float option) ->
@@ -45,11 +44,6 @@ val run_label :
 val tune :
   ?budget:int ->
   ?seed:int ->
-  ?reps:int ->
-  ?params:Cga.params ->
-  ?pool:Heron_util.Pool.t ->
-  ?faults:Heron_dla.Faults.spec ->
-  ?policy:Heron_search.Resilience.policy ->
   ?checkpoint:string ->
   ?resume:string ->
   ?kill_after:int ->
@@ -57,15 +51,15 @@ val tune :
   Op.t ->
   tuned
 (** Generate the constrained space for [op] on the DLA and explore it with
-    CGA under the given measurement budget (default 200). [?pool] (or the
-    process default pool) parallelizes CSP solving only, without
-    changing the result for a fixed seed.
+    CGA under the given measurement budget (default 200). The process
+    default pool ({!Heron_util.Pool.with_jobs}) parallelizes CSP solving
+    only, without changing the result for a fixed seed.
 
-    [?faults] (or the process default, {!Heron_dla.Faults.set_default})
-    injects deterministic measurement faults; the search then runs behind
-    the {!Heron_search.Resilience} retry/quarantine/degradation layer
-    under [?policy]. Without a fault spec the pipeline is byte-identical
-    to previous behavior.
+    The process-default fault spec ({!Heron_dla.Faults.set_default}), when
+    set, injects deterministic measurement faults; the search then runs
+    behind the {!Heron_search.Resilience} retry/quarantine/degradation
+    layer under its default policy. Without a fault spec the pipeline is
+    byte-identical to previous behavior.
 
     [?checkpoint] logs the search state to the given path at every
     exploration iteration, one record per iteration (see

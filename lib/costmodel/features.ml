@@ -7,9 +7,10 @@ type t = {
   boundaries : int array array;  (** sorted bin boundary values per feature *)
 }
 
-let of_problem ?(max_bins = 32) problem =
-  (* Bin indices must fit the one-byte cells of {!Fmat}. *)
-  let max_bins = min max_bins (Fmat.max_bin + 1) in
+(* Bins per feature; a bin index must fit the one-byte cells of {!Fmat}. *)
+let max_bins = 32
+
+let of_problem problem =
   let feat_names = Array.copy (Problem.vars problem) in
   let boundaries =
     Array.map

@@ -4,8 +4,8 @@
     variables declared during constraint generation (loop lengths, memory
     usage, vector widths, ...), which are available without compiling
     anything. Each feature is discretized into bins derived from the
-    variable's domain, enabling fast histogram-based tree training. Bin
-    counts are clamped to 256 so a bin index always fits the one-byte
+    variable's domain, enabling fast histogram-based tree training. A
+    feature has at most 32 bins, so a bin index always fits the one-byte
     cells of the flat {!Fmat} matrices the engine trains on. *)
 
 module Problem = Heron_csp.Problem
@@ -13,8 +13,9 @@ module Assignment = Heron_csp.Assignment
 
 type t
 
-val of_problem : ?max_bins:int -> Problem.t -> t
-(** [max_bins] is clamped to [Fmat.max_bin + 1] (256). *)
+val of_problem : Problem.t -> t
+(** A domain of up to 32 values bins each value on its own; a larger one
+    is binned at 32 evenly spaced boundaries of its sorted values. *)
 
 val n_features : t -> int
 val names : t -> string array

@@ -15,7 +15,6 @@ let c_predict_rows = Obs.Counter.make "costmodel.predict_rows"
    full. *)
 type t = {
   features : Features.t;
-  gbt_params : Gbt.params;
   window : int;
   nf : int;
   n_bins : int array;  (* bin count per feature, fixed by the problem *)
@@ -30,7 +29,7 @@ type t = {
   mutable pred_out : float array;  (* reused prediction output buffer *)
 }
 
-let create ?(gbt_params = Gbt.default_params) ?(window = 512) problem =
+let create ?(window = 512) problem =
   let features = Features.of_problem problem in
   let window = max 1 window in
   let nf = Features.n_features features in
@@ -38,7 +37,6 @@ let create ?(gbt_params = Gbt.default_params) ?(window = 512) problem =
   Fmat.set_rows ring window;
   {
     features;
-    gbt_params;
     window;
     nf;
     n_bins = Features.n_bins features;
@@ -84,7 +82,7 @@ let refit t =
           Fmat.blit_row t.ring s t.fit_m k;
           t.fit_y.(k) <- t.ring_y.(s)
         done;
-        t.ensemble <- Some (Gbt.fit ~params:t.gbt_params ~n_bins:t.n_bins t.fit_m t.fit_y))
+        t.ensemble <- Some (Gbt.fit ~n_bins:t.n_bins t.fit_m t.fit_y))
 
 let trained t = t.ensemble <> None
 

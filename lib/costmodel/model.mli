@@ -12,8 +12,9 @@ module Assignment = Heron_csp.Assignment
 
 type t
 
-val create : ?gbt_params:Gbt.params -> ?window:int -> Problem.t -> t
-(** [window] caps the number of most recent samples kept for training. *)
+val create : ?window:int -> Problem.t -> t
+(** [window] caps the number of most recent samples kept for training.
+    Every refit boosts with {!Gbt.default_params}. *)
 
 val record : t -> Assignment.t -> float -> unit
 (** Stores one (assignment, fitness score) observation into the ring,

@@ -36,8 +36,8 @@ let coverage target p =
     float_of_int matched /. float_of_int nf
   end
 
-let import ?(min_coverage = 0.5) target p =
-  if p.p_rows = [] || coverage target p < min_coverage then None
+let import target p =
+  if p.p_rows = [] || coverage target p < 0.5 then None
   else begin
     let names = Features.names target in
     let nf = Array.length names in

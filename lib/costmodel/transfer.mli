@@ -29,10 +29,9 @@ val coverage : Features.t -> portable -> float
     donor — the transfer-quality signal callers gate on. 0 for an empty
     target. *)
 
-val import :
-  ?min_coverage:float -> Features.t -> portable -> (int array * float) list option
-(** [import ~min_coverage target p] rebins every donor row into [target]'s
-    feature layout (features absent from the donor read 0, the same
-    convention as unbound variables in {!Features.vector}). [None] when
-    the name overlap is below [min_coverage] (default 0.5) or the donor
-    window is empty — the caller then falls back to a cold start. *)
+val import : Features.t -> portable -> (int array * float) list option
+(** [import target p] rebins every donor row into [target]'s feature
+    layout (features absent from the donor read 0, the same convention as
+    unbound variables in {!Features.vector}). [None] when the name overlap
+    ({!coverage}) is below 0.5 or the donor window is empty — the caller
+    then falls back to a cold start. *)

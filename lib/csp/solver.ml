@@ -770,8 +770,8 @@ let plan ~exact_limit problem =
 
 (* Resolve a problem to (compiled template, start words), or [None] when
    propagation alone refutes it: the shared start of several searches. *)
-let prepare ?(exact_limit = default_exact_limit) problem =
-  match plan ~exact_limit problem with
+let prepare problem =
+  match plan ~exact_limit:default_exact_limit problem with
   | cp, [] -> if cp.root_ok then Some (cp, cp.root_words) else None
   | cp, rs -> (
       match restricted_engine cp rs with
@@ -910,10 +910,10 @@ let solve ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_
    or sequentially — yields byte-identical solution lists. The template
    is prepared once here; each task only allocates its own engine, trailed
    from the start, so a failed attempt rewinds the whole trail. *)
-let rand_sat_with out ?(max_fails = 4000) ?exact_limit ?pool rng problem n =
+let rand_sat_with out ?(max_fails = 4000) ?pool rng problem n =
   if n <= 0 then []
   else
-    match prepare ?exact_limit problem with
+    match prepare problem with
     | None -> []
     | Some (cp, start) ->
         let rngs = Rng.split_n rng n in
@@ -936,8 +936,7 @@ let rand_sat_with out ?(max_fails = 4000) ?exact_limit ?pool rng problem n =
         in
         Heron_util.Pool.map ?pool draw rngs |> Array.to_list |> List.filter_map Fun.id
 
-let rand_sat ?max_fails ?exact_limit ?pool rng problem n =
-  rand_sat_with extract ?max_fails ?exact_limit ?pool rng problem n
+let rand_sat ?max_fails ?pool rng problem n = rand_sat_with extract ?max_fails ?pool rng problem n
 
 let rand_sat_values ?max_fails ?pool rng problem n =
   rand_sat_with extract_values ?max_fails ?pool rng problem n
@@ -953,15 +952,14 @@ let search_plans ~max_fails ~max_restarts ?pool rngs plans out =
 
 (* Solve a batch of independent problems with per-task split generators;
    same determinism contract as {!rand_sat}. *)
-let solve_all ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_limit) ?pool
-    rng problems =
+let solve_all ?(max_fails = 4000) ?(max_restarts = 8) ?pool rng problems =
   let arr = Array.of_list problems in
   let rngs = Rng.split_n rng (Array.length arr) in
   let plans =
     Array.map
       (fun p ->
         Obs.Counter.incr c_solve;
-        plan ~exact_limit p)
+        plan ~exact_limit:default_exact_limit p)
       arr
   in
   search_plans ~max_fails ~max_restarts ?pool rngs plans extract

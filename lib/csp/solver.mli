@@ -39,22 +39,22 @@ val solve :
   Problem.t ->
   Assignment.t option
 (** One random valid total assignment, or [None] if the problem looks
-    unsatisfiable (definitely, or after exhausting the fail budget). *)
+    unsatisfiable (definitely, or after exhausting the fail budget).
+    [exact_limit] caps the domain-size product for exact binary PROD/SUM
+    support pruning (default 10,000; the other entry points always use
+    the default); 0 disables it (bounds reasoning only). *)
 
 val rand_sat :
   ?max_fails:int ->
-  ?exact_limit:int ->
   ?pool:Heron_util.Pool.t ->
   Heron_util.Rng.t ->
   Problem.t ->
   int ->
   Assignment.t list
 (** [rand_sat rng p n] draws up to [n] valid assignments (duplicates
-    possible on tiny spaces, fewer than [n] on hard/unsat problems).
-    [exact_limit] caps the domain-size product for exact binary PROD/SUM
-    support pruning; 0 disables it (bounds reasoning only). Draw [i] runs
-    on its own generator split from [rng] in index order, so the result is
-    identical with or without a [pool] and for any pool size. *)
+    possible on tiny spaces, fewer than [n] on hard/unsat problems). Draw
+    [i] runs on its own generator split from [rng] in index order, so the
+    result is identical with or without a [pool] and for any pool size. *)
 
 val rand_sat_values :
   ?max_fails:int ->
@@ -70,7 +70,6 @@ val rand_sat_values :
 val solve_all :
   ?max_fails:int ->
   ?max_restarts:int ->
-  ?exact_limit:int ->
   ?pool:Heron_util.Pool.t ->
   Heron_util.Rng.t ->
   Problem.t list ->

@@ -274,8 +274,8 @@ let solve ?(max_fails = 4000) ?(max_restarts = 8) ?exact_limit ?stats rng proble
     in
     attempt 0
 
-let rand_sat ?(max_fails = 4000) ?exact_limit ?stats rng problem n =
-  let compiled = compile ?exact_limit problem in
+let rand_sat ?(max_fails = 4000) ?stats rng problem n =
+  let compiled = compile problem in
   let root = Array.copy compiled.init_domains in
   if n <= 0 || not (propagate compiled root (all_cons compiled)) then []
   else begin
@@ -294,12 +294,12 @@ let rand_sat ?(max_fails = 4000) ?exact_limit ?stats rng problem n =
     Array.map draw rngs |> Array.to_list |> List.filter_map Fun.id
   end
 
-let solve_all ?(max_fails = 4000) ?(max_restarts = 8) ?exact_limit ?stats rng problems =
+let solve_all ?(max_fails = 4000) ?(max_restarts = 8) ?stats rng problems =
   let arr = Array.of_list problems in
   let rngs = Rng.split_n rng (Array.length arr) in
   Array.to_list
     (Array.init (Array.length arr) (fun i ->
-         solve ~max_fails ~max_restarts ?exact_limit ?stats rngs.(i) arr.(i)))
+         solve ~max_fails ~max_restarts ?stats rngs.(i) arr.(i)))
 
 let propagate_domains problem =
   let compiled = compile problem in

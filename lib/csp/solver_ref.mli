@@ -25,7 +25,6 @@ val solve :
 
 val rand_sat :
   ?max_fails:int ->
-  ?exact_limit:int ->
   ?stats:stats ->
   Heron_util.Rng.t ->
   Problem.t ->
@@ -38,7 +37,6 @@ val rand_sat :
 val solve_all :
   ?max_fails:int ->
   ?max_restarts:int ->
-  ?exact_limit:int ->
   ?stats:stats ->
   Heron_util.Rng.t ->
   Problem.t list ->

@@ -164,6 +164,23 @@ let cambricon =
     noise = 0.04;
   }
 
+let names =
+  [
+    ("v100", v100);
+    ("t4", t4);
+    ("a100", a100);
+    ("dlboost", dlboost);
+    ("vta", vta);
+    ("tpu", tpu);
+    ("cambricon", cambricon);
+  ]
+
+let of_string s =
+  match List.assoc_opt s names with
+  | Some d -> Ok d
+  | None ->
+      Error (Printf.sprintf "unknown DLA %S (%s)" s (String.concat "|" (List.map fst names)))
+
 let family_to_string = function
   | Tensorcore -> "tensorcore"
   | Dlboost -> "dlboost"

@@ -47,4 +47,8 @@ val cambricon : t
 (** Cambricon-flavored accelerator (paper Table 3: flexible matrix tile
     shapes, dual buffer-capacity constraints). *)
 
+val of_string : string -> (t, string) result
+(** The descriptor a command line names: [v100], [t4], [a100], [dlboost],
+    [vta], [tpu] or [cambricon]. *)
+
 val to_string : t -> string

@@ -91,4 +91,3 @@ let parse str =
 let default_spec = ref None
 let set_default s = default_spec := s
 let default () = !default_spec
-let resolve = function Some _ as s -> s | None -> default ()

@@ -51,9 +51,8 @@ val to_string : spec -> string
 (** Canonical rendering; [parse (to_string s) = Ok (Some s)]. *)
 
 val set_default : spec option -> unit
-(** Install a process-default fault spec ([--faults] on the binaries);
-    {!Heron.Pipeline.tune} picks it up when no explicit spec is passed. *)
+(** Install (or clear) the process-default fault spec ([--faults] on the
+    binaries). {!Heron.Pipeline.tune} reads it, and it is the only way to
+    give a tuning run a fault spec. *)
 
 val default : unit -> spec option
-val resolve : spec option -> spec option
-(** [resolve (Some s)] is [Some s]; [resolve None] is [default ()]. *)

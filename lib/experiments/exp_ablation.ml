@@ -11,7 +11,7 @@ module Obs = Heron_obs.Obs
 let score (r : Env.result) =
   match r.Env.best_latency with Some l -> 1000.0 /. l | None -> 0.0
 
-let cga_knobs ?(budget = 200) ?(seed = 42) ?pool () =
+let cga_knobs ?(budget = 200) ?(seed = 42) () =
   let op = Op.gemm ~m:1024 ~n:1024 ~k:1024 () in
   let gen = Generator.generate Descriptor.v100 op in
   let seeds = [ seed; seed + 1; seed + 2 ] in
@@ -20,7 +20,7 @@ let cga_knobs ?(budget = 200) ?(seed = 42) ?pool () =
       List.map
         (fun s ->
           let env = Pipeline.make_env ~seed:s Descriptor.v100 gen in
-          score (Cga.run ~params ?pool env ~budget).Cga.result)
+          score (Cga.run ~params env ~budget).Cga.result)
         seeds
     in
     List.fold_left ( +. ) 0.0 scores /. float_of_int (List.length scores)

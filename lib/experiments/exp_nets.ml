@@ -41,15 +41,9 @@ let run ?(budget = 80) ?(seed = 42) ?(slice = 8) ?(net = "mini") ?(strict = true
   let grad = tune ~policy:Scheduler.Gradient ~transfer:true in
   let rr = tune ~policy:Scheduler.Round_robin ~transfer:true in
   let cold = tune ~policy:Scheduler.Gradient ~transfer:false in
-  (* Jobs-identity: the same gradient run with the process-default pool
-     cleared must produce the identical allocation trace and traces. *)
-  let solo =
-    let saved = Pool.default () in
-    Pool.set_default None;
-    Fun.protect
-      ~finally:(fun () -> Pool.set_default saved)
-      (fun () -> tune ~policy:Scheduler.Gradient ~transfer:true)
-  in
+  (* Jobs-identity: the same gradient run with no pool must produce the
+     identical allocation trace and traces. *)
+  let solo = Pool.with_jobs 1 (fun () -> tune ~policy:Scheduler.Gradient ~transfer:true) in
   let jobs_identical = fingerprint grad = fingerprint solo in
   (* Transfer gate rows: every task the gradient run warm-started,
      scored against the cold run on steps-to-threshold. *)

@@ -50,8 +50,7 @@ let classic_searchers ~budget =
     ("GA", fun env -> Baselines.genetic env ~budget);
   ]
 
-let cga_searcher ?params ?pool ~budget () =
-  ("CGA", fun env -> (Cga.run ?params ?pool env ~budget).Cga.result)
+let cga_searcher ~budget = ("CGA", fun env -> (Cga.run env ~budget).Cga.result)
 
 let fig2 ?(budget = 400) ?(seed = 42) () =
   let op = Op.gemm ~m:32 ~n:1000 ~k:2048 () in
@@ -71,7 +70,7 @@ let fig2 ?(budget = 400) ?(seed = 42) () =
   ^ render_traces ~budget traces
   ^ "\n" ^ String.concat "\n" invalids ^ "\n"
 
-let fig12 ?(budget = 400) ?(seed = 42) ?pool () =
+let fig12 ?(budget = 400) ?(seed = 42) () =
   let cases =
     [
       ("C2D", Op.conv2d ~n:16 ~ci:64 ~h:56 ~w:56 ~co:64 ~kh:3 ~kw:3 ~stride:1 ~pad:1 ());
@@ -81,7 +80,7 @@ let fig12 ?(budget = 400) ?(seed = 42) ?pool () =
   let sections =
     List.map
       (fun (name, op) ->
-        let searchers = cga_searcher ?pool ~budget () :: classic_searchers ~budget in
+        let searchers = cga_searcher ~budget :: classic_searchers ~budget in
         let results = run_on_problem ~seed Descriptor.v100 op searchers in
         let traces = List.map (fun (n, (r : Env.result)) -> (n, r.Env.trace)) results in
         Printf.sprintf "%s:\n%s" name (render_traces ~budget traces))
@@ -91,16 +90,16 @@ let fig12 ?(budget = 400) ?(seed = 42) ?pool () =
   ^ "(best-so-far score 1000/latency_us; higher is better)\n\n"
   ^ String.concat "\n" sections
 
-let fig13 ?(budget = 200) ?(seed = 42) ?pool () =
+let fig13 ?(budget = 200) ?(seed = 42) () =
   let sizes = [ 256; 512; 1024; 2048 ] in
   let variant_searchers ~budget =
     [
-      ("CGA", fun env -> (Cga.run ?pool env ~budget).Cga.result);
+      cga_searcher ~budget;
       ( "CGA-1",
         fun env ->
           (Cga.run
              ~params:{ Cga.default_params with Cga.key_selection = Cga.Random_keys }
-             ?pool env ~budget)
+             env ~budget)
             .Cga.result );
       ("GA-1", fun env -> Baselines.ga_stochastic_ranking env ~budget);
       ("GA-2", fun env -> Baselines.ga_sat_decoder env ~budget);

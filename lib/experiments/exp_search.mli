@@ -4,11 +4,11 @@
 
 val fig2 : ?budget:int -> ?seed:int -> unit -> string
 
-val fig12 : ?budget:int -> ?seed:int -> ?pool:Heron_util.Pool.t -> unit -> string
-(** [?pool] parallelizes the CGA runs' CSP solving without changing
-    results for a fixed seed. *)
+val fig12 : ?budget:int -> ?seed:int -> unit -> string
+(** The process default pool parallelizes the CGA runs' CSP solving
+    without changing results for a fixed seed. *)
 
-val fig13 : ?budget:int -> ?seed:int -> ?pool:Heron_util.Pool.t -> unit -> string
+val fig13 : ?budget:int -> ?seed:int -> unit -> string
 
 val trace_rows :
   checkpoints:int list ->

@@ -49,13 +49,13 @@ let table10 ?(budget = 120) ?(seed = 42) () =
    simulated on-device measurement time)\n\n"
   ^ Report.table ~header:[ "operator"; "AutoTVM"; "AMOS"; "Heron" ] rows
 
-let fig14 ?(budget = 120) ?(seed = 42) ?pool () =
+let fig14 ?(budget = 120) ?(seed = 42) () =
   let desc = Descriptor.v100 in
   let rows =
     List.map
       (fun (name, op) ->
         let before = Obs.span_totals () in
-        let tuned = Pipeline.tune ~budget ~seed ?pool desc op in
+        let tuned = Pipeline.tune ~budget ~seed desc op in
         let p = Cga.phases ~before ~after:(Obs.span_totals ()) in
         let measure =
           simulated_measure_s tuned.Pipeline.outcome.Cga.result.Env.trace ~reps:3

@@ -9,6 +9,6 @@
 
 val table10 : ?budget:int -> ?seed:int -> unit -> string
 
-val fig14 : ?budget:int -> ?seed:int -> ?pool:Heron_util.Pool.t -> unit -> string
-(** [?pool] parallelizes tuning's CSP solving; the search time in the
-    reported breakdown is then parallel wall-clock. *)
+val fig14 : ?budget:int -> ?seed:int -> unit -> string
+(** The process default pool parallelizes tuning's CSP solving; the
+    search time in the reported breakdown is then parallel wall-clock. *)

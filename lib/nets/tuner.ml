@@ -295,7 +295,7 @@ let restore_checkpoint ~path ~label states =
 (* ---------- the driver ---------- *)
 
 let tune ?(budget = 256) ?(seed = 42) ?(slice = 16) ?(policy = Scheduler.Gradient)
-    ?(transfer = true) ?params ?pool ?checkpoint ?resume ?kill_after desc net =
+    ?(transfer = true) ?checkpoint ?resume ?kill_after desc net =
   let tasks = Tasks.extract net in
   if tasks = [] then invalid_arg "Tuner.tune: network has no tasks";
   let label = run_label desc net ~budget ~seed ~slice ~policy ~transfer in
@@ -359,7 +359,7 @@ let tune ?(budget = 256) ?(seed = 42) ?(slice = 16) ?(policy = Scheduler.Gradien
             let last_snap = ref st.snapshot in
             let _outcome =
               Obs.with_span "nets.round" (fun () ->
-                  Cga.run ?params ?pool ?resume:st.snapshot
+                  Cga.run ?resume:st.snapshot
                     ~on_snapshot:(fun s -> last_snap := Some s)
                     rt.env ~budget:st.cum_budget)
             in

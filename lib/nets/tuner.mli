@@ -73,8 +73,6 @@ val tune :
   ?slice:int ->
   ?policy:Scheduler.policy ->
   ?transfer:bool ->
-  ?params:Cga.params ->
-  ?pool:Heron_util.Pool.t ->
   ?checkpoint:string ->
   ?resume:string ->
   ?kill_after:int ->
@@ -82,7 +80,8 @@ val tune :
   Models.network ->
   result
 (** Tune the whole network under a total measurement budget (default
-    256), [slice] trials per round (default 16).
+    256), [slice] trials per round (default 16). Each round's CGA run
+    solves on the process default pool ({!Heron_util.Pool.with_jobs}).
 
     [?checkpoint] writes one atomic JSON file after every round (one
     [nets.checkpoint] span each), with the scheduler state and every

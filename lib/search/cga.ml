@@ -287,10 +287,9 @@ let sort_order sc nf =
     sift 0 k
   done
 
-let run ?(params = default_params) ?pool ?resilience ?resume ?on_snapshot
-    (env : Env.t) ~budget =
+let run ?(params = default_params) ?resilience ?resume ?on_snapshot (env : Env.t) ~budget =
   let params = { params with batch = min params.batch (max 4 (budget / 8)) } in
-  let pool = Pool.resolve pool in
+  let pool = Pool.default () in
   let model = Model.create env.Env.problem in
   (match resilience with
   | None -> ()

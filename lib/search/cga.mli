@@ -74,16 +74,16 @@ val warm_snapshot : Env.t -> (int array * float) list -> snapshot
 
 val run :
   ?params:params ->
-  ?pool:Heron_util.Pool.t ->
   ?resilience:Env.Recorder.resilience ->
   ?resume:snapshot ->
   ?on_snapshot:(snapshot -> unit) ->
   Env.t ->
   budget:int ->
   outcome
-(** Explore under the measurement budget. With [?pool] (or a process
-    default pool, see {!Heron_util.Pool.set_default}), CSP solving — the
-    seed population's random draws and the crossover offspring — fans out
+(** Explore under the measurement budget. The run reads the process
+    default pool once ({!Heron_util.Pool.default}, installed by
+    {!Heron_util.Pool.with_jobs}); with one, CSP solving — the seed
+    population's random draws and the crossover offspring — fans out
     across the pool's domains. Measurement and the cost model run on the
     calling domain: a measurement batch is too small, and a refit too
     cheap, to pay for a pool barrier.

@@ -92,12 +92,12 @@ let dedupe assignments =
       end)
     assignments
 
-let run ?(params = Cga.default_params) ?pool ?resilience ?resume ?on_snapshot (env : Env.t)
+let run ?(params = Cga.default_params) ?resilience ?resume ?on_snapshot (env : Env.t)
     ~budget =
   let params =
     { params with Cga.batch = min params.Cga.batch (max 4 (budget / 8)) }
   in
-  let pool = Pool.resolve pool in
+  let pool = Pool.default () in
   let model = Model.create env.Env.problem in
   (match resilience with
   | None -> ()

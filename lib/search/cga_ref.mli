@@ -6,7 +6,6 @@
 
 val run :
   ?params:Cga.params ->
-  ?pool:Heron_util.Pool.t ->
   ?resilience:Env_ref.Recorder.resilience ->
   ?resume:Cga.snapshot ->
   ?on_snapshot:(Cga.snapshot -> unit) ->
@@ -18,4 +17,5 @@ val run :
     historical code are bookkeeping, shared by both engines: step-3
     ranking runs in its own [cga.rank] span, and the phases are timed by
     their [Obs] spans on the monotonic wall clock rather than by
-    [Sys.time] CPU seconds (read them with {!Cga.phases}). *)
+    [Sys.time] CPU seconds (read them with {!Cga.phases}). Like
+    {!Cga.run}, it runs on the process default pool. *)

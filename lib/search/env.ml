@@ -48,13 +48,11 @@ module Recorder = struct
   let c_fault_hangs = Obs.Counter.make "env.fault_hangs"
 
   type resilience = {
-    policy : Resilience.policy;
     attempt_measure : Assignment.t -> attempt:int -> Resilience.attempt;
     mutable predict : (Assignment.t -> float option) option;
   }
 
-  let make_resilience ?(policy = Resilience.default_policy) attempt_measure =
-    { policy; attempt_measure; predict = None }
+  let make_resilience attempt_measure = { attempt_measure; predict = None }
 
   let set_fallback rz predict = rz.predict <- predict
 
@@ -218,7 +216,9 @@ module Recorder = struct
     match r.resilience with
     | None -> commit_fresh r id (r.env.measure a)
     | Some rz -> (
-        let v = Resilience.run rz.policy (fun ~attempt -> rz.attempt_measure a ~attempt) in
+        let v =
+          Resilience.run Resilience.default_policy (fun ~attempt -> rz.attempt_measure a ~attempt)
+        in
         let t = Resilience.tally_of v in
         Obs.Counter.add c_retries t.Resilience.retries;
         Obs.Counter.add c_fault_timeouts t.Resilience.timeouts;
@@ -320,8 +320,8 @@ module Recorder = struct
     | Ok a -> ( try Intern.intern_keyed r.intern a k with Invalid_argument e -> fail e)
     | Error e -> fail e
 
-  let import ?cache_cap ?resilience env ~budget x =
-    let r = create ?cache_cap ?resilience env ~budget in
+  let import ?resilience env ~budget x =
+    let r = create ?resilience env ~budget in
     List.iter
       (fun (key, l) ->
         let id = id_of_key r "cache" key in

@@ -53,10 +53,8 @@ module Recorder : sig
       byte-for-byte inert. *)
   type resilience
 
-  val make_resilience :
-    ?policy:Resilience.policy ->
-    (Assignment.t -> attempt:int -> Resilience.attempt) ->
-    resilience
+  val make_resilience : (Assignment.t -> attempt:int -> Resilience.attempt) -> resilience
+  (** Every session runs under {!Resilience.default_policy}. *)
 
   val set_fallback : resilience -> (Assignment.t -> float option) option -> unit
   (** Install (or clear) the predicted-latency fallback used for degraded
@@ -131,7 +129,7 @@ module Recorder : sig
 
   val export : r -> export
 
-  val import : ?cache_cap:int -> ?resilience:resilience -> t -> budget:int -> export -> r
+  val import : ?resilience:resilience -> t -> budget:int -> export -> r
   (** Rebuild a recorder in exactly the exported state (cache in the same
       FIFO order, quarantine and degraded sets restored when [resilience]
       is given), so a resumed search continues byte-identically to one

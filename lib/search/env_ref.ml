@@ -33,16 +33,14 @@ module Recorder = struct
   let c_fault_hangs = Obs.Counter.make "env.fault_hangs"
 
   type resilience = {
-    policy : Resilience.policy;
     attempt_measure : Assignment.t -> attempt:int -> Resilience.attempt;
     mutable predict : (Assignment.t -> float option) option;
     quarantined : (string, unit) Hashtbl.t;
     degraded : (string, unit) Hashtbl.t;
   }
 
-  let make_resilience ?(policy = Resilience.default_policy) attempt_measure =
+  let make_resilience attempt_measure =
     {
-      policy;
       attempt_measure;
       predict = None;
       quarantined = Hashtbl.create 32;
@@ -139,7 +137,8 @@ module Recorder = struct
     match r.resilience with
     | None -> Plain (r.env.Env.measure a)
     | Some rz ->
-        Resilient (Resilience.run rz.policy (fun ~attempt -> rz.attempt_measure a ~attempt))
+        Resilient
+          (Resilience.run Resilience.default_policy (fun ~attempt -> rz.attempt_measure a ~attempt))
 
   let commit_outcome r a key = function
     | Plain l -> commit_fresh r a key l
@@ -277,8 +276,8 @@ module Recorder = struct
       x_degraded = (match r.resilience with None -> [] | Some rz -> sorted_keys rz.degraded);
     }
 
-  let import ?cache_cap ?resilience env ~budget (x : Env.Recorder.export) =
-    let r = create ?cache_cap ?resilience env ~budget in
+  let import ?resilience env ~budget (x : Env.Recorder.export) =
+    let r = create ?resilience env ~budget in
     List.iter
       (fun (key, l) ->
         Hashtbl.replace r.cache key l;

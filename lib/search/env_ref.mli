@@ -13,10 +13,7 @@ module Recorder : sig
   type r
   type resilience
 
-  val make_resilience :
-    ?policy:Resilience.policy ->
-    (Assignment.t -> attempt:int -> Resilience.attempt) ->
-    resilience
+  val make_resilience : (Assignment.t -> attempt:int -> Resilience.attempt) -> resilience
 
   val set_fallback : resilience -> (Assignment.t -> float option) option -> unit
 
@@ -41,7 +38,6 @@ module Recorder : sig
   val export : r -> Env.Recorder.export
 
   val import :
-    ?cache_cap:int ->
     ?resilience:resilience ->
     Env.t ->
     budget:int ->

@@ -29,11 +29,10 @@ type config = {
   budget : int;
   seed : int;
   family_max : int;
-  keep : int;
 }
 
 let default_config ?(dir = ".heron-serve") ?(resolve = fun _ -> None) desc =
-  { dir; desc; resolve; budget = 64; seed = 42; family_max = 4; keep = 4 }
+  { dir; desc; resolve; budget = 64; seed = 42; family_max = 4 }
 
 let universe_resolve ops =
   let table = Hashtbl.create (List.length ops) in
@@ -183,14 +182,14 @@ let warm_snapshot env = function
 
 (* Tune one task. Returns the updates for the library plus this task's
    model window, the next family member's warm-start donor. *)
-let tune_task ?pool ?params ~donor t task op =
+let tune_task ~donor t task op =
   Obs.with_span "serve.tune" (fun () ->
       let seed = task_seed t task in
       let gen = Generator.generate ~seed t.config.desc op in
       let measure, _ = Pipeline.make_measure t.config.desc gen in
       let env = { Env.problem = gen.Heron.Generator.problem; measure; rng = Rng.create seed } in
       let resume = warm_snapshot env donor in
-      let outcome = Cga.run ?params ?pool ?resume env ~budget:t.config.budget in
+      let outcome = Cga.run ?resume env ~budget:t.config.budget in
       Obs.Counter.incr c_tasks;
       let result =
         match (outcome.Cga.result.Env.best_latency, outcome.Cga.result.Env.best_assignment) with
@@ -236,11 +235,11 @@ let publish_failed t ~batch lib =
    success the queued tasks settle without being re-tuned. *)
 let retry_pending_publish ?on_publish t =
   if t.read_only then
-    match Store.publish ~keep:t.config.keep t.store t.library with
+    match Store.publish t.store t.library with
     | version -> published ?on_publish t version ~settled:t.unflushed t.library
     | exception Sys_error _ -> Obs.Counter.incr c_publish_failures
 
-let pump ?pool ?params ?on_publish t ~max_tasks =
+let pump ?on_publish t ~max_tasks =
   Obs.with_span "serve.pump" (fun () ->
       let tuned = ref 0 in
       let continue_ = ref true in
@@ -261,7 +260,7 @@ let pump ?pool ?params ?on_publish t ~max_tasks =
               match t.config.resolve task.Tuning_queue.t_op_key with
               | None -> Obs.Counter.incr c_unresolved
               | Some op ->
-                  let result, samples = tune_task ?pool ?params ~donor:!donor t task op in
+                  let result, samples = tune_task ~donor:!donor t task op in
                   donor := samples;
                   incr tuned;
                   (match result with
@@ -276,16 +275,16 @@ let pump ?pool ?params ?on_publish t ~max_tasks =
              function of each task's key-derived seed. The crash hook fires
              in the hardest window: the snapshot is durable but the queue
              checkpoint still lists the batch. *)
-          match Store.publish ~keep:t.config.keep t.store !lib with
+          match Store.publish t.store !lib with
           | version -> published ?on_publish t version ~settled:(t.unflushed @ batch) !lib
           | exception Sys_error _ -> publish_failed t ~batch !lib
         end
       done;
       !tuned)
 
-let drain ?pool ?params ?on_publish t =
+let drain ?on_publish t =
   let rec go n =
-    let k = pump ?pool ?params ?on_publish t ~max_tasks:max_int in
+    let k = pump ?on_publish t ~max_tasks:max_int in
     if k = 0 then n else go (n + k)
   in
   go 0

@@ -37,11 +37,10 @@ type config = {
   budget : int;  (** measurement budget per tuning task *)
   seed : int;  (** daemon seed; per-task seeds derive from it *)
   family_max : int;  (** max similar-shape tasks tuned per batch *)
-  keep : int;  (** store snapshots retained *)
 }
 
 val default_config : ?dir:string -> ?resolve:(string -> Op.t option) -> Descriptor.t -> config
-(** budget 64, seed 42, family_max 4, keep 4, dir ".heron-serve",
+(** budget 64, seed 42, family_max 4, dir ".heron-serve",
     resolve = no-op. *)
 
 val universe_resolve : Op.t list -> string -> Op.t option
@@ -93,13 +92,7 @@ val sync : t -> unit
     write is counted ([serve.queue_sync_failures]) and never raised — the
     in-memory queue stays authoritative. *)
 
-val pump :
-  ?pool:Heron_util.Pool.t ->
-  ?params:Heron_search.Cga.params ->
-  ?on_publish:(int -> unit) ->
-  t ->
-  max_tasks:int ->
-  int
+val pump : ?on_publish:(int -> unit) -> t -> max_tasks:int -> int
 (** Drain up to [max_tasks] tuning tasks: repeatedly take the head task's
     family batch (up to [family_max] similar shapes), tune each member —
     later members warm-start from the previous member's cost-model window
@@ -111,13 +104,9 @@ val pump :
     A publish that fails even after retries flips the daemon read-only:
     the batch's results go live in memory, the tasks stay queued, and the
     pump stops tuning until a later call's pending-publish retry succeeds.
-    Returns the number of tasks tuned. Results are identical for any
-    [?pool] size. *)
+    Returns the number of tasks tuned. Tuning solves on the process
+    default pool ({!Heron_util.Pool.with_jobs}); results are identical
+    for any pool size. *)
 
-val drain :
-  ?pool:Heron_util.Pool.t ->
-  ?params:Heron_search.Cga.params ->
-  ?on_publish:(int -> unit) ->
-  t ->
-  int
+val drain : ?on_publish:(int -> unit) -> t -> int
 (** {!pump} until the queue is empty. *)

@@ -112,7 +112,9 @@ let current_version t =
   let manifest_v = match manifest_latest t with Some (v, _) -> v | None -> 0 in
   List.fold_left max manifest_v (versions t)
 
-let publish ?(keep = 4) t lib =
+let keep = 4
+
+let publish t lib =
   Obs.with_span "serve.publish" (fun () ->
       let version = current_version t + 1 in
       let body = Library.to_string lib in

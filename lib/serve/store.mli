@@ -34,11 +34,11 @@ val load_latest : t -> loaded option
 (** The latest valid published state, or [None] for an empty store. Never
     raises: corruption degrades to recovery, recovery degrades to [None]. *)
 
-val publish : ?keep:int -> t -> Library.t -> int
+val publish : t -> Library.t -> int
 (** Atomically publishes the library as the next version (monotone even
     across manifest corruption: 1 + the max of the manifest version and
-    every snapshot file version on disk) and returns it. [keep] (default 4)
-    bounds how many older snapshot files are retained. Counts on the
+    every snapshot file version on disk) and returns it. The four newest
+    snapshot files are retained, older ones pruned. Counts on the
     [serve.publishes] counter inside a [serve.publish] span. *)
 
 val versions : t -> int list

@@ -38,6 +38,21 @@ let () =
           (Printf.sprintf "Io_faults.Crashed(path=%s, op=%s, site=%d)" path (op_tag op) site)
     | _ -> None)
 
+let top_level f =
+  try f () with
+  | Crashed _ as e ->
+      Printf.eprintf "io-faults: %s\n%!" (Printexc.to_string e);
+      3
+  | Sys_error msg ->
+      Printf.eprintf "I/O error: %s\n%!" msg;
+      4
+
+let exits =
+  [
+    (3, "on a simulated process death (see --io-faults).");
+    (4, "on an I/O error, such as a file in a missing directory or a disk that stays full.");
+  ]
+
 type action =
   | Proceed
   | Torn of int

@@ -52,8 +52,19 @@ type op = Write  (** content lands in the temp file *)
 exception Crashed of { path : string; op : op; site : int }
 (** Simulated process death at a syscall boundary: everything before the
     boundary persisted, nothing after. Must never be caught by retry
-    logic — only a crash-point harness (or a binary's top level, which
-    converts it to exit 3) may observe it. *)
+    logic — only a crash-point harness (or a binary's top level, see
+    {!top_level}) may observe it. *)
+
+val top_level : (unit -> int) -> int
+(** [top_level f] is a binary's exit status: [f ()], or 3 when [f] dies
+    of a simulated crash ({!Crashed}), or 4 when an I/O error ([Sys_error])
+    escapes it, e.g. a checkpoint in a missing directory or a disk that
+    stays full past every retry. Either failure is reported on one stderr
+    line, the I/O error with the file it names. *)
+
+val exits : (int * string) list
+(** The statuses {!top_level} adds, with their documentation, for a
+    binary's [--help]. *)
 
 (** What the injector decides for one site. *)
 type action =

@@ -172,19 +172,18 @@ let init ?pool n f =
   | Some t -> parallel_init t n f
 
 let default_pool = ref None
-
-let set_default p =
-  default_pool := p;
-  Obs.Gauge.set g_jobs (match p with Some t -> float_of_int t.jobs | None -> 1.0)
 let default () = !default_pool
-let resolve = function Some _ as p -> p | None -> default ()
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let with_jobs jobs f =
-  let jobs = max 1 jobs in
-  if jobs = 1 then f None
+  let saved = !default_pool in
+  let run p =
+    default_pool := p;
+    Fun.protect ~finally:(fun () -> default_pool := saved) f
+  in
+  if jobs <= 1 then run None
   else
     with_pool ~domains:jobs (fun pool ->
-        set_default (Some pool);
-        Fun.protect ~finally:(fun () -> set_default None) (fun () -> f (Some pool)))
+        Obs.Gauge.set g_jobs (float_of_int jobs);
+        run (Some pool))

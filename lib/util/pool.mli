@@ -8,7 +8,7 @@
     Determinism contract: every combinator assembles its output by task
     index, never by completion order, so for a pure (or per-task-seeded)
     function the result is byte-identical whatever the pool size —
-    including the no-pool sequential fallback of the [?pool] variants.
+    including the no-pool sequential fallback of {!map} and {!init}.
     Parallelism changes wall-clock only, never results. *)
 
 type t
@@ -49,23 +49,20 @@ val init : ?pool:t -> int -> (int -> 'a) -> 'a array
 (** {!parallel_init} when [?pool] is given, [Array.init] (evaluated in
     index order) otherwise. *)
 
-val set_default : t option -> unit
-(** Install (or clear) the process-wide default pool picked up by
-    {!resolve}. Entry points ([--jobs]) set this once at startup so the
-    whole pipeline benefits without threading a pool everywhere. *)
-
 val default : unit -> t option
-
-val resolve : t option -> t option
-(** [resolve pool] is [pool] when [Some _], otherwise the process default.
-    The standard idiom for [?pool] parameters deep in the library. *)
+(** The process-wide default pool that {!with_jobs} installs, if any.
+    [Cga.run] reads it once per run and hands it to the solver's kernels,
+    so [--jobs] parallelizes the whole pipeline without threading a pool
+    through every entry point. *)
 
 val default_jobs : unit -> int
 (** The default [--jobs] of the command-line tools: the recommended
     domain count minus one, at least 1. *)
 
-val with_jobs : int -> (t option -> 'a) -> 'a
-(** [with_jobs jobs f] is [f None] when [jobs <= 1]. Otherwise it runs
-    [f (Some pool)] with a fresh pool of [jobs] domains installed as the
-    process default ({!set_default}), then clears the default and shuts
-    the pool down, even when [f] raises. *)
+val with_jobs : int -> (unit -> 'a) -> 'a
+(** [with_jobs jobs f] runs [f ()] with the process default set for
+    [jobs]: no pool when [jobs <= 1], otherwise a fresh pool of [jobs]
+    domains, shut down when [f] returns. Either way the default that was
+    installed before is restored on return, also when [f] raises, so
+    calls nest: an inner [with_jobs 1] runs its [f] with no default. This
+    is the only way to set the default. *)

@@ -137,10 +137,7 @@ let slice = 8
 
 let test_jobs_independence () =
   let seq = Tuner.tune ~budget ~seed ~slice D.v100 Models.tiny in
-  let par =
-    Pool.with_pool ~domains:3 (fun pool ->
-        Tuner.tune ~budget ~seed ~slice ~pool D.v100 Models.tiny)
-  in
+  let par = Pool.with_jobs 3 (fun () -> Tuner.tune ~budget ~seed ~slice D.v100 Models.tiny) in
   Alcotest.(check bool) "tuning run identical at any --jobs" true
     (fingerprint seq = fingerprint par);
   Alcotest.(check bool) "library nonempty" true (Library.size seq.Tuner.r_library > 0)

@@ -766,22 +766,22 @@ let deterministic_counters =
   ]
 
 let test_counters_jobs_independent () =
-  let run pool =
+  let run jobs =
     counter_delta deterministic_counters (fun () ->
-        (Cga.run ?pool (toy_env 21) ~budget:40).Cga.result.Env.best_latency)
+        Pool.with_jobs jobs (fun () ->
+            (Cga.run (toy_env 21) ~budget:40).Cga.result.Env.best_latency))
   in
-  let best0, deltas0 = run None in
+  let best0, deltas0 = run 1 in
   List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun p ->
-          let best, deltas = run (Some p) in
-          Alcotest.(check bool) "same best" true (best = best0);
-          List.iteri
-            (fun i name ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s identical at jobs=%d" name domains)
-                (List.nth deltas0 i) (List.nth deltas i))
-            deterministic_counters))
+    (fun jobs ->
+      let best, deltas = run jobs in
+      Alcotest.(check bool) "same best" true (best = best0);
+      List.iteri
+        (fun i name ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s identical at jobs=%d" name jobs)
+            (List.nth deltas0 i) (List.nth deltas i))
+        deterministic_counters)
     [ 2; 4 ]
 
 (* CSP solving is the pool's only client inside CGA: every pool task of a
@@ -789,8 +789,8 @@ let test_counters_jobs_independent () =
 let test_pool_tasks_are_solver_tasks () =
   let names = [ "pool.tasks"; "solver.rand_sat_draws"; "cga.offspring_attempted" ] in
   let _, deltas =
-    Pool.with_pool ~domains:2 (fun p ->
-        counter_delta names (fun () -> ignore (Cga.run ~pool:p (toy_env 21) ~budget:40)))
+    Pool.with_jobs 2 (fun () ->
+        counter_delta names (fun () -> ignore (Cga.run (toy_env 21) ~budget:40)))
   in
   match deltas with
   | [ tasks; draws; offspring ] ->

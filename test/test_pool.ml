@@ -78,20 +78,35 @@ let test_shutdown_idempotent_and_inline_after () =
   Alcotest.(check (array int)) "inline after shutdown" [| 1; 2; 3 |]
     (Pool.parallel_map pool (fun x -> x + 1) [| 0; 1; 2 |])
 
+let installed_jobs () = Option.map Pool.jobs (Pool.default ())
+
 let test_default_pool_resolution () =
-  Alcotest.(check bool) "no default" true (Pool.resolve None = None);
-  with_pool 2 (fun pool ->
-      Pool.set_default (Some pool);
-      Fun.protect
-        ~finally:(fun () -> Pool.set_default None)
-        (fun () ->
-          (match Pool.resolve None with
-          | Some p -> Alcotest.(check int) "resolves default" 2 (Pool.jobs p)
-          | None -> Alcotest.fail "default pool must resolve");
-          with_pool 3 (fun other ->
-              match Pool.resolve (Some other) with
-              | Some p -> Alcotest.(check int) "explicit wins" 3 (Pool.jobs p)
-              | None -> Alcotest.fail "explicit pool must resolve")))
+  Alcotest.(check (option int)) "no default" None (installed_jobs ());
+  Pool.with_jobs 2 (fun () ->
+      Alcotest.(check (option int)) "with_jobs 2 installs 2 domains" (Some 2) (installed_jobs ()));
+  Alcotest.(check (option int)) "cleared on return" None (installed_jobs ())
+
+(* Inside [with_jobs 3], an inner [with_jobs 1] runs with no default and
+   an inner [with_jobs 2] with its own pool; each puts the 3-domain pool
+   back on return, also when its [f] raises. *)
+let test_with_jobs_nests () =
+  let check what expect = Alcotest.(check (option int)) what expect (installed_jobs ()) in
+  Pool.with_jobs 3 (fun () ->
+      let outer = Pool.default () in
+      let restored what =
+        check what (Some 3);
+        Alcotest.(check bool) (what ^ ": same pool") true (Pool.default () == outer)
+      in
+      Pool.with_jobs 1 (fun () -> check "inner with_jobs 1" None);
+      restored "after with_jobs 1";
+      Pool.with_jobs 2 (fun () -> check "inner with_jobs 2" (Some 2));
+      restored "after with_jobs 2";
+      List.iter
+        (fun jobs ->
+          (try Pool.with_jobs jobs (fun () -> raise Exit) with Exit -> ());
+          restored (Printf.sprintf "after with_jobs %d raised" jobs))
+        [ 1; 2 ]);
+  check "none after the outer" None
 
 (* Property: under randomized task sets (random size, random failing
    subset, random per-task delays to scramble completion order), the
@@ -186,6 +201,7 @@ let suite =
     Alcotest.test_case "pool of one inline" `Quick test_pool_of_one_runs_inline;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent_and_inline_after;
     Alcotest.test_case "default pool resolution" `Quick test_default_pool_resolution;
+    Alcotest.test_case "with_jobs nests" `Quick test_with_jobs_nests;
     Alcotest.test_case "faulting tasks: deterministic propagation" `Quick
       test_faulting_tasks_deterministic;
     Alcotest.test_case "faulting tasks: no lost or duplicated results" `Quick

@@ -198,11 +198,11 @@ let test_cga_deterministic_given_seed () =
    and on a 64-trial tune of Table 9's G1 on V100, whose library entry
    must match byte for byte as well. *)
 let test_cga_trace_identical_across_jobs () =
-  let fig5 pool = ((Cga.run ?pool (fig5_env 21) ~budget:40).Cga.result, "") in
-  let g1 pool =
+  let fig5 () = ((Cga.run (fig5_env 21) ~budget:40).Cga.result, "") in
+  let g1 () =
     let op = List.assoc "G1" Heron_nets.Suites.table9_gemm in
     let v100 = Heron_dla.Descriptor.v100 in
-    let tuned = Heron.Pipeline.tune ~budget:64 ~seed:42 ?pool v100 op in
+    let tuned = Heron.Pipeline.tune ~budget:64 ~seed:42 v100 op in
     let r = tuned.Heron.Pipeline.outcome.Cga.result in
     let library =
       match (r.Env.best_assignment, r.Env.best_latency) with
@@ -215,14 +215,13 @@ let test_cga_trace_identical_across_jobs () =
   List.iter
     (fun (name, run, pool_sizes) ->
       let key (r, library) = (r.Env.best_latency, r.Env.trace, r.Env.invalid, library) in
-      let sequential = key (run None) in
+      let sequential = key (run ()) in
       List.iter
-        (fun domains ->
-          Heron_util.Pool.with_pool ~domains (fun p ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s jobs=%d identical" name domains)
-                true
-                (key (run (Some p)) = sequential)))
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s jobs=%d identical" name jobs)
+            true
+            (key (Heron_util.Pool.with_jobs jobs run) = sequential))
         pool_sizes)
     [ ("fig5", fig5, [ 1; 4 ]); ("G1", g1, [ 2 ]) ]
 

@@ -258,7 +258,7 @@ let test_traffic_deterministic () =
 (* One full daemon scenario: replay a seeded Zipf wave, drain, replay a
    second wave. Returns the per-request outcome string and the final
    published library text. *)
-let run_scenario ~dir ~pool =
+let run_scenario ~dir ~jobs =
   let universe =
     [ Op.gemm ~m:16 ~n:16 ~k:16 (); Op.gemm ~m:32 ~n:32 ~k:32 (); Op.gemm ~m:32 ~n:16 ~k:16 () ]
   in
@@ -284,17 +284,15 @@ let run_scenario ~dir ~pool =
         | Index.Miss -> 'm');
       Buffer.add_char outcomes (if served.Daemon.s_enqueued then '!' else '.')
     done;
-    ignore (Daemon.drain ?pool daemon)
+    ignore (Pool.with_jobs jobs (fun () -> Daemon.drain daemon))
   done;
   (Buffer.contents outcomes, Library.to_string (Daemon.library daemon), Daemon.version daemon)
 
 let test_daemon_jobs_independent () =
   in_dir "jobs1" @@ fun dir1 ->
   in_dir "jobs2" @@ fun dir2 ->
-  let o1, l1, v1 = run_scenario ~dir:dir1 ~pool:None in
-  let o2, l2, v2 =
-    Pool.with_pool ~domains:2 (fun pool -> run_scenario ~dir:dir2 ~pool:(Some pool))
-  in
+  let o1, l1, v1 = run_scenario ~dir:dir1 ~jobs:1 in
+  let o2, l2, v2 = run_scenario ~dir:dir2 ~jobs:2 in
   Alcotest.(check string) "outcome stream identical at any jobs" o1 o2;
   Alcotest.(check string) "published library identical at any jobs" l1 l2;
   Alcotest.(check int) "same version" v1 v2;
