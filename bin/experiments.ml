@@ -69,13 +69,26 @@ let with_obs ~seed ~budget ~jobs trace metrics f =
 
 let print s = print_string s
 
+(* Every subcommand runs under [Io_faults.top_level], like the other
+   binaries: an I/O error, such as a --trace file in a missing directory,
+   exits 4 with one stderr line naming the file. *)
+let guarded f =
+  Heron_util.Io_faults.top_level (fun () ->
+      f ();
+      0)
+
+let exits =
+  List.map (fun (c, doc) -> Cmd.Exit.info c ~doc) Heron_util.Io_faults.exits @ Cmd.Exit.defaults
+
 let no_arg_cmd name doc f =
-  Cmd.v (Cmd.info name ~doc) Term.(const (fun () -> print (f ())) $ const ())
+  Cmd.v (Cmd.info name ~doc ~exits)
+    Term.(const (fun () -> guarded (fun () -> print (f ()))) $ const ())
 
 let budgeted_cmd name doc default f =
-  Cmd.v (Cmd.info name ~doc)
+  Cmd.v (Cmd.info name ~doc ~exits)
     Term.(
       const (fun budget seed jobs trace metrics faults ->
+          guarded @@ fun () ->
           with_faults faults (fun () ->
               Heron_util.Pool.with_jobs jobs (fun _ ->
                   with_obs ~seed ~budget:(Some budget) ~jobs trace metrics (fun () ->
@@ -83,9 +96,10 @@ let budgeted_cmd name doc default f =
       $ budget_arg default $ seed_arg $ jobs_arg $ trace_arg $ metrics_arg $ faults_arg)
 
 let fig11_cmd =
-  Cmd.v (Cmd.info "fig11" ~doc:"Search-space quality heat maps (Heron vs AutoTVM).")
+  Cmd.v (Cmd.info "fig11" ~doc:"Search-space quality heat maps (Heron vs AutoTVM)." ~exits)
     Term.(
       const (fun samples seed trace metrics ->
+          guarded @@ fun () ->
           with_obs ~seed ~budget:None ~jobs:1 trace metrics (fun () ->
               print (E.Exp_space.fig11 ~samples ~seed ())))
       $ samples_arg $ seed_arg $ trace_arg $ metrics_arg)
@@ -115,6 +129,7 @@ let nets_cmd =
              where both policies saturate).")
   in
   let run budget seed jobs net lenient trace metrics gate =
+    guarded @@ fun () ->
     Heron_util.Pool.with_jobs jobs @@ fun _ ->
     with_obs ~seed ~budget:(Some budget) ~jobs trace metrics @@ fun () ->
     match E.Exp_nets.run ~budget ~seed ~net ~strict:(not lenient) () with
@@ -126,7 +141,7 @@ let nets_cmd =
         if gate && not ok then exit 1
   in
   Cmd.v
-    (Cmd.info "nets"
+    (Cmd.info "nets" ~exits
        ~doc:
          "Whole-network tuning: gradient budget allocation vs round-robin at equal budget, plus \
           the cross-task transfer ablation.")
@@ -136,6 +151,7 @@ let nets_cmd =
 
 let all_cmd =
   let run budget seed jobs trace metrics faults =
+    guarded @@ fun () ->
     with_faults faults @@ fun () ->
     Heron_util.Pool.with_jobs jobs @@ fun _ ->
     with_obs ~seed ~budget:(Some budget) ~jobs trace metrics @@ fun () ->
@@ -167,7 +183,7 @@ let all_cmd =
     print "\n";
     print (E.Exp_time.fig14 ~budget:(min budget 120) ~seed ())
   in
-  Cmd.v (Cmd.info "all" ~doc:"Run every experiment (long).")
+  Cmd.v (Cmd.info "all" ~doc:"Run every experiment (long)." ~exits)
     Term.(const run $ budget_arg 80 $ seed_arg $ jobs_arg $ trace_arg $ metrics_arg $ faults_arg)
 
 let cmds =
@@ -205,7 +221,7 @@ let cmds =
 
 let () =
   let info =
-    Cmd.info "experiments" ~version:"1.0"
+    Cmd.info "experiments" ~version:"1.0" ~exits
       ~doc:"Regenerate the tables and figures of the Heron paper (ASPLOS 2023)."
   in
-  exit (Cmd.eval (Cmd.group info cmds))
+  exit (Cmd.eval' (Cmd.group info cmds))

@@ -23,6 +23,7 @@ module Store = Heron_serving.Store
 module Traffic = Heron_serving.Traffic
 module Rng = Heron_util.Rng
 module Io_faults = Heron_util.Io_faults
+module Cga = Heron_search.Cga
 
 (* Serving universes. "quick" is a small intrinsic-friendly GEMM family
    whose spaces tune in well under a second each — the CI universe; the
@@ -78,6 +79,7 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
           let manifest =
             Obs.manifest ~tool:"heron_serve" ~seed ~descriptor:desc.D.dname ~budget ~jobs ()
           in
+          let before = Obs.span_totals () in
           Obs.with_trace trace manifest @@ fun () ->
           Pool.with_jobs jobs @@ fun () ->
           let config =
@@ -153,6 +155,11 @@ let run dla universe dir requests zipf waves budget family_max seed jobs kill_af
             lookups hits misses degraded req_s p50 p99;
           Printf.printf "counters: enqueued %d, deduped %d, publishes %d, tasks %d\n"
             (c "serve.enqueued") (c "serve.deduped") (c "serve.publishes") (c "serve.tasks");
+          (* The tuning of every drained task, broken down as heron_tune
+             prints it. *)
+          let p = Cga.phases ~before ~after:(Obs.span_totals ()) in
+          Printf.printf "phases (%d jobs): search %.2fs, model %.2fs, measure %.2fs\n" jobs
+            p.Cga.search_s p.Cga.model_s p.Cga.measure_s;
           (* Hot-path race: the same hit stream against the cold
              load-and-scan a library-less client would pay per query. *)
           let final = Serve.library daemon in

@@ -107,9 +107,15 @@ let popcount store ~off ~nw =
   done;
   !c
 
+(* The slice scans below are loops over a [ref], not local recursive
+   functions: a local function that captures the slice is a closure,
+   allocated at every call (5 to 13 words each in this compiler). *)
 let is_empty_slice store ~off ~nw =
-  let rec go wi = wi >= nw || (store.(off + wi) = 0 && go (wi + 1)) in
-  go 0
+  let wi = ref 0 in
+  while !wi < nw && store.(off + !wi) = 0 do
+    incr wi
+  done;
+  !wi >= nw
 
 let[@inline] mem_bit store ~off i =
   store.(off + (i / bits_per_word)) land (1 lsl (i mod bits_per_word)) <> 0
@@ -118,22 +124,18 @@ let[@inline] set_bit (m : int array) i =
   m.(i / bits_per_word) <- m.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
 let min_bit store ~off ~nw =
-  let rec word wi =
-    if wi >= nw then -1
-    else
-      let w = store.(off + wi) in
-      if w = 0 then word (wi + 1) else (wi * bits_per_word) + lowest_bit_word w
-  in
-  word 0
+  let wi = ref 0 in
+  while !wi < nw && store.(off + !wi) = 0 do
+    incr wi
+  done;
+  if !wi >= nw then -1 else (!wi * bits_per_word) + lowest_bit_word store.(off + !wi)
 
 let max_bit store ~off ~nw =
-  let rec word wi =
-    if wi < 0 then -1
-    else
-      let w = store.(off + wi) in
-      if w = 0 then word (wi - 1) else (wi * bits_per_word) + highest_bit_word w
-  in
-  word (nw - 1)
+  let wi = ref (nw - 1) in
+  while !wi >= 0 && store.(off + !wi) = 0 do
+    decr wi
+  done;
+  if !wi < 0 then -1 else (!wi * bits_per_word) + highest_bit_word store.(off + !wi)
 
 (* Set-bit loops clear the lowest set bit ([w land (w - 1)]) each step,
    so they cost one step per live value, not one per bit. *)
@@ -174,20 +176,31 @@ let singleton (dst : int array) ~nw i =
   Array.fill dst 0 nw 0;
   dst.(i / bits_per_word) <- 1 lsl (i mod bits_per_word)
 
-let walk ~prod ix store ~off ~vmax (vals : int array) (idx : int array) ~x ~xi ~from ~stop sup_v
-    sup_a sup_b =
+(* One [x]'s walk over [vals.(from .. stop-1)]. A hit's position is split
+   into word and bit once, and the gathered arrays, which the caller
+   sized, are read unchecked. With a pair table ([tab] non-empty),
+   [tab.(row + yi)] is the position of [x op y] for the [y] at bit [yi]
+   of its universe; otherwise the index finds it. The test is
+   loop-invariant, so its branch is always predicted. *)
+let[@inline] walk ~prod ix (tab : int array) row store ~off ~vmax (vals : int array)
+    (idx : int array) ~x ~xi ~from ~stop sup_v sup_a sup_b =
   let hit = ref false and j = ref from and probes = ref 0 in
+  let tabbed = Array.length tab > 0 in
   while !j < stop do
-    let y = vals.(!j) in
+    let y = Array.unsafe_get vals !j in
     incr probes;
     let t = if prod then x * y else x + y in
     if t > vmax then j := stop
     else begin
-      let i = position ix t in
-      if i >= 0 && mem_bit store ~off i then begin
-        hit := true;
-        set_bit sup_b idx.(!j);
-        set_bit sup_v i
+      let yi = Array.unsafe_get idx !j in
+      let i = if tabbed then Array.unsafe_get tab (row + yi) else position ix t in
+      if i >= 0 then begin
+        let wi = i / bits_per_word and m = 1 lsl (i mod bits_per_word) in
+        if store.(off + wi) land m <> 0 then begin
+          hit := true;
+          set_bit sup_b yi;
+          sup_v.(wi) <- sup_v.(wi) lor m
+        end
       end;
       incr j
     end
@@ -195,9 +208,87 @@ let walk ~prod ix store ~off ~vmax (vals : int array) (idx : int array) ~x ~xi ~
   if !hit then set_bit sup_a xi;
   !probes
 
+let supports ~prod ix tab ~stride store ~off ~nw (vals : int array) (idx : int array) ~nb ~na ~boff
+    ~bnw sup_v sup_a sup_b =
+  let imin = min_bit store ~off ~nw in
+  let vmin = ix.values.(imin) and vmax = ix.values.(max_bit store ~off ~nw) in
+  let probes = ref 0 and j0 = ref nb in
+  for j = nb to nb + na - 1 do
+    let x = Array.unsafe_get vals j and xi = Array.unsafe_get idx j in
+    if prod && x = 0 then begin
+      (* 0 is live in v iff it is v's least live value. *)
+      incr probes;
+      if vmin = 0 then begin
+        set_bit sup_v imin;
+        Array.blit store boff sup_b 0 bnw;
+        set_bit sup_a xi
+      end
+    end
+    else begin
+      let y0 = if prod then (vmin + x - 1) / x else vmin - x in
+      while !j0 > 0 && Array.unsafe_get vals (!j0 - 1) >= y0 do
+        decr j0
+      done;
+      probes :=
+        !probes
+        + walk ~prod ix tab (xi * stride) store ~off ~vmax vals idx ~x ~xi ~from:!j0 ~stop:nb
+            sup_v sup_a sup_b
+    end
+  done;
+  !probes
+
+let pair_table ~prod ix (a : int array) (b : int array) =
+  let nb = Array.length b in
+  Array.init (Array.length a * nb) (fun k ->
+      let x = a.(k / nb) and y = b.(k mod nb) in
+      position ix (if prod then x * y else x + y))
+
+let unwind store ~(owner : int array) ~(sizes : int array) (tr_idx : int array)
+    (tr_old : int array) ~from ~mark =
+  for i = from - 1 downto mark do
+    let fi = tr_idx.(i) and w = tr_old.(i) in
+    let v = owner.(fi) in
+    sizes.(v) <- sizes.(v) + popcount_word w - popcount_word store.(fi);
+    store.(fi) <- w
+  done
+
+let mark_values ix (values : int array) (dst : int array) =
+  for k = 0 to Array.length values - 1 do
+    let i = position ix values.(k) in
+    if i >= 0 then set_bit dst i
+  done
+
+let filter_members ix store ~src (values : int array) ~off ~nw (dst : int array) =
+  for wi = 0 to nw - 1 do
+    let w = ref store.(off + wi) and out = ref 0 and base = wi * bits_per_word in
+    while !w <> 0 do
+      let low = !w land - !w in
+      let p = position ix values.(base + lowest_bit_word !w) in
+      if p >= 0 && mem_bit store ~off:src p then out := !out lor low;
+      w := !w lxor low
+    done;
+    dst.(wi) <- !out
+  done
+
+let meets ix store ~src (values : int array) ~off ~nw =
+  let found = ref false and wi = ref 0 in
+  while (not !found) && !wi < nw do
+    let w = ref store.(off + !wi) and base = !wi * bits_per_word in
+    while (not !found) && !w <> 0 do
+      let p = position ix values.(base + lowest_bit_word !w) in
+      if p >= 0 && mem_bit store ~off:src p then found := true;
+      w := !w land (!w - 1)
+    done;
+    incr wi
+  done;
+  !found
+
 let equal_slices (a : int array) aoff (b : int array) boff ~nw =
-  let rec go wi = wi >= nw || (a.(aoff + wi) = b.(boff + wi) && go (wi + 1)) in
-  go 0
+  let wi = ref 0 in
+  while !wi < nw && a.(aoff + !wi) = b.(boff + !wi) do
+    incr wi
+  done;
+  !wi >= nw
 
 let mask_range store ~off ~nw ilo ihi (dst : int array) =
   for wi = 0 to nw - 1 do

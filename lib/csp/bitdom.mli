@@ -16,8 +16,8 @@
     word (so popcounts and equality never need masking).
 
     Only this module knows the word layout. Loops over bits are kernels
-    here, which the solver calls once per slice (or, for {!walk}, once
-    per operand value) rather than once per bit: a caller compiled
+    here, which the solver calls once per slice (or, for {!supports},
+    once per exact revise) rather than once per bit: a caller compiled
     against an opaque interface makes an indirect call for each call
     into this module, and divides by a word size it cannot see as a
     constant.
@@ -117,33 +117,90 @@ val singleton : int array -> nw:int -> int -> unit
 (** [singleton dst ~nw i] writes into [dst.(0 .. nw-1)] the mask whose
     only set bit is [i]. *)
 
-val walk :
+val supports :
   prod:bool ->
   index ->
   int array ->
+  stride:int ->
+  int array ->
   off:int ->
-  vmax:int ->
+  nw:int ->
   int array ->
   int array ->
-  x:int ->
-  xi:int ->
-  from:int ->
-  stop:int ->
+  nb:int ->
+  na:int ->
+  boff:int ->
+  bnw:int ->
   int array ->
   int array ->
   int array ->
   int
-(** The exact-support walk of one operand value [x] for [v = x * y]
-    ([prod]) or [v = x + y]:
-    [walk ~prod vix store ~off ~vmax vals idx ~x ~xi ~from ~stop sup_v sup_a sup_b].
-    [vals.(from .. stop-1)] are live values [y] of the other operand,
-    ascending and non-negative, with their bit indices in [idx]; [vix]
-    indexes [v]'s universe and [v]'s live slice is at [off] of [store].
-    Each [y] in turn is a probe: [x op y] past [vmax] ends the walk
-    (results ascend with [y]); otherwise a result that is live in [v] is
-    a hit, which marks the result's bit in [sup_v] and [y]'s in
-    [sup_b]. If any probe hits, bit [xi] of [sup_a] is set. Returns the
-    number of probes. *)
+(** The pair loop of one exact revise of [v = a * b] ([prod]) or
+    [v = a + b] over three distinct variables:
+    [supports ~prod vix tab ~stride store ~off ~nw vals idx ~nb ~na ~boff ~bnw sup_v sup_a sup_b].
+    [v]'s live slice is [(off, nw)] of [store], non-empty, with universe
+    index [vix]; [b]'s is at [(boff, bnw)]. [vals.(0 .. nb-1)] and
+    [vals.(nb .. nb+na-1)] hold the live values of [b] and of [a],
+    ascending and non-negative, with their bit indices at the same
+    places of [idx] (see {!gather}); they are read without bounds
+    checks.
+
+    For each [x] of [a] it walks the [y] of [b] from the least one whose
+    result can reach [v]'s least live value [vmin] ([ceil (vmin / x)],
+    or [vmin - x]); that start only moves down as [x] ascends, so one
+    cursor finds it. Each [y] is a probe: [x op y] past [v]'s largest
+    live value ends the walk (results ascend with [y]); otherwise a
+    result that is live in [v] is a hit, which marks the result's bit in
+    [sup_v] and [y]'s in [sup_b], and the first hit marks [x]'s in
+    [sup_a]. A product with [x = 0] is one probe and no walk: it is
+    supported, and supports every live [y] (a copy of [b]'s slice into
+    [sup_b]), iff 0 is [v]'s least live value. The three masks are ORed
+    into, so the caller clears them. Returns the number of probes.
+
+    [tab] is [[||]], or the constraint's pair table ({!pair_table} of
+    [a]'s and [b]'s universes, [stride] the size of [b]'s): each result
+    is then read from [tab.(xi * stride + yi)] instead of being looked
+    up in [vix]. The same pairs are probed either way, so the count does
+    not depend on the table. *)
+
+val pair_table : prod:bool -> index -> int array -> int array -> int array
+(** [pair_table ~prod vix a b] is the table {!supports} reads for
+    universes [a] and [b]: entry [ia * Array.length b + ib] is the
+    position of [a.(ia) op b.(ib)] in the universe [vix] indexes, or [-1]
+    if it is not there. *)
+
+val unwind :
+  int array ->
+  owner:int array ->
+  sizes:int array ->
+  int array ->
+  int array ->
+  from:int ->
+  mark:int ->
+  unit
+(** [unwind store ~owner ~sizes tr_idx tr_old ~from ~mark] undoes trail
+    entries [from - 1] down to [mark]: entry [i] restores word
+    [tr_idx.(i)] of [store] to [tr_old.(i)], and moves the live count of
+    the variable that owns the word ([sizes.(owner.(w))]) by the change
+    in the word's popcount. *)
+
+val mark_values : index -> int array -> int array -> unit
+(** [mark_values ix values dst] sets in the mask [dst] the position of
+    each of [values] that the indexed universe holds. *)
+
+val filter_members :
+  index -> int array -> src:int -> int array -> off:int -> nw:int -> int array -> unit
+(** [filter_members ix store ~src values ~off ~nw dst] writes into
+    [dst.(0 .. nw-1)] the words of the slice at [off], with universe
+    [values], keeping only the set bits whose value is live in a second
+    slice of [store]: the one at word offset [src], whose universe [ix]
+    indexes. The two universes may differ, and the slices may be the
+    same. *)
+
+val meets : index -> int array -> src:int -> int array -> off:int -> nw:int -> bool
+(** [meets ix store ~src values ~off ~nw] is whether {!filter_members}
+    would keep any bit: some live value of the slice at [off] is live in
+    the slice at [src]. It stops at the first such value. *)
 
 val equal_slices : int array -> int -> int array -> int -> nw:int -> bool
 (** [equal_slices a aoff b boff ~nw] compares two [nw]-word slices. *)

@@ -3,9 +3,12 @@ module Obs = Heron_obs.Obs
 
 (* Global observability counters, alongside the per-search [stats] record:
    [stats] feeds experiment tables, counters feed --metrics/--trace.
-   Atomic increments only — totals are deterministic for any pool size
-   because the work itself is (per-task split generators) and compile-cache
-   lookups happen only in sequential caller code. *)
+   Totals are deterministic for any pool size because the work itself is
+   (per-task split generators) and compile-cache lookups happen only in
+   sequential caller code. The per-event counters (revises, propagation
+   rounds, wipeouts, nodes, fails, trail pushes and support probes) are
+   tallied in the engine and flushed once per search by [finish_engine],
+   so the propagation and search loops make no atomic increment. *)
 let c_revise = Obs.Counter.make "solver.revise"
 let c_propagate = Obs.Counter.make "solver.propagate_rounds"
 let c_wipeouts = Obs.Counter.make "solver.wipeouts"
@@ -29,8 +32,20 @@ type ic =
   | CSum of int * int array
   | CEq of int * int
   | CLe of int * int
-  | CIn of int * Domain.t
-  | CSel of int * int * int array * bool  (* v, u, sources, idempotent *)
+  | CIn of int * int array  (* v, the mask of v's universe values the set keeps *)
+  | CSel of sel
+
+(* v = vs.(u). The distinct sources [srcs], in order of first use, each
+   with the mask over u's universe of the positions whose index value
+   selects it: positions with no source (out of range) are in no mask. *)
+and sel = {
+  v : int;
+  u : int;
+  vs : int array;
+  idem : bool;
+  srcs : int array;
+  picks : int array array;
+}
 
 (* Binary exact-support threshold: domains in our templates are small, so
    exact pruning of v = a*b / v = a+b is affordable and much stronger than
@@ -45,6 +60,10 @@ let default_exact_limit = 10_000
    [ix] maps a value to its position in it. *)
 type layout = { values : int array; ix : Bitdom.index; off : int; nw : int }
 
+(* A search's starting point: the live words and, per variable, the
+   number of live values they hold. *)
+type start = { words : int array; sizes : int array }
+
 type compiled = {
   names : string array;
   ids : (string, int) Hashtbl.t;
@@ -54,32 +73,63 @@ type compiled = {
   seg : int array;  (* class -> first queue slot; seg.(ncls) = nc *)
   exact_limit : int;  (* binary exact-support threshold for PROD/SUM *)
   layouts : layout array;
+  owner : int array;  (* flat word index -> the variable whose slice holds it *)
   total_words : int;
   max_nw : int;  (* widest single-variable slice, sizes filter scratch *)
   max_arity : int;
   nvars : int;
   nc : int;
+  (* Constraint id -> its pair table, or [[||]]: see [tabulate]. Filled
+     when the template is first reused, in sequential caller code. *)
+  tabs : int array array;
+  mutable tabulated : bool;
   (* Root fixpoint, computed once at compile time: the initial domains
      propagated to quiescence under the problem's own constraints. Every
      search and every incremental extension starts from a blit of this.
      Mutable only because it is produced by running the engine right
      after the record is built. *)
-  mutable root_words : int array;
+  mutable root : start;
   mutable root_ok : bool;
 }
 
-(* One backtracking engine: flat live-domain store, an undo trail of
-   (flat word index, old word) pairs, and reusable propagation scratch.
-   Allocated once per solve/draw and reused across every node of that
-   search — the per-node [Array.copy doms] of the old engine is gone. *)
+(* Buffers that one search at a time uses: the live values (ascending)
+   and universe positions gathered by exact revises, and the DFS's stack
+   of candidate values and their positions, node after node.
+   A domain runs one search at a time, so one record per domain, grown on
+   demand, serves every engine it makes: a set per engine would be
+   thousands of words of major-heap garbage per template. *)
+type bufs = {
+  mutable vals : int array;
+  mutable idx : int array;
+  mutable cand : int array;
+  mutable cand_bits : int array;
+}
+
+let bufs_key =
+  Stdlib.Domain.DLS.new_key (fun () -> { vals = [||]; idx = [||]; cand = [||]; cand_bits = [||] })
+
+(* One backtracking engine: flat live-domain store, the live count of
+   each variable, an undo trail of (flat word index, old word) pairs, and
+   reusable propagation scratch. A domain keeps its last engine and
+   reuses it for the next search of the same template (see
+   [engine_at]). *)
 type engine = {
   cp : compiled;
   store : int array;
+  sizes : int array;  (* var id -> live values in its slice *)
   mutable tr_idx : int array;
   mutable tr_old : int array;
   mutable tr_len : int;
   mutable trailing : bool;  (* root/extras propagation runs untrailed *)
-  mutable trail_pushed : int;  (* local tally, flushed to c_trail once *)
+  (* Local tallies of the per-event counters, flushed by [finish_engine]. *)
+  mutable trail_pushed : int;
+  mutable support_checks : int;
+  mutable revises : int;
+  mutable rounds : int;
+  mutable wipeouts : int;
+  mutable nodes : int;
+  mutable fails : int;
+  mutable search_fails : int;  (* fails of the current search, for [max_fails] *)
   in_queue : bool array;
   queue : int array;  (* nc slots, one FIFO ring segment per class *)
   q_head : int array;  (* class -> slot of its oldest entry *)
@@ -88,26 +138,32 @@ type engine = {
   scratch : int array;  (* filter build area, committed after the scan *)
   scratch2 : int array;  (* exact-support masks: a's (distinct) or v's (aliased) *)
   scratch3 : int array;  (* exact-support mask over b's universe *)
-  mutable support_checks : int;  (* local tally, flushed to c_support once *)
   mutable changed : int array;  (* vars changed by the current revise *)
   mutable n_changed : int;
   lo_buf : int array;  (* n-ary operand bound snapshots *)
   hi_buf : int array;
   suf_lo : int array;
   suf_hi : int array;
+  bufs : bufs;
 }
 
-let make_engine cp start =
-  let store = Array.make cp.total_words 0 in
-  Array.blit start 0 store 0 cp.total_words;
+let make_engine cp =
   {
     cp;
-    store;
+    store = Array.make cp.total_words 0;
+    sizes = Array.make cp.nvars 0;
     tr_idx = Array.make 64 0;
     tr_old = Array.make 64 0;
     tr_len = 0;
     trailing = false;
     trail_pushed = 0;
+    support_checks = 0;
+    revises = 0;
+    rounds = 0;
+    wipeouts = 0;
+    nodes = 0;
+    fails = 0;
+    search_fails = 0;
     in_queue = Array.make (Int.max cp.nc 1) false;
     queue = Array.make (Int.max cp.nc 1) 0;
     q_head = Array.sub cp.seg 0 (Array.length cp.seg - 1);
@@ -116,20 +172,32 @@ let make_engine cp start =
     scratch = Array.make (Int.max cp.max_nw 1) 0;
     scratch2 = Array.make (Int.max cp.max_nw 1) 0;
     scratch3 = Array.make (Int.max cp.max_nw 1) 0;
-    support_checks = 0;
     changed = Array.make 16 0;
     n_changed = 0;
     lo_buf = Array.make (cp.max_arity + 1) 0;
     hi_buf = Array.make (cp.max_arity + 1) 0;
     suf_lo = Array.make (cp.max_arity + 2) 0;
     suf_hi = Array.make (cp.max_arity + 2) 0;
+    bufs = Stdlib.Domain.DLS.get bufs_key;
   }
 
+let flush c n = if n <> 0 then Obs.Counter.add c n
+
 let finish_engine e =
-  Obs.Counter.add c_trail e.trail_pushed;
-  Obs.Counter.add c_support e.support_checks;
+  flush c_trail e.trail_pushed;
+  flush c_support e.support_checks;
+  flush c_revise e.revises;
+  flush c_propagate e.rounds;
+  flush c_wipeouts e.wipeouts;
+  flush c_nodes e.nodes;
+  flush c_fails e.fails;
   e.trail_pushed <- 0;
-  e.support_checks <- 0
+  e.support_checks <- 0;
+  e.revises <- 0;
+  e.rounds <- 0;
+  e.wipeouts <- 0;
+  e.nodes <- 0;
+  e.fails <- 0
 
 let write_word e fi w =
   if e.store.(fi) <> w then begin
@@ -150,10 +218,9 @@ let write_word e fi w =
     e.store.(fi) <- w
   end
 
+(* Rewinding a word also moves its variable's live count back. *)
 let undo_to e mark =
-  for i = e.tr_len - 1 downto mark do
-    e.store.(e.tr_idx.(i)) <- e.tr_old.(i)
-  done;
+  Bitdom.unwind e.store ~owner:e.cp.owner ~sizes:e.sizes e.tr_idx e.tr_old ~from:e.tr_len ~mark;
   e.tr_len <- mark
 
 let push_changed e v =
@@ -168,9 +235,7 @@ let push_changed e v =
 (* Live-domain reads. All mirror the sorted-array semantics exactly:
    ascending order, [Invalid_argument] on empty bounds. *)
 
-let d_size e v =
-  let l = e.cp.layouts.(v) in
-  Bitdom.popcount e.store ~off:l.off ~nw:l.nw
+let d_size e v = e.sizes.(v)
 
 let d_min e v =
   let l = e.cp.layouts.(v) in
@@ -206,19 +271,10 @@ let d_exists e v p =
    with Exit -> ());
   !found
 
-let d_value e v = if d_size e v = 1 then Some (d_min e v) else None
-
-let live_values e v =
+(* Gather [v]'s live values and positions into [vals]/[idx] from [at]. *)
+let gather e v vals idx at =
   let l = e.cp.layouts.(v) in
-  let n = Bitdom.popcount e.store ~off:l.off ~nw:l.nw in
-  let out = Array.make n 0 in
-  let k = ref 0 in
-  Bitdom.iter_bits
-    (fun b ->
-      out.(!k) <- l.values.(b);
-      incr k)
-    e.store ~off:l.off ~nw:l.nw;
-  out
+  Bitdom.gather e.store ~off:l.off ~nw:l.nw l.values vals idx at
 
 exception Wipeout
 
@@ -229,6 +285,11 @@ exception Wipeout
    depend on. Raises [Wipeout] before writing anything if the result is
    empty, like [set_dom] did.
 
+   Every new live set is a subset of the committed one (a filter, a range
+   mask, a support mask or a restriction, each taken over live bits), so
+   it differs from it exactly when it holds fewer values: one popcount
+   decides whether anything changes, and gives the new live count.
+
    No revise ever sees an empty domain: a template with an empty universe
    is refuted at compile time, and a commit never writes an empty set.
 
@@ -238,16 +299,15 @@ exception Wipeout
    re-queue. *)
 let commit_from_scratch e v buf =
   let l = e.cp.layouts.(v) in
-  if Bitdom.is_empty_slice buf ~off:0 ~nw:l.nw then raise Wipeout;
-  let any = ref false in
-  for wi = 0 to l.nw - 1 do
-    let fi = l.off + wi in
-    if e.store.(fi) <> buf.(wi) then begin
-      any := true;
-      write_word e fi buf.(wi)
-    end
-  done;
-  if !any then push_changed e v
+  let n = Bitdom.popcount buf ~off:0 ~nw:l.nw in
+  if n = 0 then raise Wipeout;
+  if n <> e.sizes.(v) then begin
+    for wi = 0 to l.nw - 1 do
+      write_word e (l.off + wi) buf.(wi)
+    done;
+    e.sizes.(v) <- n;
+    push_changed e v
+  end
 
 let commit_filter e v p =
   let l = e.cp.layouts.(v) in
@@ -263,13 +323,27 @@ let commit_range e v lo hi =
     (Bitdom.count_le l.values hi) e.scratch;
   commit_from_scratch e v e.scratch
 
+(* Keep v's live values that are live in [w]: what a filter by [d_mem e w]
+   keeps, in one kernel call. *)
+let commit_members e v w =
+  let lv = e.cp.layouts.(v) and lw = e.cp.layouts.(w) in
+  Bitdom.filter_members lw.ix e.store ~src:lw.off lv.values ~off:lv.off ~nw:lv.nw e.scratch;
+  commit_from_scratch e v e.scratch
+
+(* Whether [v] and [w] share a live value. The question is symmetric, so
+   the smaller domain is the one walked. *)
+let share e v w =
+  let v, w = if e.sizes.(v) <= e.sizes.(w) then (v, w) else (w, v) in
+  let lv = e.cp.layouts.(v) and lw = e.cp.layouts.(w) in
+  Bitdom.meets lw.ix e.store ~src:lw.off lv.values ~off:lv.off ~nw:lv.nw
+
 (* v = x (unary PROD/SUM and CEq): intersect both with the other. The
    second filter reads the already-narrowed first, so both end at the
    intersection, exactly like the old shared [Domain.inter]. Idempotent:
    both sides already equal the intersection. *)
 let revise_eq e a b =
-  commit_filter e a (fun x -> d_mem e b x);
-  commit_filter e b (fun x -> d_mem e a x);
+  commit_members e a b;
+  commit_members e b a;
   true
 
 (* a <= b. A side whose bound already holds is left alone. Idempotent:
@@ -282,28 +356,70 @@ let revise_le e a b =
   if d_min e b < lo then commit_range e b lo max_int;
   true
 
-(* Idempotent: an intersection with a constant set. *)
-let revise_in e v cs =
-  commit_filter e v (fun x -> Domain.mem x cs);
+(* Idempotent: an intersection with a constant set, held as a mask over
+   v's universe since compile time. *)
+let revise_in e v mask =
+  let l = e.cp.layouts.(v) in
+  for wi = 0 to l.nw - 1 do
+    e.scratch.(wi) <- e.store.(l.off + wi) land mask.(wi)
+  done;
+  commit_from_scratch e v e.scratch;
   true
 
-(* Idempotent when [v <> u] and neither is a source ([idem], decided at
+(* Whether some live position of u is in [mask]. *)
+let selects e lu (mask : int array) =
+  let wi = ref 0 in
+  while !wi < lu.nw && mask.(!wi) land e.store.(lu.off + !wi) = 0 do
+    incr wi
+  done;
+  !wi < lu.nw
+
+let or_into (dst : int array) (src : int array) nw =
+  for wi = 0 to nw - 1 do
+    dst.(wi) <- dst.(wi) lor src.(wi)
+  done
+
+(* v = vs.(u). Three filters, each the set the old per-value predicates
+   kept, built per distinct source rather than per index value and
+   without a closure: (1) u keeps its live positions whose source still
+   shares a value with v; (2) v keeps the values some still-selectable
+   source holds, the union of [v ∩ w] over the sources w with a live
+   position; (3) once u is a singleton i, v and vs.(i) are intersected.
+   Heron's SELECTs repeat sources (six of seven entries can be the same
+   variable), so (1) and (2) look at each source once.
+
+   Idempotent when [v <> u] and neither is a source ([idem], decided at
    compile time): every kept index still meets the narrowed [v], and the
    singleton step leaves [v] and its source equal. Otherwise narrowing
    one occurrence changes what another supports, so a second pass can
    narrow [u] again. *)
-let revise_sel e v u vs idem =
-  let n = Array.length vs in
-  (* Index domain: valid positions whose source still intersects v. *)
-  commit_filter e u (fun i -> i >= 0 && i < n && d_exists e v (fun x -> d_mem e vs.(i) x));
-  (* v must lie in the union of the still-selectable sources. *)
-  commit_filter e v (fun x -> d_exists e u (fun i -> d_mem e vs.(i) x));
-  (match d_value e u with
-  | Some i ->
-      commit_filter e v (fun x -> d_mem e vs.(i) x);
-      commit_filter e vs.(i) (fun x -> d_mem e v x)
-  | None -> ());
-  idem
+let revise_sel e s =
+  let lu = e.cp.layouts.(s.u) and lv = e.cp.layouts.(s.v) in
+  let keep = e.scratch2 in
+  Array.fill keep 0 lu.nw 0;
+  for g = 0 to Array.length s.srcs - 1 do
+    if selects e lu s.picks.(g) && share e s.v s.srcs.(g) then or_into keep s.picks.(g) lu.nw
+  done;
+  for wi = 0 to lu.nw - 1 do
+    keep.(wi) <- keep.(wi) land e.store.(lu.off + wi)
+  done;
+  commit_from_scratch e s.u keep;
+  let union = e.scratch2 in
+  Array.fill union 0 lv.nw 0;
+  for g = 0 to Array.length s.srcs - 1 do
+    if selects e lu s.picks.(g) then begin
+      let lw = e.cp.layouts.(s.srcs.(g)) in
+      Bitdom.filter_members lw.ix e.store ~src:lw.off lv.values ~off:lv.off ~nw:lv.nw e.scratch3;
+      or_into union e.scratch3 lv.nw
+    end
+  done;
+  commit_from_scratch e s.v union;
+  if e.sizes.(s.u) = 1 then begin
+    let w = s.vs.(d_min e s.u) in
+    commit_members e s.v w;
+    commit_members e w s.v
+  end;
+  s.idem
 
 (* Generic bounds propagation for v = fold op over vs, with op monotone
    and all domains non-negative. [inv_lo]/[inv_hi] compute the bounds of
@@ -349,8 +465,9 @@ let revise_nary e v vs ~identity ~op ~inv_lo ~inv_hi =
 (* Exact binary support pruning for v = a op b, where op is [*] or [+].
    Domains are non-negative (an engine-wide assumption, see
    [revise_nary]), so for a fixed [x] the results [x op y] ascend with
-   [y]. Each result is looked up in v's universe index, O(1), and then
-   tested against v's live bits. *)
+   [y]. Each result is looked up in v's universe index, O(1), or read
+   from the constraint's pair table, and then tested against v's live
+   bits. *)
 
 (* Aliased operands (v = x * x, v = x + v): mark which of v's universe
    values are a product (resp. sum) of live (a, b) pairs into scratch2,
@@ -379,114 +496,78 @@ let revise_exact_aliased e v a b combine =
   commit_filter e b (fun y -> d_exists e a (fun x -> supported x y));
   false
 
-(* Live values (ascending) and their universe indices, gathered by exact
-   revises. A revise runs to completion on one domain, so one pair of
-   buffers per domain, grown on demand, serves every engine: a pair per
-   engine would be thousands of words of major-heap garbage per solve. *)
-type live = { mutable vals : int array; mutable idx : int array }
-
-let live_key = Stdlib.Domain.DLS.new_key (fun () -> { vals = [||]; idx = [||] })
-
 (* Three distinct variables: gather the live values of b and a once,
-   then one pass over the live x of a fills the support masks of v
-   (scratch), a (scratch2) and b (scratch3) together, and v, a and b are
-   committed in that order. This equals the aliased path's three
-   live-read passes: a pair whose result is live in v before v is
-   narrowed is still live after (the narrowing keeps exactly the
+   then one pass over the live x of a ([Bitdom.supports]) fills the
+   support masks of v (scratch), a (scratch2) and b (scratch3) together,
+   and v, a and b are committed in that order. This equals the aliased
+   path's three live-read passes: a pair whose result is live in v before
+   v is narrowed is still live after (the narrowing keeps exactly the
    supported results), and any x that supports some y is itself kept —
    so support against the pre-commit domains is what the live reads
    would see. Same masks, same commit order, same wipeout points.
 
-   For each x, [Bitdom.walk] visits the live y of b from [ceil(vmin / x)]
-   (resp. [vmin - x]) up to the first y whose result passes [vmax]. That
-   start only moves down as x ascends, so one cursor finds it. A product
-   with x = 0 needs no walk: 0 * y = 0 for every y.
-
    Idempotent: every kept value keeps the witness pair that kept it. *)
-let revise_exact_distinct e v a b ~prod =
+let revise_exact_distinct e ci v a b ~prod =
   let cp = e.cp in
   let lv = cp.layouts.(v) and la = cp.layouts.(a) and lb = cp.layouts.(b) in
-  let st = e.store in
-  let nb = Bitdom.popcount st ~off:lb.off ~nw:lb.nw
-  and na = Bitdom.popcount st ~off:la.off ~nw:la.nw in
-  let live = Stdlib.Domain.DLS.get live_key in
-  if nb + na > Array.length live.vals then begin
-    let cap = Int.max (nb + na) (2 * Array.length live.vals) in
-    live.vals <- Array.make cap 0;
-    live.idx <- Array.make cap 0
+  let nb = e.sizes.(b) and na = e.sizes.(a) in
+  let bf = e.bufs in
+  if nb + na > Array.length bf.vals then begin
+    let cap = Int.max (nb + na) (2 * Array.length bf.vals) in
+    bf.vals <- Array.make cap 0;
+    bf.idx <- Array.make cap 0
   end;
-  let vals = live.vals and idx = live.idx in
   (* b at [0, nb), a at [nb, nb + na) *)
-  Bitdom.gather st ~off:lb.off ~nw:lb.nw lb.values vals idx 0;
-  Bitdom.gather st ~off:la.off ~nw:la.nw la.values vals idx nb;
+  gather e b bf.vals bf.idx 0;
+  gather e a bf.vals bf.idx nb;
   let sup_v = e.scratch and sup_a = e.scratch2 and sup_b = e.scratch3 in
   Array.fill sup_v 0 lv.nw 0;
   Array.fill sup_a 0 la.nw 0;
   Array.fill sup_b 0 lb.nw 0;
-  let imin = Bitdom.min_bit st ~off:lv.off ~nw:lv.nw in
-  let vmin = lv.values.(imin) and vmax = lv.values.(Bitdom.max_bit st ~off:lv.off ~nw:lv.nw) in
-  let j0 = ref nb in
-  for j = nb to nb + na - 1 do
-    let x = vals.(j) in
-    if prod && x = 0 then begin
-      (* 0 is live in v iff it is v's least live value. *)
-      e.support_checks <- e.support_checks + 1;
-      if vmin = 0 then begin
-        Bitdom.set_bit sup_v imin;
-        Array.blit st lb.off sup_b 0 lb.nw;
-        Bitdom.set_bit sup_a idx.(j)
-      end
-    end
-    else begin
-      let y0 = if prod then (vmin + x - 1) / x else vmin - x in
-      while !j0 > 0 && vals.(!j0 - 1) >= y0 do
-        decr j0
-      done;
-      e.support_checks <-
-        e.support_checks
-        + Bitdom.walk ~prod lv.ix st ~off:lv.off ~vmax vals idx ~x ~xi:idx.(j) ~from:!j0 ~stop:nb
-            sup_v sup_a sup_b
-    end
-  done;
+  e.support_checks <-
+    e.support_checks
+    + Bitdom.supports ~prod lv.ix cp.tabs.(ci) ~stride:(Array.length lb.values) e.store ~off:lv.off
+        ~nw:lv.nw bf.vals bf.idx ~nb ~na ~boff:lb.off ~bnw:lb.nw sup_v sup_a sup_b;
   commit_from_scratch e v sup_v;
   commit_from_scratch e a sup_a;
   commit_from_scratch e b sup_b;
   true
 
-let revise_exact_binary e v a b ~prod =
-  if v <> a && v <> b && a <> b then revise_exact_distinct e v a b ~prod
+let revise_exact_binary e ci v a b ~prod =
+  if v <> a && v <> b && a <> b then revise_exact_distinct e ci v a b ~prod
   else revise_exact_aliased e v a b (if prod then ( * ) else ( + ))
 
 (* The exact path is chosen per revise, on the live sizes, so a bounds
    revise can be followed by an exact one on the narrowed domains: the
    bounds branch never reports itself idempotent. *)
-let revise_prod e v vs =
+let revise_prod e ci v vs =
   match vs with
   | [| x |] -> revise_eq e v x
-  | [| a; b |] when d_size e a * d_size e b <= e.cp.exact_limit ->
-      revise_exact_binary e v a b ~prod:true
+  | [| a; b |] when e.sizes.(a) * e.sizes.(b) <= e.cp.exact_limit ->
+      revise_exact_binary e ci v a b ~prod:true
   | _ ->
       revise_nary e v vs ~identity:1 ~op:( * )
         ~inv_lo:(fun v_lo others_hi -> if others_hi = 0 then 0 else (v_lo + others_hi - 1) / others_hi)
         ~inv_hi:(fun v_hi others_lo -> if others_lo = 0 then max_int else v_hi / others_lo)
 
-let revise_sum e v vs =
+let revise_sum e ci v vs =
   match vs with
   | [| x |] -> revise_eq e v x
-  | [| a; b |] when d_size e a * d_size e b <= e.cp.exact_limit ->
-      revise_exact_binary e v a b ~prod:false
+  | [| a; b |] when e.sizes.(a) * e.sizes.(b) <= e.cp.exact_limit ->
+      revise_exact_binary e ci v a b ~prod:false
   | _ ->
       revise_nary e v vs ~identity:0 ~op:( + )
         ~inv_lo:(fun v_lo others_hi -> v_lo - others_hi)
         ~inv_hi:(fun v_hi others_lo -> v_hi - others_lo)
 
-let revise e = function
-  | CProd (v, vs) -> revise_prod e v vs
-  | CSum (v, vs) -> revise_sum e v vs
+let revise e ci =
+  match e.cp.ics.(ci) with
+  | CProd (v, vs) -> revise_prod e ci v vs
+  | CSum (v, vs) -> revise_sum e ci v vs
   | CEq (a, b) -> revise_eq e a b
   | CLe (a, b) -> revise_le e a b
-  | CIn (v, cs) -> revise_in e v cs
-  | CSel (v, u, vs, idem) -> revise_sel e v u vs idem
+  | CIn (v, mask) -> revise_in e v mask
+  | CSel s -> revise_sel e s
 
 (* The queue pops the cheapest non-empty cost class first, FIFO inside a
    class. Class r's ring is the segment [seg.(r), seg.(r + 1)) of
@@ -538,18 +619,18 @@ let push_watchers e v skip =
 let run_queue e =
   try
     while e.q_mask <> 0 do
-      Obs.Counter.incr c_revise;
+      e.revises <- e.revises + 1;
       let ci = q_pop e in
       e.n_changed <- 0;
-      let skip = if revise e e.cp.ics.(ci) then ci else -1 in
+      let skip = if revise e ci then ci else -1 in
       for k = 0 to e.n_changed - 1 do
         push_watchers e e.changed.(k) skip
       done
     done;
-    Obs.Counter.incr c_propagate;
+    e.rounds <- e.rounds + 1;
     true
   with Wipeout ->
-    Obs.Counter.incr c_wipeouts;
+    e.wipeouts <- e.wipeouts + 1;
     q_clear e;
     false
 
@@ -560,35 +641,6 @@ let compile ?(exact_limit = default_exact_limit) problem =
   let ids = Hashtbl.create (2 * n) in
   Array.iteri (fun i name -> Hashtbl.replace ids name i) names;
   let id name = Hashtbl.find ids name in
-  let ics =
-    Problem.constraints problem
-    |> List.map (fun c ->
-           match c with
-           | Cons.Prod (v, vs) -> CProd (id v, Array.of_list (List.map id vs))
-           | Cons.Sum (v, vs) -> CSum (id v, Array.of_list (List.map id vs))
-           | Cons.Eq (a, b) -> CEq (id a, id b)
-           | Cons.Le (a, b) -> CLe (id a, id b)
-           | Cons.In (v, cs) -> CIn (id v, Domain.of_list cs)
-           | Cons.Select (v, u, vs) ->
-               let v = id v and u = id u and vs = Array.of_list (List.map id vs) in
-               CSel (v, u, vs, v <> u && not (Array.mem v vs || Array.mem u vs)))
-    |> Array.of_list
-  in
-  let cvars =
-    Array.map
-      (fun ic ->
-        List.sort_uniq Int.compare
-          (match ic with
-          | CProd (v, vs) | CSum (v, vs) -> v :: Array.to_list vs
-          | CEq (a, b) | CLe (a, b) -> [ a; b ]
-          | CIn (v, _) -> [ v ]
-          | CSel (v, u, vs, _) -> v :: u :: Array.to_list vs))
-      ics
-  in
-  let watcher_lists = Array.make n [] in
-  Array.iteri
-    (fun ci vars -> List.iter (fun vid -> watcher_lists.(vid) <- ci :: watcher_lists.(vid)) vars)
-    cvars;
   let layouts = Array.make n { values = [||]; ix = Bitdom.index [||]; off = 0; nw = 0 } in
   let off = ref 0 and max_nw = ref 1 in
   Array.iteri
@@ -599,11 +651,67 @@ let compile ?(exact_limit = default_exact_limit) problem =
       off := !off + nw;
       if nw > !max_nw then max_nw := nw)
     names;
+  let total_words = !off in
+  let owner = Array.make total_words 0 in
+  Array.iteri (fun v l -> Array.fill owner l.off l.nw v) layouts;
+  (* An [In] set as a mask over its variable's universe: the positions of
+     the universe values the set holds. *)
+  let in_mask v cs =
+    let l = layouts.(v) in
+    let all = Array.make l.nw 0 and mask = Array.make l.nw 0 in
+    Bitdom.fill all ~off:0 ~n:(Array.length l.values);
+    Bitdom.filter (fun x -> Domain.mem x cs) all ~off:0 ~nw:l.nw l.values mask;
+    mask
+  in
+  let ics =
+    Problem.constraints problem
+    |> List.map (fun c ->
+           match c with
+           | Cons.Prod (v, vs) -> CProd (id v, Array.of_list (List.map id vs))
+           | Cons.Sum (v, vs) -> CSum (id v, Array.of_list (List.map id vs))
+           | Cons.Eq (a, b) -> CEq (id a, id b)
+           | Cons.Le (a, b) -> CLe (id a, id b)
+           | Cons.In (v, cs) -> CIn (id v, in_mask (id v) (Domain.of_list cs))
+           | Cons.Select (v, u, vs) ->
+               let v = id v and u = id u and vs = Array.of_list (List.map id vs) in
+               let srcs =
+                 Array.of_list
+                   (List.rev
+                      (Array.fold_left
+                         (fun acc w -> if List.mem w acc then acc else w :: acc)
+                         [] vs))
+               in
+               let lu = layouts.(u) in
+               let picks = Array.map (fun _ -> Array.make lu.nw 0) srcs in
+               Array.iteri
+                 (fun p i ->
+                   if i >= 0 && i < Array.length vs then
+                     Array.iteri (fun g w -> if w = vs.(i) then Bitdom.set_bit picks.(g) p) srcs)
+                 lu.values;
+               let idem = v <> u && not (Array.mem v vs || Array.mem u vs) in
+               CSel { v; u; vs; idem; srcs; picks })
+    |> Array.of_list
+  in
+  let cvars =
+    Array.map
+      (fun ic ->
+        List.sort_uniq Int.compare
+          (match ic with
+          | CProd (v, vs) | CSum (v, vs) -> v :: Array.to_list vs
+          | CEq (a, b) | CLe (a, b) -> [ a; b ]
+          | CIn (v, _) -> [ v ]
+          | CSel s -> s.v :: s.u :: Array.to_list s.vs))
+      ics
+  in
+  let watcher_lists = Array.make n [] in
+  Array.iteri
+    (fun ci vars -> List.iter (fun vid -> watcher_lists.(vid) <- ci :: watcher_lists.(vid)) vars)
+    cvars;
   let max_arity =
     Array.fold_left
       (fun acc ic ->
         match ic with
-        | CProd (_, vs) | CSum (_, vs) | CSel (_, _, vs, _) -> Int.max acc (Array.length vs)
+        | CProd (_, vs) | CSum (_, vs) -> Int.max acc (Array.length vs)
         | _ -> acc)
       1 ics
   in
@@ -639,20 +747,27 @@ let compile ?(exact_limit = default_exact_limit) problem =
       seg;
       exact_limit;
       layouts;
-      total_words = !off;
+      owner;
+      total_words;
       max_nw = !max_nw;
       max_arity;
       nvars = n;
       nc = Array.length ics;
-      root_words = [||];
+      tabs = Array.make (Array.length ics) [||];
+      tabulated = false;
+      root = { words = [||]; sizes = [||] };
       root_ok = false;
     }
   in
-  let start = Array.make cp.total_words 0 in
-  Array.iter
-    (fun l -> Bitdom.fill start ~off:l.off ~n:(Array.length l.values))
+  (* The root engine is the template's own: its store and sizes become
+     the root fixpoint, so it never enters a domain's engine slot. *)
+  let e = make_engine cp in
+  Array.iteri
+    (fun v l ->
+      let k = Array.length l.values in
+      Bitdom.fill e.store ~off:l.off ~n:k;
+      e.sizes.(v) <- k)
     layouts;
-  let e = make_engine cp start in
   (* An empty universe refutes the template before any revise: no revise
      ever reads an empty domain. *)
   if Array.exists (fun l -> Array.length l.values = 0) layouts then Obs.Counter.incr c_wipeouts
@@ -663,15 +778,43 @@ let compile ?(exact_limit = default_exact_limit) problem =
     cp.root_ok <- run_queue e
   end;
   finish_engine e;
-  cp.root_words <- e.store;
+  cp.root <- { words = e.store; sizes = e.sizes };
   cp
+
+(* Pair tables, for the distinct-variable binary exact constraints
+   [v = a op b] whose universes hold at most [tab_limit] pairs: the
+   position in v's universe of every [a_i op b_j] ([Bitdom.pair_table]),
+   so that the exact walk reads a word where it would look a result up
+   in v's index. A table holds the positions the index would return, and
+   the walk probes the same pairs with it, so results and
+   [solver.support_checks] are the same with or without one. Tables are
+   built when a template is first reused (a cache hit), not at compile:
+   a template compiled for one solve, such as [Generator.satisfiable]'s,
+   never pays for them. They hold 0.5–5K entries per Heron template. *)
+let tab_limit = 4096
+
+let tabulate cp =
+  Array.iteri
+    (fun ci ic ->
+      match ic with
+      | (CProd (v, [| a; b |]) | CSum (v, [| a; b |])) when v <> a && v <> b && a <> b ->
+          let la = cp.layouts.(a) and lb = cp.layouts.(b) in
+          if Array.length la.values * Array.length lb.values <= tab_limit then
+            cp.tabs.(ci) <-
+              Bitdom.pair_table
+                ~prod:(match ic with CProd _ -> true | _ -> false)
+                cp.layouts.(v).ix la.values lb.values
+      | _ -> ())
+    cp.ics;
+  cp.tabulated <- true
 
 (* Compiled-template cache, keyed by problem physical identity and exact
    limit. CGA offspring all decompose to the same base problem, so one
    compile (and one root propagation) serves a whole tuning run. The
    mutex makes concurrent access safe, but for deterministic
    [solver.compile_cache_hits] totals all our entry points consult the
-   cache from sequential caller code only — never inside pool tasks. *)
+   cache from sequential caller code only — never inside pool tasks,
+   which is also what lets a hit build the pair tables unsynchronized. *)
 let cache_cap = 8
 let cache : (Problem.t * int * compiled) list ref = ref []
 let cache_mutex = Mutex.create ()
@@ -689,6 +832,7 @@ let compile_cached ~exact_limit problem =
   | Some (entry, cp, rest) ->
       Obs.Counter.incr c_cache_hits;
       cache := entry :: rest;
+      if not cp.tabulated then tabulate cp;
       cp
   | None ->
       let cp = compile ~exact_limit problem in
@@ -699,7 +843,36 @@ let is_in_cons = function Cons.In _ -> true | _ -> false
 
 type restriction = int * int array
 
-(* Narrow a fresh engine's store by [rs], in list order: each restriction
+(* A domain's engine slot: the engine of its last search. A search of
+   the same template takes it back, rewound to the search's start, and
+   so allocates nothing; a search of another template replaces it. Safe
+   because a domain runs one search at a time: pool tasks never nest,
+   and no entry point runs a search from inside another. *)
+let slot : engine option Stdlib.Domain.DLS.key = Stdlib.Domain.DLS.new_key (fun () -> None)
+
+(* [cp]'s engine at [start], untrailed, with an empty trail and queue and
+   no tallies pending. The start is copied in, never shared: the
+   engine's store is written by every later search. *)
+let engine_at cp start =
+  let e =
+    match Stdlib.Domain.DLS.get slot with
+    | Some e when e.cp == cp -> e
+    | _ ->
+        let e = make_engine cp in
+        Stdlib.Domain.DLS.set slot (Some e);
+        e
+  in
+  Array.blit start.words 0 e.store 0 cp.total_words;
+  Array.blit start.sizes 0 e.sizes 0 cp.nvars;
+  e.tr_len <- 0;
+  e.trailing <- false;
+  (* A queue or tallies are left over only by an exception that escaped
+     a search. *)
+  q_clear e;
+  finish_engine e;
+  e
+
+(* Narrow the engine's store by [rs], in list order: each restriction
    is a word mask over its variable's universe (the [Bitdom.position] of
    each value), ANDed into the live words and committed like any filter.
    Then the constraints watching a changed variable propagate. An [In]
@@ -714,10 +887,7 @@ let restrict e rs =
       (fun (v, values) ->
         let l = e.cp.layouts.(v) and mask = e.scratch in
         Array.fill mask 0 l.nw 0;
-        for k = 0 to Array.length values - 1 do
-          let i = Bitdom.position l.ix values.(k) in
-          if i >= 0 then Bitdom.set_bit mask i
-        done;
+        Bitdom.mark_values l.ix values mask;
         for wi = 0 to l.nw - 1 do
           mask.(wi) <- mask.(wi) land e.store.(l.off + wi)
         done;
@@ -728,16 +898,16 @@ let restrict e rs =
     done;
     run_queue e
   with Wipeout ->
-    Obs.Counter.incr c_wipeouts;
+    e.wipeouts <- e.wipeouts + 1;
     q_clear e;
     false
 
-(* A fresh engine at [cp]'s root fixpoint narrowed by [rs], or [None]
-   when propagation refutes the root or the restrictions. *)
+(* [cp]'s engine at its root fixpoint narrowed by [rs], or [None] when
+   propagation refutes the root or the restrictions. *)
 let restricted_engine cp rs =
   if not cp.root_ok then None
   else begin
-    let e = make_engine cp cp.root_words in
+    let e = engine_at cp cp.root in
     if rs = [] || restrict e rs then Some e
     else begin
       finish_engine e;
@@ -768,17 +938,19 @@ let plan ~exact_limit problem =
   if List.for_all is_in_cons extras then plan_in ~exact_limit root extras []
   else (compile ~exact_limit problem, [])
 
-(* Resolve a problem to (compiled template, start words), or [None] when
-   propagation alone refutes it: the shared start of several searches. *)
+(* Resolve a problem to (compiled template, start), or [None] when
+   propagation alone refutes it: the shared start of several searches.
+   A narrowed start is a copy of the engine's store, which the next
+   search on this domain overwrites. *)
 let prepare problem =
   match plan ~exact_limit:default_exact_limit problem with
-  | cp, [] -> if cp.root_ok then Some (cp, cp.root_words) else None
+  | cp, [] -> if cp.root_ok then Some (cp, cp.root) else None
   | cp, rs -> (
       match restricted_engine cp rs with
       | None -> None
       | Some e ->
           finish_engine e;
-          Some (cp, e.store))
+          Some (cp, { words = Array.copy e.store; sizes = Array.copy e.sizes }))
 
 let extract_values e =
   let out = Array.make e.cp.nvars 0 in
@@ -792,87 +964,115 @@ let extract e = Assignment.of_values e.cp.names (extract_values e)
 
 exception Give_up
 
-(* Branching: make [x] the only live value of [vid], trailed. *)
-let assign e vid x =
+(* Branching: make bit [b] the only live value of [vid], trailed. *)
+let assign e vid b =
   let l = e.cp.layouts.(vid) in
-  Bitdom.singleton e.scratch ~nw:l.nw (Bitdom.position l.ix x);
+  Bitdom.singleton e.scratch ~nw:l.nw b;
   for wi = 0 to l.nw - 1 do
     write_word e (l.off + wi) e.scratch.(wi)
+  done;
+  e.sizes.(vid) <- 1
+
+(* Smallest open domain, random tie-break; -1 when every domain is a
+   singleton. *)
+let pick_var e rng =
+  let best = ref (-1) and best_size = ref max_int and ties = ref 0 in
+  for i = 0 to e.cp.nvars - 1 do
+    let s = e.sizes.(i) in
+    if s > 1 then
+      if s < !best_size then begin
+        best := i;
+        best_size := s;
+        ties := 1
+      end
+      else if s = !best_size then begin
+        incr ties;
+        if Rng.int rng !ties = 0 then best := i
+      end
+  done;
+  !best
+
+(* The DFS's candidate stack: a node's live values of its branching
+   variable and their positions, at [base, base + n) of the domain's
+   [cand]/[cand_bits]; its children stack theirs above. [Rng.shuffle]'s
+   Fisher–Yates, on the segment and carrying the positions along, so the
+   values come out in the order a shuffled array of them would. *)
+let push_candidates e vid base =
+  let b = e.bufs and n = e.sizes.(vid) in
+  if base + n > Array.length b.cand then begin
+    let cap = Int.max (base + n) (2 * Array.length b.cand) in
+    let cand = Array.make cap 0 and bits = Array.make cap 0 in
+    Array.blit b.cand 0 cand 0 base;
+    Array.blit b.cand_bits 0 bits 0 base;
+    b.cand <- cand;
+    b.cand_bits <- bits
+  end;
+  gather e vid b.cand b.cand_bits base;
+  n
+
+let swap_candidates (b : bufs) i j =
+  let v = b.cand.(i) and p = b.cand_bits.(i) in
+  b.cand.(i) <- b.cand.(j);
+  b.cand_bits.(i) <- b.cand_bits.(j);
+  b.cand.(j) <- v;
+  b.cand_bits.(j) <- p
+
+let shuffle_candidates rng b base n =
+  for i = n - 1 downto 1 do
+    swap_candidates b (base + i) (base + Rng.int rng (i + 1))
   done
 
-(* Stable move-to-front: same ordering as consing the bias value onto the
-   shuffled list with the old engine. *)
-let move_to_front values x =
+(* Stable move-to-front of the value [x]: same ordering as consing the
+   bias value onto the shuffled list with the old engine. *)
+let move_to_front (b : bufs) base n x =
   let j = ref (-1) in
-  Array.iteri (fun i v -> if !j < 0 && v = x then j := i) values;
-  let j = !j in
-  if j > 0 then begin
-    for i = j downto 1 do
-      values.(i) <- values.(i - 1)
-    done;
-    values.(0) <- x
-  end
+  for i = n - 1 downto 0 do
+    if b.cand.(base + i) = x then j := i
+  done;
+  for i = !j downto 1 do
+    swap_candidates b (base + i) (base + i - 1)
+  done
 
 (* Unified randomized DFS: [search_biased] of the old engine is the
-   [?bias] case. Branching singletons and every propagation write are
+   [bias] case. Branching singletons and every propagation write are
    trail-recorded; a failed branch is undone by rewinding to its mark.
    [true] when a solution was found: it is left in the engine, every
    domain a singleton, for [extract] or [extract_values] to read. *)
+let rec dfs e rng (stats : stats) bias max_fails base =
+  stats.nodes <- stats.nodes + 1;
+  e.nodes <- e.nodes + 1;
+  let vid = pick_var e rng in
+  vid < 0
+  ||
+  let n = push_candidates e vid base in
+  shuffle_candidates rng e.bufs base n;
+  (match bias with
+  | Some b -> (
+      match Assignment.find_opt b e.cp.names.(vid) with
+      | Some v when d_mem e vid v -> move_to_front e.bufs base n v
+      | _ -> ())
+  | None -> ());
+  try_values e rng stats bias max_fails vid base n 0
+
+and try_values e rng (stats : stats) bias max_fails vid base n i =
+  i < n
+  &&
+  let mark = e.tr_len in
+  assign e vid e.bufs.cand_bits.(base + i);
+  push_watchers e vid (-1);
+  (run_queue e && dfs e rng stats bias max_fails (base + n))
+  || begin
+       undo_to e mark;
+       stats.fails <- stats.fails + 1;
+       e.fails <- e.fails + 1;
+       e.search_fails <- e.search_fails + 1;
+       if e.search_fails > max_fails then raise Give_up;
+       try_values e rng stats bias max_fails vid base n (i + 1)
+     end
+
 let search ?(max_fails = 4000) ?bias ~stats rng e =
-  let cp = e.cp in
-  let fails = ref 0 in
-  let pick_var () =
-    (* Smallest open domain, random tie-break. *)
-    let best = ref (-1) and best_size = ref max_int and ties = ref 0 in
-    for i = 0 to cp.nvars - 1 do
-      let s = d_size e i in
-      if s > 1 then
-        if s < !best_size then begin
-          best := i;
-          best_size := s;
-          ties := 1
-        end
-        else if s = !best_size then begin
-          incr ties;
-          if Rng.int rng !ties = 0 then best := i
-        end
-    done;
-    if !best < 0 then None else Some !best
-  in
-  let rec dfs () =
-    stats.nodes <- stats.nodes + 1;
-    Obs.Counter.incr c_nodes;
-    match pick_var () with
-    | None -> true
-    | Some vid ->
-        let values = live_values e vid in
-        Rng.shuffle rng values;
-        (match bias with
-        | Some b -> (
-            match Assignment.find_opt b cp.names.(vid) with
-            | Some v when d_mem e vid v -> move_to_front values v
-            | _ -> ())
-        | None -> ());
-        let rec try_values i =
-          if i >= Array.length values then false
-          else begin
-            let mark = e.tr_len in
-            assign e vid values.(i);
-            push_watchers e vid (-1);
-            if run_queue e && dfs () then true
-            else begin
-              undo_to e mark;
-              stats.fails <- stats.fails + 1;
-              Obs.Counter.incr c_fails;
-              incr fails;
-              if !fails > max_fails then raise Give_up;
-              try_values (i + 1)
-            end
-          end
-        in
-        try_values 0
-  in
-  try dfs () with Give_up -> false
+  e.search_fails <- 0;
+  try dfs e rng stats bias max_fails 0 with Give_up -> false
 
 (* Prepare and search in one engine: narrow [cp]'s root fixpoint by [rs]
    untrailed, then search it trailed. A restart rewinds the whole trail,
@@ -908,8 +1108,9 @@ let solve ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_
    order before any search starts. Draw i is therefore a pure function of
    (parent state, i): executing the draws on a domain pool of any size —
    or sequentially — yields byte-identical solution lists. The template
-   is prepared once here; each task only allocates its own engine, trailed
-   from the start, so a failed attempt rewinds the whole trail. *)
+   is prepared once here; each task takes its domain's engine at that
+   start, trailed from the start, so a failed attempt rewinds the whole
+   trail. *)
 let rand_sat_with out ?(max_fails = 4000) ?pool rng problem n =
   if n <= 0 then []
   else
@@ -920,7 +1121,7 @@ let rand_sat_with out ?(max_fails = 4000) ?pool rng problem n =
         let draw task_rng =
           Obs.Counter.incr c_draws;
           let stats = fresh_stats () in
-          let e = make_engine cp start in
+          let e = engine_at cp start in
           e.trailing <- true;
           let rec go attempt =
             if attempt >= 3 then None
@@ -941,9 +1142,10 @@ let rand_sat ?max_fails ?pool rng problem n = rand_sat_with extract ?max_fails ?
 let rand_sat_values ?max_fails ?pool rng problem n =
   rand_sat_with extract_values ?max_fails ?pool rng problem n
 
-(* Search a batch of plans on the pool, one engine per task, task [i] on
-   [rngs.(i)]. The plans were made sequentially in the caller (one compile
-   and root propagation per distinct base, cache hits for the rest). *)
+(* Search a batch of plans on the pool, task [i] on [rngs.(i)] in its
+   domain's engine. The plans were made sequentially in the caller (one
+   compile and root propagation per distinct base, cache hits for the
+   rest). *)
 let search_plans ~max_fails ~max_restarts ?pool rngs plans out =
   Heron_util.Pool.init ?pool (Array.length plans) (fun i ->
       let cp, rs = plans.(i) in
@@ -995,7 +1197,7 @@ let propagate_domains problem =
                 let vals = ref [] in
                 Bitdom.iter_bits
                   (fun b -> vals := l.values.(b) :: !vals)
-                  start ~off:l.off ~nw:l.nw;
+                  start.words ~off:l.off ~nw:l.nw;
                 (name, Domain.of_list (List.rev !vals)))
               cp.names))
 
@@ -1003,7 +1205,7 @@ let enumerate ?(limit = 10_000) problem =
   match prepare problem with
   | None -> []
   | Some (cp, start) ->
-      let e = make_engine cp start in
+      let e = engine_at cp start in
       e.trailing <- true;
       let out = ref [] and count = ref 0 in
       let rec dfs () =
@@ -1024,14 +1226,17 @@ let enumerate ?(limit = 10_000) problem =
           end
           else begin
             let vid = !open_var in
+            let n = d_size e vid in
+            let vals = Array.make n 0 and bits = Array.make n 0 in
+            gather e vid vals bits 0;
             Array.iter
-              (fun v ->
+              (fun b ->
                 let mark = e.tr_len in
-                assign e vid v;
+                assign e vid b;
                 push_watchers e vid (-1);
                 if run_queue e then dfs ();
                 undo_to e mark)
-              (live_values e vid)
+              bits
           end
         end
       in
@@ -1044,7 +1249,7 @@ let solve_biased ?(max_fails = 4000) rng problem bias =
   match prepare problem with
   | None -> None
   | Some (cp, start) ->
-      let e = make_engine cp start in
+      let e = engine_at cp start in
       e.trailing <- true;
       let r = if search ~max_fails ~bias ~stats rng e then Some (extract e) else None in
       finish_engine e;

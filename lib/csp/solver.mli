@@ -21,8 +21,9 @@
     Every solving entry point runs on one core: a problem is planned as a
     template plus restrictions (a [with_extra] problem's [In] extras,
     or {!solve_children}'s restrictions by variable id), and each search
-    narrows a fresh engine's root fixpoint by them and searches in that
-    same engine. *)
+    copies the template's root fixpoint into its domain's engine, narrows
+    it by them and searches in that same engine. A domain keeps one
+    engine and reuses it for every search of the same template. *)
 
 type stats = {
   mutable nodes : int;     (** search nodes explored *)

@@ -428,6 +428,69 @@ let test_exact_aliased_square () =
        [ Cons.Prod ("v", [ "x"; "x" ]) ])
     [ ("v", [ 4; 9; 10 ]); ("x", [ 2; 3; 5 ]) ]
 
+(* A pair table and the universe index find the same results. A SUM and a
+   PROD, each once with universes of 64 pairs and once widened past the
+   table bound (78 x 76 pairs each); the wide values fall at the
+   root, so both shapes start from the same fixpoint. The base is
+   compiled first, so the [In] extra's plan is a cache hit: the narrow
+   template gets its tables there, and the one revise counted reads
+   them. Same fixpoint, same probes, same revises.
+   SUM, a cut to 2, 3, 7: walks of 5 (y = 8..12), 6 (y = 7..12) and 8
+   (y = 5..12) probes. PROD, a cut to 2, 5: 5 (y = 3..8) and 4 probes,
+   the last y = 5 stopping at 25 > 20. *)
+let test_exact_lookup_paths () =
+  let r lo hi = List.init (hi - lo + 1) (fun k -> lo + k) in
+  let check ~op ~probes ~v ~a ~b ~wide_a ~wide_b extra expected =
+    List.iter
+      (fun (a, b) ->
+        let base =
+          Problem.of_parts [ ("v", dl v); ("a", dl a); ("b", dl b) ] [ op ("v", [ "a"; "b" ]) ]
+        in
+        ignore (Solver.propagate_domains base);
+        check_exact_path ~probes ~revise:1
+          (Problem.with_extra base [ Cons.In ("a", extra) ])
+          expected)
+      [ (a, b); (a @ wide_a, b @ wide_b) ]
+  in
+  check
+    ~op:(fun (v, vs) -> Cons.Sum (v, vs))
+    ~probes:19 ~v:[ 10; 12; 15; 20; 30 ] ~a:(r 1 8) ~b:(r 5 12) ~wide_a:(r 100 169)
+    ~wide_b:(r 200 267) [ 2; 3; 7 ]
+    [ ("v", [ 10; 12; 15 ]); ("a", [ 2; 3; 7 ]); ("b", [ 5; 7; 8; 9; 10; 12 ]) ];
+  check
+    ~op:(fun (v, vs) -> Cons.Prod (v, vs))
+    ~probes:9 ~v:[ 6; 8; 12; 20; 45 ] ~a:(r 1 8) ~b:(r 1 8) ~wide_a:(r 100 169)
+    ~wide_b:(r 100 167) [ 2; 5; 7 ]
+    [ ("v", [ 6; 8; 12; 20 ]); ("a", [ 2; 5 ]); ("b", [ 3; 4; 6 ]) ]
+
+(* A with_extra problem whose [In] extra narrows its base's template runs
+   [rand_sat_values] from a start that [prepare] narrowed in the domain's
+   engine. That start must be the engine's store copied, not the store
+   itself, which every draw overwrites: the draws equal the reference
+   engine's, twice over with a [solve_children] batch on the same base's
+   template in between. *)
+let test_engine_reuse_keeps_starts () =
+  let p = chain_problem () in
+  let q = Problem.with_extra p [ Cons.In ("x", [ 1; 2; 3 ]) ] in
+  let names = Problem.vars q in
+  let id name =
+    let rec go i = if names.(i) = name then i else go (i + 1) in
+    go 0
+  in
+  let draws () = Solver.rand_sat_values (Rng.create 5) q 8 in
+  let reference =
+    List.map
+      (fun a -> Array.map (Assignment.get a) names)
+      (Heron_csp.Solver_ref.rand_sat (Rng.create 5) q 8)
+  in
+  let first = draws () in
+  Alcotest.(check (list (array int))) "draws equal the reference engine's" reference first;
+  Alcotest.(check bool) "the draws differ" true (List.length (List.sort_uniq compare first) > 1);
+  ignore
+    (Solver.solve_children ~max_fails:100 ~max_restarts:2 (Rng.create 9) p
+       [ [ (id "x", [| 2; 4 |]) ]; [ (id "y", [| 1; 2 |]) ]; [] ]);
+  Alcotest.(check (list (array int))) "a batch in between changes nothing" first (draws ())
+
 (* ---------- Scheduling ---------- *)
 
 (* A SELECT whose target and index are not among its sources reaches its
@@ -660,7 +723,10 @@ let test_word_primitives =
 (* Live sets over universes of up to 200 values, at word offset [off]:
    bits at the word boundaries (61/62 and 123/124) are forced in when
    the universe reaches them. The slice kernels must agree with the
-   list of set bits they were built from. *)
+   list of set bits they were built from. A second slice after the
+   first, over another universe, is what the membership kernels test
+   against, and the trail undo must restore two words rewritten in the
+   first slice together with its live count. *)
 let test_slice_kernels =
   let open QCheck in
   let gen =
@@ -704,13 +770,48 @@ let test_slice_kernels =
              let m = Array.make nw (-1) in
              Bitdom.singleton m ~nw i;
              m = words_of_bits nw [ i ])
-           [ 0; n - 1; (7 * seed) mod n ])
+           [ 0; n - 1; (7 * seed) mod n ]
+      &&
+      (* The second slice: odd values up to 2n, at word offset [src]. *)
+      let values2 = Array.init n (fun i -> (2 * i) + 1) and src = off + nw in
+      let bits2 = List.filter (fun i -> pred_of (seed + 2) i) (List.init n Fun.id) in
+      let store2 = Array.append store (words_of_bits nw bits2) in
+      let ix2 = Bitdom.index values2 in
+      let live2 x = List.exists (fun i -> values2.(i) = x) bits2 in
+      let common = List.filter (fun i -> live2 values.(i)) bits in
+      let dst = Array.make nw (-1) in
+      Bitdom.filter_members ix2 store2 ~src values ~off ~nw dst;
+      let marked = Array.make nw 0 in
+      Bitdom.mark_values (Bitdom.index values) [| -1; values.(0); 3 * n; values.(n - 1) |] marked;
+      (* Rewrite two words of the first slice on a trail, as commits do
+         (each owner's count set to its new popcount), then undo. *)
+      let owner = Array.make (src + nw) 0 in
+      Array.fill owner src nw 1;
+      let sizes = [| k; List.length bits2 |] in
+      let st = Array.copy store2 and tr_idx = Array.make 2 0 and tr_old = Array.make 2 0 in
+      List.iteri
+        (fun t wi ->
+          tr_idx.(t) <- off + wi;
+          tr_old.(t) <- st.(off + wi);
+          st.(off + wi) <- st.(off + wi) land (seed + t);
+          sizes.(0) <- Bitdom.popcount st ~off ~nw)
+        [ 0; nw - 1 ];
+      Bitdom.unwind st ~owner ~sizes tr_idx tr_old ~from:2 ~mark:0;
+      dst = words_of_bits nw common
+      && Bitdom.meets ix2 store2 ~src values ~off ~nw = (common <> [])
+      && marked = words_of_bits nw (List.sort_uniq Int.compare [ 0; n - 1 ])
+      && st = store2
+      && sizes = [| k; List.length bits2 |])
 
-(* One walk of [x] over the live y of b against every pair at once: the
-   hits are the y with [x op y] live in v, whatever the walk's order and
-   stopping point, and the probes are the y whose result is at most
-   [vmax] plus the one that stops the walk. v's live values are a narrow
-   window of its universe, and x = 0 comes up often. *)
+(* One operand value [x] through [Bitdom.supports], with and without a
+   pair table, against every pair at once: the hits are the y with
+   [x op y] live in v, whatever the walk's order and stopping point, and
+   the probes are the y from the cursor's start (the least y whose
+   result can reach v's least live value) whose result is at most
+   [vmax], plus the one that stops the walk; a zero product is one probe
+   that supports every live y iff 0 is v's least live value. v's live
+   values are a narrow window of its universe, and x = 0 comes up
+   often. *)
 let test_walk_kernel =
   let open QCheck in
   let gen =
@@ -730,29 +831,44 @@ let test_walk_kernel =
       let lo = lo mod nv in
       let vlive = List.init (Int.min width (nv - lo)) (fun k -> lo + k) in
       let nwv = Bitdom.nwords nv in
-      let vstore = Array.append [| -1 |] (words_of_bits nwv vlive) in
-      let vmax = vu.(List.fold_left Int.max 0 vlive) in
-      (* b's universe 0, 2, .., 158; its live values and their indices *)
-      let bu = Array.init 80 (fun i -> 2 * i) in
+      let vmin = vu.(lo) and vmax = vu.(List.fold_left Int.max 0 vlive) in
+      (* b's universe 0, 2, .., 158 and its live positions; a's universe
+         0 .. 20, so x sits at position x. *)
+      let bu = Array.init 80 (fun i -> 2 * i) and au = Array.init 21 Fun.id in
       let bidx = List.filter (fun i -> pred_of seed i) (List.init 80 Fun.id) in
-      let vals = Array.of_list (List.map (fun i -> bu.(i)) bidx) and idx = Array.of_list bidx in
-      let nb = Array.length vals in
-      let from = if nb = 0 then 0 else seed mod (nb + 1) in
+      let nb = List.length bidx in
+      (* A guard word, v's slice at word 1, then b's. *)
+      let boff = 1 + nwv in
+      let store = Array.concat [ [| -1 |]; words_of_bits nwv vlive; words_of_bits 2 bidx ] in
+      let vals = Array.of_list (List.map (fun i -> bu.(i)) bidx @ [ x ]) in
+      let idx = Array.of_list (bidx @ [ x ]) in
       let op y = if prod then x * y else x + y in
-      let js = List.init (nb - from) (fun k -> from + k) in
-      let hits = List.filter (fun j -> List.exists (fun i -> vu.(i) = op vals.(j)) vlive) js in
-      let reach = List.length (List.filter (fun j -> op vals.(j) <= vmax) js) in
-      let probes = reach + if reach < List.length js then 1 else 0 in
-      let sup_v = Array.make nwv 0 and sup_a = Array.make 1 0 and sup_b = Array.make 2 0 in
-      let got =
-        Bitdom.walk ~prod (Bitdom.index vu) vstore ~off:1 ~vmax vals idx ~x ~xi:5 ~from ~stop:nb
-          sup_v sup_a sup_b
-      in
       let pos t = Bitdom.count_lt vu t in
-      got = probes
-      && sup_v = words_of_bits nwv (List.map (fun j -> pos (op vals.(j))) hits)
-      && sup_b = words_of_bits 2 (List.map (fun j -> idx.(j)) hits)
-      && sup_a = words_of_bits 1 (if hits = [] then [] else [ 5 ]))
+      let expected =
+        if prod && x = 0 then
+          if vmin = 0 then
+            (1, words_of_bits nwv [ lo ], words_of_bits 2 bidx, words_of_bits 1 [ x ])
+          else (1, Array.make nwv 0, Array.make 2 0, Array.make 1 0)
+        else begin
+          let y0 = if prod then (vmin + x - 1) / x else vmin - x in
+          let js = List.filter (fun j -> vals.(j) >= y0) (List.init nb Fun.id) in
+          let hits = List.filter (fun j -> List.exists (fun i -> vu.(i) = op vals.(j)) vlive) js in
+          let reach = List.length (List.filter (fun j -> op vals.(j) <= vmax) js) in
+          ( (reach + if reach < List.length js then 1 else 0),
+            words_of_bits nwv (List.map (fun j -> pos (op vals.(j))) hits),
+            words_of_bits 2 (List.map (fun j -> idx.(j)) hits),
+            words_of_bits 1 (if hits = [] then [] else [ x ]) )
+        end
+      in
+      let run tab =
+        let sup_v = Array.make nwv 0 and sup_a = Array.make 1 0 and sup_b = Array.make 2 0 in
+        let probes =
+          Bitdom.supports ~prod (Bitdom.index vu) tab ~stride:80 store ~off:1 ~nw:nwv vals idx ~nb
+            ~na:1 ~boff ~bnw:2 sup_v sup_a sup_b
+        in
+        (probes, sup_v, sup_b, sup_a)
+      in
+      run [||] = expected && run (Bitdom.pair_table ~prod (Bitdom.index vu) au bu) = expected)
 
 (* ---------- Pairwise-domain kernel ---------- *)
 
@@ -952,6 +1068,8 @@ let suite =
     Alcotest.test_case "exact support: pair walk" `Quick test_exact_pair_walk;
     Alcotest.test_case "exact support: zero product" `Quick test_exact_zero_product;
     Alcotest.test_case "exact support: aliased square" `Quick test_exact_aliased_square;
+    Alcotest.test_case "exact support: table and index agree" `Quick test_exact_lookup_paths;
+    Alcotest.test_case "engine reuse keeps prepared starts" `Quick test_engine_reuse_keeps_starts;
     Alcotest.test_case "unaliased select is idempotent" `Quick test_select_unaliased_idempotent;
     Alcotest.test_case "cheap constraint classes run first" `Quick test_cheap_classes_first;
     Alcotest.test_case "support_checks jobs-independent" `Quick
