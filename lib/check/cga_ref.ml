@@ -25,6 +25,8 @@ module Rng = Heron_util.Rng
 module Pool = Heron_util.Pool
 module Obs = Heron_obs.Obs
 module Json = Heron_obs.Json
+module Env = Heron_search.Env
+module Cga = Heron_search.Cga
 
 (* Shared counter handles (idempotent by name): both engines advance the
    same cga.* metrics. *)

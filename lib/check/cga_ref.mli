@@ -4,6 +4,9 @@
     full sorts for ranking. Shares {!Cga}'s [params], [outcome] and
     [snapshot] types so runs and checkpoints compare byte for byte. *)
 
+module Env = Heron_search.Env
+module Cga = Heron_search.Cga
+
 val run :
   ?params:Cga.params ->
   ?resilience:Env_ref.Recorder.resilience ->

@@ -1,7 +1,6 @@
 module Problem = Heron_csp.Problem
 module Assignment = Heron_csp.Assignment
 module Solver = Heron_csp.Solver
-module Solver_ref = Heron_csp.Solver_ref
 module Cons = Heron_csp.Cons
 module Domain = Heron_csp.Domain
 module Rng = Heron_util.Rng
@@ -17,10 +16,14 @@ let with_seed arb = QCheck.pair arb QCheck.small_int
 let keys_in_order l = List.map Assignment.key l
 let opt_key = Option.map Assignment.key
 
-let stats_equal (s : Solver.stats) (r : Solver_ref.stats) =
-  s.Solver.nodes = r.Solver_ref.nodes
-  && s.Solver.fails = r.Solver_ref.fails
-  && s.Solver.restarts = r.Solver_ref.restarts
+(* The production solver keeps no per-search record: its nodes, fails
+   and restarts over [f ()] are how far these counters move. *)
+let tally = List.map Obs.Counter.make [ "solver.nodes"; "solver.fails"; "solver.restarts" ]
+
+let counted f =
+  let before = List.map Obs.Counter.value tally in
+  let r = f () in
+  (r, List.map2 (fun c v -> Obs.Counter.value c - v) tally before)
 
 (* Random [In] extras over the problem's own variables — the shape CGA
    crossover layers on the base CSP. Value subsets may be empty (an
@@ -42,10 +45,10 @@ let solve_identical ?(tag = "") arb ~count =
   QCheck.Test.make ~name:(name tag "solve byte-identical to reference") ~count (with_seed arb)
     (fun (sp, seed) ->
       let p = Csp_gen.to_problem sp in
-      let st = Solver.fresh_stats () and str = Solver_ref.fresh_stats () in
-      let a = Solver.solve ~max_fails ~max_restarts:2 ~stats:st (Rng.create seed) p in
-      let b = Solver_ref.solve ~max_fails ~max_restarts:2 ~stats:str (Rng.create seed) p in
-      opt_key a = opt_key b && stats_equal st str)
+      let a, moved = counted (fun () -> Solver.solve ~max_fails ~max_restarts:2 (Rng.create seed) p) in
+      let r = Solver_ref.fresh_stats () in
+      let b = Solver_ref.solve ~max_fails ~max_restarts:2 ~stats:r (Rng.create seed) p in
+      opt_key a = opt_key b && moved = [ r.Solver_ref.nodes; r.Solver_ref.fails; r.Solver_ref.restarts ])
 
 let solve_bounds_only_identical arb ~count =
   QCheck.Test.make ~name:"engine: bounds-only solve byte-identical to reference" ~count

@@ -1,7 +1,7 @@
 (** Differential properties between the production solver engine
     ({!Heron_csp.Solver}: compiled-template cache, bitset domains,
     trail-based backtracking) and the frozen pre-overhaul reference
-    ({!Heron_csp.Solver_ref}).
+    ({!Solver_ref}).
 
     Where {!Diff} checks the solver against a brute-force oracle for
     soundness/completeness, these properties pin something stronger: the

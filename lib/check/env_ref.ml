@@ -13,6 +13,8 @@
 module Assignment = Heron_csp.Assignment
 module Obs = Heron_obs.Obs
 module Json = Heron_obs.Json
+module Env = Heron_search.Env
+module Resilience = Heron_search.Resilience
 
 module Recorder = struct
   (* Counter handles are shared with the live recorder by name:

@@ -8,6 +8,8 @@
     only the runtime representation is frozen. *)
 
 module Assignment = Heron_csp.Assignment
+module Env = Heron_search.Env
+module Resilience = Heron_search.Resilience
 
 module Recorder : sig
   type r

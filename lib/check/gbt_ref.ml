@@ -147,7 +147,7 @@ let feature_gains t =
 let n_trees t = List.length t.trees
 
 (* Canonical ensemble serialization shared with the production engine
-   ([Gbt.dump]): byte-equal dumps mean byte-identical fitted models.
+   ([Heron_cost.Gbt.dump]): byte-equal dumps mean byte-identical fitted models.
    Floats print as hex ("%h"), so the equality is exact. *)
 let dump t =
   let buf = Buffer.create 1024 in

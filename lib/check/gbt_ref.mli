@@ -1,7 +1,7 @@
 (** Frozen pre-overhaul GBT engine — the differential oracle the flat-array
     rebuild is tested against (the PR-4 playbook). Boxed [int array array]
     features, pointer-linked tree nodes, per-feature sorted-gain scans.
-    Results define the correctness bar: the production {!Gbt} must fit
+    Results define the correctness bar: the production {!Heron_cost.Gbt} must fit
     byte-identical ensembles and predict byte-identical scores. Sequential
     on purpose; never optimize or parallelize this module. *)
 
@@ -34,4 +34,4 @@ val n_trees : t -> int
 
 val dump : t -> string
 (** Canonical serialization (floats as ["%h"]), shared format with
-    {!Gbt.dump}: byte-equal dumps mean byte-identical fitted models. *)
+    {!Heron_cost.Gbt.dump}: byte-equal dumps mean byte-identical fitted models. *)

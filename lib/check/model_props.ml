@@ -9,7 +9,6 @@ module Perf_model = Heron_dla.Perf_model
 module Fmat = Heron_cost.Fmat
 module Features = Heron_cost.Features
 module Gbt = Heron_cost.Gbt
-module Gbt_ref = Heron_cost.Gbt_ref
 module Tree = Heron_cost.Tree
 module Model = Heron_cost.Model
 module Generator = Heron.Generator

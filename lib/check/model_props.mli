@@ -2,7 +2,7 @@
     hoisted perf-model evaluation context:
 
     - the struct-of-arrays {!Heron_cost.Gbt} must fit and predict
-      byte-identically to the frozen pre-overhaul {!Heron_cost.Gbt_ref}
+      byte-identically to the frozen pre-overhaul {!Gbt_ref}
       (canonical dumps, predictions and feature importances all exactly
       equal), also on datasets built to have constant feature columns,
       which the flat engine leaves out of its histograms;

@@ -1,18 +1,16 @@
 (* Differential properties of the interned flat-pool search engine:
-   {!Heron_search.Cga} (live) against {!Heron_search.Cga_ref} /
-   {!Heron_search.Env_ref} (the frozen pre-overhaul string-keyed loop).
-   Both engines must agree byte for byte — results, traces, every
-   per-iteration checkpoint rendered through {!Heron_search.Checkpoint},
-   and draw-for-draw RNG consumption — at --jobs 1 and 4, with and
-   without injected faults, and across resume-mid-run splits. Snapshots
+   {!Heron_search.Cga} (live) against {!Cga_ref} / {!Env_ref} (the frozen
+   pre-overhaul string-keyed loop). Both engines must agree byte for byte
+   — results, traces, every per-iteration checkpoint rendered through
+   {!Heron_search.Checkpoint}, and draw-for-draw RNG consumption — at
+   --jobs 1 and 4, with and without injected faults, and across
+   resume-mid-run splits. Snapshots
    are compared as serialized checkpoint bytes, so interned ids can
    never leak into the on-disk format unnoticed. *)
 
 module Assignment = Heron_csp.Assignment
 module Cga = Heron_search.Cga
-module Cga_ref = Heron_search.Cga_ref
 module Env = Heron_search.Env
-module Env_ref = Heron_search.Env_ref
 module Checkpoint = Heron_search.Checkpoint
 module Faults = Heron_dla.Faults
 module Rng = Heron_util.Rng

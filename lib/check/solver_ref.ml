@@ -1,4 +1,8 @@
 module Rng = Heron_util.Rng
+module Domain = Heron_csp.Domain
+module Problem = Heron_csp.Problem
+module Cons = Heron_csp.Cons
+module Assignment = Heron_csp.Assignment
 
 (* The pre-overhaul solver engine, frozen verbatim (minus observability and
    pool plumbing, which never influenced results): sorted-array domains,

@@ -10,6 +10,10 @@
     Sequential only: no pool plumbing, no observability counters. Do not
     use outside tests, and do not optimize it. *)
 
+module Domain = Heron_csp.Domain
+module Problem = Heron_csp.Problem
+module Assignment = Heron_csp.Assignment
+
 type stats = { mutable nodes : int; mutable fails : int; mutable restarts : int }
 
 val fresh_stats : unit -> stats

@@ -19,9 +19,6 @@ let create ?(capacity = 16) ~n_features () =
 
 let n_features t = t.n_features
 let n_rows t = t.n_rows
-let capacity t = Bytes.length t.data / t.n_features
-
-let clear t = t.n_rows <- 0
 
 let reserve t rows =
   let need = rows * t.n_features in

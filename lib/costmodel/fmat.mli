@@ -7,18 +7,11 @@
 
 type t
 
-val max_bin : int
-(** Largest storable bin index (255). *)
-
 val create : ?capacity:int -> n_features:int -> unit -> t
 (** An empty matrix with room for [capacity] rows (grows on demand). *)
 
 val n_features : t -> int
 val n_rows : t -> int
-val capacity : t -> int
-
-val clear : t -> unit
-(** Drop all rows (storage is retained for reuse). *)
 
 val set_rows : t -> int -> unit
 (** Set the logical row count (growing storage as needed); cell contents

@@ -4,7 +4,7 @@
    per-tree root offsets. Batch prediction walks those few contiguous
    kilobytes for a whole population, writing into one caller-owned buffer
    that is reused across CGA generations. Fitting and prediction are
-   byte-identical to the frozen {!Gbt_ref} oracle. *)
+   byte-identical to the frozen [Heron_check.Gbt_ref] oracle. *)
 
 type params = { n_trees : int; learning_rate : float; tree : Tree.params }
 
@@ -118,8 +118,6 @@ let predict_bytes t rows base =
   done;
   !acc
 
-let predict_row t m r = predict_bytes t (Fmat.data m) (r * Fmat.n_features m)
-
 let predict_batch_into t m out =
   let n = Fmat.n_rows m in
   if Array.length out < n then invalid_arg "Gbt.predict_batch_into: output buffer too small";
@@ -145,7 +143,7 @@ let feature_gains t =
   done;
   acc
 
-(* Canonical serialization, format shared with [Gbt_ref.dump]. *)
+(* Canonical serialization, format shared with [Heron_check.Gbt_ref.dump]. *)
 let dump t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "base=%h rate=%h nf=%d\n" t.base t.rate t.n_features);

@@ -4,7 +4,8 @@
     concatenated into shared [feat]/[bin]/[left]/[right]/[value] arrays),
     so prediction walks a few contiguous kilobytes instead of
     pointer-linked nodes. Every fit [fit] accepts, and its predictions,
-    are byte-identical to the frozen {!Gbt_ref} oracle. *)
+    are byte-identical to the frozen [Heron_check.Gbt_ref] oracle
+    (test-only). *)
 
 type params = {
   n_trees : int;
@@ -23,7 +24,6 @@ val fit : ?params:params -> n_bins:int array -> Fmat.t -> float array -> t
     [params.tree.min_samples < 1]. *)
 
 val predict : t -> int array -> float
-val predict_row : t -> Fmat.t -> int -> float
 
 val predict_batch_into : t -> Fmat.t -> float array -> unit
 (** [predict_batch_into t m out] writes the prediction for row [r] into
@@ -35,9 +35,7 @@ val feature_gains : t -> float array
 (** Per-feature total gain across the ensemble (XGBoost-style
     importance). *)
 
-val n_trees : t -> int
-
 val dump : t -> string
 (** Canonical serialization (floats as ["%h"]), format shared with
-    {!Gbt_ref.dump}: byte-equal dumps mean byte-identical fitted
-    models. *)
+    [Heron_check.Gbt_ref.dump]: byte-equal dumps mean byte-identical
+    fitted models. *)

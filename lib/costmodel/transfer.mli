@@ -24,14 +24,10 @@ val export : Features.t -> (int array * float) list -> portable
 (** [export features window] lifts a {!Model.samples}-style window (binned
     rows, most recent first) out of [features]'s layout. *)
 
-val coverage : Features.t -> portable -> float
-(** Fraction of the target's features whose name also appears in the
-    donor — the transfer-quality signal callers gate on. 0 for an empty
-    target. *)
-
 val import : Features.t -> portable -> (int array * float) list option
 (** [import target p] rebins every donor row into [target]'s feature
     layout (features absent from the donor read 0, the same convention as
     unbound variables in {!Features.vector}). [None] when the name overlap
-    ({!coverage}) is below 0.5 or the donor window is empty — the caller
-    then falls back to a cold start. *)
+    (the fraction of the target's feature names the donor also has) is
+    below 0.5 or the donor window is empty — the caller then falls back
+    to a cold start. *)

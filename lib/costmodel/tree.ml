@@ -1,7 +1,7 @@
 (* Histogram-based regression trees over a flat byte matrix ({!Fmat}),
    stored as a struct-of-arrays in pre-order. The fit is byte-identical to
-   the frozen {!Gbt_ref.Tree} oracle — same splits, same gains, same leaf
-   means — but with very different constants:
+   the frozen [Heron_check.Gbt_ref.Tree] oracle — same splits, same gains,
+   same leaf means — but with very different constants:
 
    - one pass per node over its samples builds the (feature x bin)
      count/sum histograms for ALL features at once, streaming contiguous
@@ -284,13 +284,6 @@ let predict_row t m r =
     i := if b <= Array.unsafe_get t.bin !i then !i + 1 else Array.unsafe_get t.right !i
   done;
   Array.unsafe_get t.value !i
-
-(* Pre-order node storage makes index order the reference's walk order, so
-   gain accumulation is float-for-float identical to [Gbt_ref.Tree.gains]. *)
-let gains t =
-  let acc = Array.make t.n_features 0.0 in
-  Array.iteri (fun i f -> if f >= 0 then acc.(f) <- acc.(f) +. t.gain.(i)) t.feat;
-  acc
 
 let depth t =
   let rec d i = if t.feat.(i) < 0 then 0 else 1 + max (d t.left.(i)) (d t.right.(i)) in

@@ -2,10 +2,10 @@
     ensemble), trained on a flat byte matrix ({!Fmat}) of pre-binned
     features and stored as a pre-order struct-of-arrays. Splits maximize
     variance reduction. Every fit [fit] accepts is byte-identical to the
-    frozen {!Gbt_ref.Tree} oracle — same splits, gains and leaf means —
-    the flat engine only changes the constants (single streaming
-    histogram pass per node over the non-constant features, count+fill
-    partitioning, monomorphic comparisons). *)
+    frozen [Heron_check.Gbt_ref.Tree] oracle (test-only) — same splits,
+    gains and leaf means — the flat engine only changes the constants
+    (single streaming histogram pass per node over the non-constant
+    features, count+fill partitioning, monomorphic comparisons). *)
 
 type params = {
   max_depth : int;
@@ -60,10 +60,6 @@ val fit :
 
 val predict : t -> int array -> float
 val predict_row : t -> Fmat.t -> int -> float
-
-val gains : t -> float array
-(** Total variance reduction contributed by each feature (indexed like the
-    feature vectors) — the raw material of feature importance. *)
 
 val depth : t -> int
 val n_nodes : t -> int

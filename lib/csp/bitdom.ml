@@ -107,22 +107,15 @@ let popcount store ~off ~nw =
   done;
   !c
 
-(* The slice scans below are loops over a [ref], not local recursive
-   functions: a local function that captures the slice is a closure,
-   allocated at every call (5 to 13 words each in this compiler). *)
-let is_empty_slice store ~off ~nw =
-  let wi = ref 0 in
-  while !wi < nw && store.(off + !wi) = 0 do
-    incr wi
-  done;
-  !wi >= nw
-
 let[@inline] mem_bit store ~off i =
   store.(off + (i / bits_per_word)) land (1 lsl (i mod bits_per_word)) <> 0
 
 let[@inline] set_bit (m : int array) i =
   m.(i / bits_per_word) <- m.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
 
+(* The slice scans below are loops over a [ref], not local recursive
+   functions: a local function that captures the slice is a closure,
+   allocated at every call (5 to 13 words each in this compiler). *)
 let min_bit store ~off ~nw =
   let wi = ref 0 in
   while !wi < nw && store.(off + !wi) = 0 do
@@ -283,13 +276,6 @@ let meets ix store ~src (values : int array) ~off ~nw =
   done;
   !found
 
-let equal_slices (a : int array) aoff (b : int array) boff ~nw =
-  let wi = ref 0 in
-  while !wi < nw && a.(aoff + !wi) = b.(boff + !wi) do
-    incr wi
-  done;
-  !wi >= nw
-
 let mask_range store ~off ~nw ilo ihi (dst : int array) =
   for wi = 0 to nw - 1 do
     let base = wi * bits_per_word in
@@ -371,52 +357,3 @@ let combine ?cap ~prod d1 d2 =
       end
     end
   end
-
-type t = { values : int array; words : int array }
-
-let of_domain d =
-  let values = Domain.to_array d in
-  let n = Array.length values in
-  let words = Array.make (nwords n) 0 in
-  fill words ~off:0 ~n;
-  { values; words }
-
-let size t = popcount t.words ~off:0 ~nw:(Array.length t.words)
-let is_empty t = is_empty_slice t.words ~off:0 ~nw:(Array.length t.words)
-
-let mem v t =
-  let i = count_lt t.values v in
-  i < Array.length t.values && t.values.(i) = v && mem_bit t.words ~off:0 i
-
-let min_value t =
-  match min_bit t.words ~off:0 ~nw:(Array.length t.words) with
-  | -1 -> invalid_arg "Bitdom.min_value: empty domain"
-  | b -> t.values.(b)
-
-let max_value t =
-  match max_bit t.words ~off:0 ~nw:(Array.length t.words) with
-  | -1 -> invalid_arg "Bitdom.max_value: empty domain"
-  | b -> t.values.(b)
-
-let value t = if size t = 1 then Some (min_value t) else None
-
-let iter f t = iter_bits (fun b -> f t.values.(b)) t.words ~off:0 ~nw:(Array.length t.words)
-
-let fold f acc t =
-  let acc = ref acc in
-  iter (fun v -> acc := f !acc v) t;
-  !acc
-
-let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
-let to_domain t = Domain.of_list (to_list t)
-
-let restrict p t =
-  let nw = Array.length t.words in
-  let words = Array.make nw 0 in
-  filter p t.words ~off:0 ~nw t.values words;
-  { t with words }
-
-let inter a b =
-  if a.values != b.values && a.values <> b.values then
-    invalid_arg "Bitdom.inter: distinct universes";
-  { a with words = Array.map2 ( land ) a.words b.words }

@@ -22,14 +22,10 @@
     into this module, and divides by a word size it cannot see as a
     constant.
 
-    Two layers:
-    - Low-level slice primitives over a caller-owned flat [int array]
-      ([store]) at a word offset — the solver packs every variable's
-      live words into one array so a search-tree snapshot is a single
-      blit and backtracking is a trail of (word index, old word) pairs.
-    - A self-contained high-level {!t} (universe + live words), used by
-      the unit tests that pit bitset operations against the
-      sorted-array {!Domain} reference. *)
+    The primitives work on slices of a caller-owned flat [int array]
+    ([store]) at a word offset: the solver packs every variable's live
+    words into one array, so a search-tree snapshot is a single blit and
+    backtracking is a trail of (word index, old word) pairs. *)
 
 val bits_per_word : int
 
@@ -83,8 +79,6 @@ val fill : int array -> off:int -> n:int -> unit
 (** Set bits [0..n-1], clear any tail bits of the last word. *)
 
 val popcount : int array -> off:int -> nw:int -> int
-
-val is_empty_slice : int array -> off:int -> nw:int -> bool
 
 val mem_bit : int array -> off:int -> int -> bool
 (** [mem_bit store ~off i] tests bit [i] of the slice. *)
@@ -202,9 +196,6 @@ val meets : index -> int array -> src:int -> int array -> off:int -> nw:int -> b
     would keep any bit: some live value of the slice at [off] is live in
     the slice at [src]. It stops at the first such value. *)
 
-val equal_slices : int array -> int -> int array -> int -> nw:int -> bool
-(** [equal_slices a aoff b boff ~nw] compares two [nw]-word slices. *)
-
 val mask_range : int array -> off:int -> nw:int -> int -> int -> int array -> unit
 (** [mask_range store ~off ~nw ilo ihi dst] writes into [dst.(0 .. nw-1)]
     the slice's words with every bit outside positions [[ilo, ihi)]
@@ -230,43 +221,3 @@ val combine : ?cap:int -> prod:bool -> Domain.t -> Domain.t -> Domain.t
     product stays far below [2^62].
     @raise Invalid_argument if an operand holds a negative value (the
     prefix walk relies on results ascending). *)
-
-(** {1 Self-contained domains (for tests)} *)
-
-type t = { values : int array; words : int array }
-(** [values] is the frozen universe (strictly ascending); [words] are
-    the live bits, [nwords (Array.length values)] of them. *)
-
-val of_domain : Domain.t -> t
-(** Universe = the given domain, all values live. *)
-
-val to_domain : t -> Domain.t
-
-val to_list : t -> int list
-
-val size : t -> int
-
-val is_empty : t -> bool
-
-val mem : int -> t -> bool
-
-val min_value : t -> int
-(** @raise Invalid_argument on an empty domain. *)
-
-val max_value : t -> int
-(** @raise Invalid_argument on an empty domain. *)
-
-val value : t -> int option
-(** [Some v] iff the live set is the singleton [v]. *)
-
-val restrict : (int -> bool) -> t -> t
-(** Keep live values satisfying the predicate (same universe). *)
-
-val inter : t -> t -> t
-(** Intersection of live sets; both arguments must share the same
-    universe (word AND). @raise Invalid_argument otherwise. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Ascending over live values. *)
-
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a

@@ -1,14 +1,15 @@
 module Rng = Heron_util.Rng
 module Obs = Heron_obs.Obs
 
-(* Global observability counters, alongside the per-search [stats] record:
-   [stats] feeds experiment tables, counters feed --metrics/--trace.
-   Totals are deterministic for any pool size because the work itself is
-   (per-task split generators) and compile-cache lookups happen only in
-   sequential caller code. The per-event counters (revises, propagation
-   rounds, wipeouts, nodes, fails, trail pushes and support probes) are
-   tallied in the engine and flushed once per search by [finish_engine],
-   so the propagation and search loops make no atomic increment. *)
+(* Global observability counters, the solver's one tally of its work:
+   --metrics/--trace print them, and experiment tables read their change
+   across a batch of solves. Totals are deterministic for any pool size
+   because the work itself is (per-task split generators) and
+   compile-cache lookups happen only in sequential caller code. The
+   per-event counters (revises, propagation rounds, wipeouts, nodes,
+   fails, trail pushes and support probes) are tallied in the engine and
+   flushed once per search by [finish_engine], so the propagation and
+   search loops make no atomic increment. *)
 let c_revise = Obs.Counter.make "solver.revise"
 let c_propagate = Obs.Counter.make "solver.propagate_rounds"
 let c_wipeouts = Obs.Counter.make "solver.wipeouts"
@@ -21,10 +22,6 @@ let c_compiles = Obs.Counter.make "solver.compiles"
 let c_cache_hits = Obs.Counter.make "solver.compile_cache_hits"
 let c_trail = Obs.Counter.make "solver.trail_pushes"
 let c_support = Obs.Counter.make "solver.support_checks"
-
-type stats = { mutable nodes : int; mutable fails : int; mutable restarts : int }
-
-let fresh_stats () = { nodes = 0; fails = 0; restarts = 0 }
 
 (* Compiled, id-based constraint form. *)
 type ic =
@@ -1038,8 +1035,7 @@ let move_to_front (b : bufs) base n x =
    trail-recorded; a failed branch is undone by rewinding to its mark.
    [true] when a solution was found: it is left in the engine, every
    domain a singleton, for [extract] or [extract_values] to read. *)
-let rec dfs e rng (stats : stats) bias max_fails base =
-  stats.nodes <- stats.nodes + 1;
+let rec dfs e rng bias max_fails base =
   e.nodes <- e.nodes + 1;
   let vid = pick_var e rng in
   vid < 0
@@ -1052,32 +1048,31 @@ let rec dfs e rng (stats : stats) bias max_fails base =
       | Some v when d_mem e vid v -> move_to_front e.bufs base n v
       | _ -> ())
   | None -> ());
-  try_values e rng stats bias max_fails vid base n 0
+  try_values e rng bias max_fails vid base n 0
 
-and try_values e rng (stats : stats) bias max_fails vid base n i =
+and try_values e rng bias max_fails vid base n i =
   i < n
   &&
   let mark = e.tr_len in
   assign e vid e.bufs.cand_bits.(base + i);
   push_watchers e vid (-1);
-  (run_queue e && dfs e rng stats bias max_fails (base + n))
+  (run_queue e && dfs e rng bias max_fails (base + n))
   || begin
        undo_to e mark;
-       stats.fails <- stats.fails + 1;
        e.fails <- e.fails + 1;
        e.search_fails <- e.search_fails + 1;
        if e.search_fails > max_fails then raise Give_up;
-       try_values e rng stats bias max_fails vid base n (i + 1)
+       try_values e rng bias max_fails vid base n (i + 1)
      end
 
-let search ?(max_fails = 4000) ?bias ~stats rng e =
+let search ?(max_fails = 4000) ?bias rng e =
   e.search_fails <- 0;
-  try dfs e rng stats bias max_fails 0 with Give_up -> false
+  try dfs e rng bias max_fails 0 with Give_up -> false
 
 (* Prepare and search in one engine: narrow [cp]'s root fixpoint by [rs]
    untrailed, then search it trailed. A restart rewinds the whole trail,
    which restores the narrowed start exactly. [out] reads the solution. *)
-let solve_restricted ~max_fails ~max_restarts ~stats rng cp rs out =
+let solve_restricted ~max_fails ~max_restarts rng cp rs out =
   match restricted_engine cp rs with
   | None -> None
   | Some e ->
@@ -1086,23 +1081,20 @@ let solve_restricted ~max_fails ~max_restarts ~stats rng cp rs out =
         if k > max_restarts then None
         else begin
           if k > 0 then begin
-            stats.restarts <- stats.restarts + 1;
             Obs.Counter.incr c_restarts;
             undo_to e 0
           end;
-          if search ~max_fails ~stats rng e then Some (out e) else attempt (k + 1)
+          if search ~max_fails rng e then Some (out e) else attempt (k + 1)
         end
       in
       let r = attempt 0 in
       finish_engine e;
       r
 
-let solve ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_limit) ?stats rng
-    problem =
+let solve ?(max_fails = 4000) ?(max_restarts = 8) ?(exact_limit = default_exact_limit) rng problem =
   Obs.Counter.incr c_solve;
-  let stats = match stats with Some s -> s | None -> fresh_stats () in
   let cp, rs = plan ~exact_limit problem in
-  solve_restricted ~max_fails ~max_restarts ~stats rng cp rs extract
+  solve_restricted ~max_fails ~max_restarts rng cp rs extract
 
 (* Each draw runs on its own generator, split from the parent in index
    order before any search starts. Draw i is therefore a pure function of
@@ -1120,12 +1112,11 @@ let rand_sat_with out ?(max_fails = 4000) ?pool rng problem n =
         let rngs = Rng.split_n rng n in
         let draw task_rng =
           Obs.Counter.incr c_draws;
-          let stats = fresh_stats () in
           let e = engine_at cp start in
           e.trailing <- true;
           let rec go attempt =
             if attempt >= 3 then None
-            else if search ~max_fails ~stats task_rng e then Some (out e)
+            else if search ~max_fails task_rng e then Some (out e)
             else begin
               undo_to e 0;
               go (attempt + 1)
@@ -1149,7 +1140,7 @@ let rand_sat_values ?max_fails ?pool rng problem n =
 let search_plans ~max_fails ~max_restarts ?pool rngs plans out =
   Heron_util.Pool.init ?pool (Array.length plans) (fun i ->
       let cp, rs = plans.(i) in
-      solve_restricted ~max_fails ~max_restarts ~stats:(fresh_stats ()) rngs.(i) cp rs out)
+      solve_restricted ~max_fails ~max_restarts rngs.(i) cp rs out)
   |> Array.to_list
 
 (* Solve a batch of independent problems with per-task split generators;
@@ -1245,12 +1236,11 @@ let enumerate ?(limit = 10_000) problem =
       List.rev !out
 
 let solve_biased ?(max_fails = 4000) rng problem bias =
-  let stats = fresh_stats () in
   match prepare problem with
   | None -> None
   | Some (cp, start) ->
       let e = engine_at cp start in
       e.trailing <- true;
-      let r = if search ~max_fails ~bias ~stats rng e then Some (extract e) else None in
+      let r = if search ~max_fails ~bias rng e then Some (extract e) else None in
       finish_engine e;
       r

@@ -12,8 +12,8 @@
     constraints share their base's template and re-propagate only what
     the extras change. Search backtracks by trail rewinding rather than
     domain copying. None of this is observable: results are byte
-    identical to a compile-per-solve engine (see [Solver_ref] and the
-    [engine] differential properties in [lib/check]), and cache traffic
+    identical to a compile-per-solve engine (see [Heron_check.Solver_ref]
+    and the [engine] differential properties beside it), and cache traffic
     shows up in the [solver.compiles] / [solver.compile_cache_hits] /
     [solver.trail_pushes] counters documented in OBSERVABILITY.md, and
     the work of exact binary PROD/SUM pruning in [solver.support_checks].
@@ -25,17 +25,10 @@
     it by them and searches in that same engine. A domain keeps one
     engine and reuses it for every search of the same template. *)
 
-type stats = {
-  mutable nodes : int;     (** search nodes explored *)
-  mutable fails : int;     (** dead ends encountered *)
-  mutable restarts : int;  (** randomized restarts *)
-}
-
 val solve :
   ?max_fails:int ->
   ?max_restarts:int ->
   ?exact_limit:int ->
-  ?stats:stats ->
   Heron_util.Rng.t ->
   Problem.t ->
   Assignment.t option
@@ -110,8 +103,6 @@ val propagate_domains : Problem.t -> (string * Domain.t) list option
 val enumerate : ?limit:int -> Problem.t -> Assignment.t list
 (** Exhaustive enumeration (deterministic order) of up to [limit] solutions.
     Only for small test problems. *)
-
-val fresh_stats : unit -> stats
 
 val solve_biased :
   ?max_fails:int ->

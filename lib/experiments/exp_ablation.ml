@@ -52,17 +52,18 @@ let propagation ?(seed = 42) () =
           (Op.conv2d ~n:16 ~ci:64 ~h:56 ~w:56 ~co:64 ~kh:3 ~kw:3 ~stride:1 ~pad:1 ()) );
     ]
   in
+  let c_nodes = Obs.Counter.make "solver.nodes" and c_fails = Obs.Counter.make "solver.fails" in
   let solve_stats ~exact_limit (gen : Generator.t) =
-    let stats = Solver.fresh_stats () in
     let rng = Rng.create seed in
+    let nodes0 = Obs.Counter.value c_nodes and fails0 = Obs.Counter.value c_fails in
     let t0 = Obs.Clock.now_ns () in
     let solved = ref 0 in
     for _ = 1 to 20 do
-      match Solver.solve ~exact_limit ~stats rng gen.Generator.problem with
+      match Solver.solve ~exact_limit rng gen.Generator.problem with
       | Some _ -> incr solved
       | None -> ()
     done;
-    (!solved, stats.Solver.nodes, stats.Solver.fails,
+    (!solved, Obs.Counter.value c_nodes - nodes0, Obs.Counter.value c_fails - fails0,
      float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9)
   in
   let rows =

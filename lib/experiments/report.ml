@@ -24,8 +24,6 @@ let geomean = function
       let logs = List.map log xs in
       exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (List.length xs))
 
-let fmt_opt = function None -> "-" | Some x -> Printf.sprintf "%.1f" x
-
 let csv ~header rows =
   let line cells = String.concat "," cells in
   String.concat "\n" (line header :: List.map line rows) ^ "\n"

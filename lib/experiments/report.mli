@@ -6,7 +6,4 @@ val table : header:string list -> string list list -> string
 val geomean : float list -> float
 (** Geometric mean; 0 on the empty list. *)
 
-val fmt_opt : float option -> string
-(** Formats a latency/ratio, "-" for [None]. *)
-
 val csv : header:string list -> string list list -> string

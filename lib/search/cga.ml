@@ -225,7 +225,8 @@ let push_buf sc id =
   sc.buf_n <- sc.buf_n + 1
 
 (* Rebuild [pop] from [buf], keeping the first occurrence of every id —
-   [Cga_ref]'s string-keyed [dedupe] as one stamped array pass. *)
+   [Heron_check.Cga_ref]'s string-keyed [dedupe] as one stamped array
+   pass. *)
 let dedupe_buf_into_pop intern sc =
   sc.stamp <- grown_int sc.stamp (Intern.size intern);
   sc.round <- sc.round + 1;

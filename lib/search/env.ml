@@ -27,8 +27,9 @@ let score = function None -> 0.0 | Some l -> score_of_latency l
    key string materialized only for checkpoints), and all per-config
    bookkeeping — cache membership and values, quarantine and degraded
    marks — lives in flat per-id arrays grown alongside the intern table.
-   [Env_ref.Recorder] is the frozen pre-overhaul string-keyed engine;
-   the [search_engine] property group holds the two byte-identical. *)
+   [Heron_check.Env_ref.Recorder] is the frozen pre-overhaul string-keyed
+   engine; the [search_engine] property group holds the two
+   byte-identical. *)
 module Recorder = struct
   let c_evals = Obs.Counter.make "env.evals"
   let c_cache_hits = Obs.Counter.make "env.cache_hits"

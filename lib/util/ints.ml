@@ -20,11 +20,7 @@ let ceil_div a b = (a + b - 1) / b
 
 let round_up a m = ceil_div a m * m
 
-let product = List.fold_left ( * ) 1
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let clamp ~lo ~hi x = max lo (min hi x)
 
 let log2_floor n =
   if n < 1 then invalid_arg "Ints.log2_floor";

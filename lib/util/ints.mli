@@ -12,11 +12,7 @@ val ceil_div : int -> int -> int
 val round_up : int -> int -> int
 (** [round_up a m] is the least multiple of [m] that is [>= a]. *)
 
-val product : int list -> int
-
 val is_pow2 : int -> bool
-
-val clamp : lo:int -> hi:int -> int -> int
 
 val log2_floor : int -> int
 (** Floor of the base-2 logarithm. Requires the argument [>= 1]. *)

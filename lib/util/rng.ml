@@ -64,8 +64,6 @@ let float t =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   r /. 9007199254740992.0
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let range t lo hi =
   if lo > hi then invalid_arg "Rng.range: lo > hi";
   lo + int t (hi - lo + 1)

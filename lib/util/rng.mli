@@ -45,8 +45,6 @@ val int : t -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val range : t -> int -> int -> int
 (** [range t lo hi] is uniform in [\[lo, hi\]] inclusive.
     Requires [lo <= hi]. *)

@@ -8,7 +8,7 @@ module Features = Heron_cost.Features
 module Fmat = Heron_cost.Fmat
 module Tree = Heron_cost.Tree
 module Gbt = Heron_cost.Gbt
-module Gbt_ref = Heron_cost.Gbt_ref
+module Gbt_ref = Heron_check.Gbt_ref
 module Model = Heron_cost.Model
 module Rng = Heron_util.Rng
 module Obs = Heron_obs.Obs

@@ -205,7 +205,7 @@ let test_select_index_among_sources () =
   let got = Solver.propagate_domains p in
   let norm = Option.map (List.map (fun (v, d) -> (v, Domain.to_list d))) in
   Alcotest.(check bool) "same fixpoint as the reference engine" true
-    (norm got = norm (Heron_csp.Solver_ref.propagate_domains p));
+    (norm got = norm (Heron_check.Solver_ref.propagate_domains p));
   match got with
   | None -> Alcotest.fail "satisfiable (u = 0)"
   | Some doms -> Alcotest.(check (list int)) "u" [ 0 ] (Domain.to_list (List.assoc "u" doms))
@@ -376,7 +376,7 @@ let check_exact_path ~probes ~revise p expected =
   Alcotest.(check int) "revises" revise (revises () - r0);
   let norm = Option.map (List.map (fun (v, d) -> (v, Domain.to_list d))) in
   Alcotest.(check bool) "same fixpoint as the reference engine" true
-    (norm got = norm (Heron_csp.Solver_ref.propagate_domains p));
+    (norm got = norm (Heron_check.Solver_ref.propagate_domains p));
   match got with
   | None -> Alcotest.fail "unexpected wipeout"
   | Some doms ->
@@ -481,7 +481,7 @@ let test_engine_reuse_keeps_starts () =
   let reference =
     List.map
       (fun a -> Array.map (Assignment.get a) names)
-      (Heron_csp.Solver_ref.rand_sat (Rng.create 5) q 8)
+      (Heron_check.Solver_ref.rand_sat (Rng.create 5) q 8)
   in
   let first = draws () in
   Alcotest.(check (list (array int))) "draws equal the reference engine's" reference first;
@@ -548,6 +548,50 @@ let test_support_checks_jobs_independent () =
 
 module Bitdom = Heron_csp.Bitdom
 
+(* A self-contained bitset domain over Bitdom's slice primitives: a
+   frozen universe (strictly ascending) and its live words, [nwords] of
+   them, as the solver keeps one variable's slice. *)
+module Bitset = struct
+  type t = { values : int array; words : int array }
+
+  let of_domain d =
+    let values = Domain.to_array d in
+    let n = Array.length values in
+    let words = Array.make (Bitdom.nwords n) 0 in
+    Bitdom.fill words ~off:0 ~n;
+    { values; words }
+
+  let size t = Bitdom.popcount t.words ~off:0 ~nw:(Array.length t.words)
+  let is_empty t = Array.for_all (fun w -> w = 0) t.words
+
+  let mem v t =
+    let i = Bitdom.count_lt t.values v in
+    i < Array.length t.values && t.values.(i) = v && Bitdom.mem_bit t.words ~off:0 i
+
+  let min_value t = t.values.(Bitdom.min_bit t.words ~off:0 ~nw:(Array.length t.words))
+  let max_value t = t.values.(Bitdom.max_bit t.words ~off:0 ~nw:(Array.length t.words))
+  let value t = if size t = 1 then Some (min_value t) else None
+
+  let iter f t =
+    Bitdom.iter_bits (fun b -> f t.values.(b)) t.words ~off:0 ~nw:(Array.length t.words)
+
+  let fold f acc t =
+    let acc = ref acc in
+    iter (fun v -> acc := f !acc v) t;
+    !acc
+
+  let to_list t = List.rev (fold (fun acc v -> v :: acc) [] t)
+  let to_domain t = Domain.of_list (to_list t)
+
+  let restrict p t =
+    let nw = Array.length t.words in
+    let words = Array.make nw 0 in
+    Bitdom.filter p t.words ~off:0 ~nw t.values words;
+    { t with words }
+
+  let inter a b = { a with words = Array.map2 ( land ) a.words b.words }
+end
+
 (* A pure pseudo-random predicate so both representations filter by the
    exact same membership function. *)
 let pred_of seed v = (v * 2654435761 + seed) land 7 > 2
@@ -557,43 +601,43 @@ let test_bitdom_matches_domain =
     QCheck.(pair (list_of_size Gen.(1 -- 80) (int_range 0 200)) small_int)
     (fun (xs, seed) ->
       let d = dl xs in
-      let b = Bitdom.of_domain d in
+      let b = Bitset.of_domain d in
       let n = Domain.size d in
       (* Construction and the whole-universe queries. *)
-      Bitdom.to_list b = Domain.to_list d
-      && Bitdom.size b = n
-      && (not (Bitdom.is_empty b))
-      && Bitdom.min_value b = Domain.min_value d
-      && Bitdom.max_value b = Domain.max_value d
-      && List.for_all (fun v -> Bitdom.mem v b) (Domain.to_list d)
-      && (not (Bitdom.mem 201 b))
-      && Bitdom.value b = (if n = 1 then Some (List.hd xs) else None)
+      Bitset.to_list b = Domain.to_list d
+      && Bitset.size b = n
+      && (not (Bitset.is_empty b))
+      && Bitset.min_value b = Domain.min_value d
+      && Bitset.max_value b = Domain.max_value d
+      && List.for_all (fun v -> Bitset.mem v b) (Domain.to_list d)
+      && (not (Bitset.mem 201 b))
+      && Bitset.value b = (if n = 1 then Some (List.hd xs) else None)
       (* Filtering, intersection, iteration order. *)
       &&
       let p1 = pred_of seed and p2 = pred_of (seed + 1) in
-      let b1 = Bitdom.restrict p1 b and b2 = Bitdom.restrict p2 b in
-      Bitdom.to_list b1 = Domain.to_list (Domain.filter p1 d)
-      && Domain.to_list (Bitdom.to_domain b2) = Domain.to_list (Domain.filter p2 d)
-      && Bitdom.to_list (Bitdom.inter b1 b2)
+      let b1 = Bitset.restrict p1 b and b2 = Bitset.restrict p2 b in
+      Bitset.to_list b1 = Domain.to_list (Domain.filter p1 d)
+      && Domain.to_list (Bitset.to_domain b2) = Domain.to_list (Domain.filter p2 d)
+      && Bitset.to_list (Bitset.inter b1 b2)
          = Domain.to_list (Domain.inter (Domain.filter p1 d) (Domain.filter p2 d))
       && (let seen = ref [] in
-          Bitdom.iter (fun v -> seen := v :: !seen) b1;
-          List.rev !seen = Bitdom.to_list b1)
-      && Bitdom.fold (fun acc _ -> acc + 1) 0 b1 = Bitdom.size b1
+          Bitset.iter (fun v -> seen := v :: !seen) b1;
+          List.rev !seen = Bitset.to_list b1)
+      && Bitset.fold (fun acc _ -> acc + 1) 0 b1 = Bitset.size b1
       (* Slice primitives underneath: the live words of a full domain are
          exactly [fill], and cardinality/extrema come from the words. *)
       &&
       let nw = Bitdom.nwords n in
       let fresh = Array.make nw 0 in
       Bitdom.fill fresh ~off:0 ~n;
-      Bitdom.equal_slices fresh 0 b.Bitdom.words 0 ~nw
-      && Bitdom.popcount b1.Bitdom.words ~off:0 ~nw = Bitdom.size b1
-      && Bitdom.is_empty_slice b1.Bitdom.words ~off:0 ~nw = Bitdom.is_empty b1
-      && (Bitdom.is_empty b1
-         || Bitdom.min_bit b1.Bitdom.words ~off:0 ~nw
-            = Bitdom.count_lt b.Bitdom.values (Bitdom.min_value b1)
-            && Bitdom.max_bit b1.Bitdom.words ~off:0 ~nw
-               = Bitdom.count_lt b.Bitdom.values (Bitdom.max_value b1)))
+      fresh = b.Bitset.words
+      && Bitdom.popcount b1.Bitset.words ~off:0 ~nw = Bitset.size b1
+      && (Bitdom.popcount b1.Bitset.words ~off:0 ~nw = 0) = Bitset.is_empty b1
+      && (Bitset.is_empty b1
+         || Bitdom.min_bit b1.Bitset.words ~off:0 ~nw
+            = Bitdom.count_lt b.Bitset.values (Bitset.min_value b1)
+            && Bitdom.max_bit b1.Bitset.words ~off:0 ~nw
+               = Bitdom.count_lt b.Bitset.values (Bitset.max_value b1)))
 
 (* Sorted universes of the shapes the solver indexes: skewed (powers of
    two, so buckets fill unevenly), single values, sets holding 0, dense
@@ -680,7 +724,7 @@ let test_range_mask =
           expect.(i / Bitdom.bits_per_word) <-
             expect.(i / Bitdom.bits_per_word) lor (1 lsl (i mod Bitdom.bits_per_word))
       done;
-      dst = expect && (plo <= phi || Bitdom.is_empty_slice dst ~off:0 ~nw))
+      dst = expect && (plo <= phi || Bitdom.popcount dst ~off:0 ~nw = 0))
 
 (* ---------- Word kernels vs per-bit references ---------- *)
 

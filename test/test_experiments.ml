@@ -62,6 +62,30 @@ let test_fig2_small () =
                                   && String.sub l 0 (String.length m) = m))
        [ "RAND"; "SA"; "GA" ])
 
+(* The propagation ablation's solved, nodes and fails columns at seed
+   42. Nodes and fails are how far the solver's counters move across a
+   row's 20 solves, so a reading that also took in the spaces' own
+   generation, or another row's solves, would move them. *)
+let test_ablation_propagation () =
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  let rows = List.map words (String.split_on_char '\n' (E.Exp_ablation.propagation ~seed:42 ())) in
+  let columns space mode =
+    let key = words (space ^ " " ^ mode) in
+    let n = List.length key in
+    match List.find_opt (fun r -> List.filteri (fun i _ -> i < n) r = key) rows with
+    | Some r -> List.filteri (fun i _ -> i >= n && i < n + 3) r
+    | None -> Alcotest.failf "no %s / %s row" space mode
+  in
+  List.iter
+    (fun (space, mode, expected) ->
+      Alcotest.(check (list string)) (space ^ ", " ^ mode) expected (columns space mode))
+    [
+      ("GEMM G1", "exact binary pruning", [ "20"; "342"; "3" ]);
+      ("GEMM G1", "bounds only", [ "20"; "338"; "1" ]);
+      ("C2D", "exact binary pruning", [ "20"; "348"; "1" ]);
+      ("C2D", "bounds only", [ "20"; "351"; "13" ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "table render" `Quick test_table_render;
@@ -72,4 +96,5 @@ let suite =
     Alcotest.test_case "table9 output" `Quick test_table9;
     Alcotest.test_case "trace rows" `Quick test_trace_rows;
     Alcotest.test_case "fig2 small" `Slow test_fig2_small;
+    Alcotest.test_case "propagation ablation at seed 42" `Quick test_ablation_propagation;
   ]

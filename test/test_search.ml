@@ -10,7 +10,7 @@ module Assignment = Heron_csp.Assignment
 module Solver = Heron_csp.Solver
 module Env = Heron_search.Env
 module Cga = Heron_search.Cga
-module Cga_ref = Heron_search.Cga_ref
+module Cga_ref = Heron_check.Cga_ref
 module Intern = Heron_search.Intern
 module Baselines = Heron_search.Baselines
 module Rng = Heron_util.Rng
